@@ -354,10 +354,13 @@ def stage_generate(config: ProjectConfig) -> None:
 
     all_tools: list = []
     unbuildable: list = []
+    used_names: set = set()  # tool and export files are keyed by tool name
     for result in results:
         if not result.valid or result.spec is None:
             continue
-        tools, schemeless = generate_tools_for_spec(result.spec, result.source_id)
+        tools, schemeless = generate_tools_for_spec(
+            result.spec, result.source_id, used_names
+        )
         all_tools.extend(tools)
         for endpoint in schemeless:
             unbuildable.append(

@@ -31,6 +31,14 @@ def cosine_similarity(a, b) -> float:
     return float(np.dot(va, vb) / (na * nb))
 
 
+def distinct_texts(texts: Sequence[str]) -> tuple:
+    """The distinct texts in first-seen order, and for each input text the
+    position of its distinct copy."""
+    slot: dict = {}
+    inverse = [slot.setdefault(t, len(slot)) for t in texts]
+    return list(slot), np.asarray(inverse, dtype=np.intp)
+
+
 class LexicalEmbedding:
     """Hashed character-trigram counts, L2-normalized.
 
@@ -61,7 +69,11 @@ class LexicalEmbedding:
         return v
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
-        return np.stack([self.embed_one(t) for t in texts]) if texts else np.zeros((0, self.dimension))
+        """One row per text; each distinct text is embedded once."""
+        if not texts:
+            return np.zeros((0, self.dimension))
+        distinct, inverse = distinct_texts(texts)
+        return np.stack([self.embed_one(t) for t in distinct])[inverse]
 
 
 @dataclass
@@ -116,18 +128,23 @@ class RemoteEmbedding:
             raise EmbeddingUnavailable(f"malformed response: {exc}") from exc
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
+        """One row per text; each distinct text is sent once."""
+        distinct, inverse = distinct_texts(texts)
         vectors: list = []
-        texts = list(texts)
-        for start in range(0, len(texts), self.config.batch_size):
-            vectors.extend(self._post_batch(texts[start : start + self.config.batch_size]))
+        for start in range(0, len(distinct), self.config.batch_size):
+            vectors.extend(self._post_batch(distinct[start : start + self.config.batch_size]))
         if not vectors:
             return np.zeros((0, self.dimension or 0))
         out = np.asarray(vectors, dtype=np.float64)
+        if out.shape[0] != len(distinct):
+            raise EmbeddingUnavailable(
+                f"malformed response: {out.shape[0]} rows for {len(distinct)} texts"
+            )
         if self.dimension is None:
             self.dimension = out.shape[1]
         elif out.shape[1] != self.dimension:
             raise DimensionMismatch(got=out.shape[1], expected=self.dimension)
-        return out
+        return out[inverse]
 
     def embed_one(self, text: str) -> np.ndarray:
         return self.embed([text])[0]

@@ -17,9 +17,10 @@ from typing import Optional
 
 import numpy as np
 
-from .embedding import cosine_similarity
+from .embedding import distinct_texts
 from .errors import (
     BackendUnreachable,
+    DimensionMismatch,
     Exhausted,
     InsufficientCorpus,
     NoCandidates,
@@ -32,6 +33,8 @@ from .validate import ErrorType, validate_tool
 TOP_PER_CHANNEL = 5
 MAX_CANDIDATES = 10
 SIMILARITY_FLOOR = 0.5
+SIMILARITY_DECIMALS = 12
+TAIL_ROWS = 16
 MAX_COMBINATIONS = 20
 GUESS_ROUNDS = 10
 
@@ -65,24 +68,173 @@ class ParameterKbEntry:
         }
 
 
+def _identity(entry: ParameterKbEntry) -> tuple:
+    return (entry.param_key, str(entry.value), entry.source_id)
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    # einsum sums row by row, without the n x d temporary of rows * rows
+    return np.sqrt(np.einsum("ij,ij->i", rows, rows))
+
+
+@dataclass
+class _Block:
+    """Stacked embedding rows of one channel, with their norms, and the KB
+    entries they embed: member j is entry `index[j]`, embedded by row
+    `row[j]`.  Only the first `size` members are filled."""
+
+    rows: np.ndarray  # (r, d) float64
+    norms: np.ndarray
+    index: np.ndarray
+    row: np.ndarray
+    size: int
+
+    @classmethod
+    def of(cls, rows, index, row) -> "_Block":
+        rows = np.asarray(rows, dtype=np.float64)
+        return cls(rows, _row_norms(rows), index, row, len(index))
+
+    @classmethod
+    def empty(cls, capacity: int, dim: int) -> "_Block":
+        """A block that `push` fills one member and one row at a time."""
+        return cls(np.zeros((capacity, dim)), np.zeros(capacity),
+                   np.zeros(capacity, dtype=np.intp), np.arange(capacity, dtype=np.intp), 0)
+
+    def push(self, vec: np.ndarray, entry_index: int) -> np.ndarray:
+        """Write the next member's row; return the view of it."""
+        i = self.size
+        self.rows[i] = vec
+        self.norms[i : i + 1] = _row_norms(self.rows[i : i + 1])
+        self.index[i] = entry_index
+        self.size += 1
+        return self.rows[i]
+
+
 class KnowledgeBase:
     """Append-only store of verified parameter values, deduplicated on
-    (param_key, value, source_id)."""
+    (param_key, value, source_id).
+
+    The KB owns its embeddings.  Each channel ("key", "description") is a
+    list of stacked row blocks, and every entry's `key_embedding` and
+    `description_embedding` are row views into those blocks, never copies.
+    `extend` embeds each distinct text once, so entries that share a key or
+    a description share its row.  `add` writes its entry's vectors into a
+    tail block whose capacity doubles from TAIL_ROWS, so entries added one
+    at a time cost a few blocks, not one block each.
+    """
 
     def __init__(self):
         self.entries: list = []
         self._seen: set = set()
+        self._source_ids: list = []  # parallel to entries
+        self._blocks: dict = {"key": [], "description": []}
+        self._tails: dict = {}  # channel -> the block `add` writes into
 
     def __len__(self) -> int:
         return len(self.entries)
 
+    def _append(self, entries: list) -> int:
+        """Hold the entries; return the KB index of the first."""
+        start = len(self.entries)
+        for entry in entries:
+            self._seen.add(_identity(entry))
+            self.entries.append(entry)
+            self._source_ids.append(entry.source_id)
+        return start
+
     def add(self, entry: ParameterKbEntry) -> bool:
-        key = (entry.param_key, str(entry.value), entry.source_id)
-        if key in self._seen:
+        """Add one entry with the embeddings it carries."""
+        if _identity(entry) in self._seen:
             return False
-        self._seen.add(key)
-        self.entries.append(entry)
+        index = self._append([entry])
+        for channel in self._blocks:
+            attr = f"{channel}_embedding"
+            vec = getattr(entry, attr)
+            if vec is None:
+                continue
+            vec = np.asarray(vec, dtype=np.float64).ravel()
+            tail = self._tails.get(channel)
+            if tail is None or tail.size == len(tail.index) or tail.rows.shape[1] != len(vec):
+                capacity = TAIL_ROWS if tail is None else 2 * len(tail.index)
+                tail = self._tails[channel] = _Block.empty(capacity, len(vec))
+                self._blocks[channel].append(tail)
+            setattr(entry, attr, tail.push(vec, index))
         return True
+
+    def extend(self, entries: list, emb) -> None:
+        """Add the entries not yet held, first occurrence first, embedding
+        their keys and descriptions with `emb`; one block per channel."""
+        fresh: dict = {}
+        for entry in entries:
+            identity = _identity(entry)
+            if identity not in self._seen:
+                fresh.setdefault(identity, entry)
+        entries = list(fresh.values())
+        if not entries:
+            return
+        described = [j for j, e in enumerate(entries) if e.description]
+        channels = [("key", range(len(entries)), [e.param_key for e in entries])]
+        if described:
+            channels.append(
+                ("description", described, [entries[j].description for j in described])
+            )
+        # embed everything before the KB changes, so a failure leaves it whole
+        embedded = []
+        for channel, members, texts in channels:
+            distinct, row = distinct_texts(texts)
+            embedded.append((channel, members, emb.embed(distinct), row))
+        first = self._append(entries)
+        for channel, members, rows, row in embedded:
+            index = first + np.asarray(members, dtype=np.intp)
+            block = _Block.of(rows, index, row)
+            self._blocks[channel].append(block)
+            for j, r in zip(members, row.tolist()):
+                setattr(entries[j], f"{channel}_embedding", block.rows[r])
+
+    def nearest(self, channel: str, query, k: int, include=None) -> tuple:
+        """The k entries of `channel` closest to `query` by cosine
+        similarity, as (similarities, entry indices), best first.
+
+        Similarities are rounded to SIMILARITY_DECIMALS places before
+        ranking, so that ties go to the earlier entry however the products
+        were summed.  A zero vector has similarity 0.0.  `include` is a
+        boolean mask over entries; blocks it leaves empty are skipped.
+        """
+        q = np.asarray(query, dtype=np.float64).ravel()
+        q_norm = np.linalg.norm(q)
+        sims, indices = [], []
+        for block in self._blocks[channel]:
+            index = block.index[: block.size]
+            if include is not None and not include[index].any():
+                continue
+            if block.rows.shape[1] != q.shape[0]:
+                raise DimensionMismatch(got=block.rows.shape[1], expected=q.shape[0])
+            denom = block.norms * q_norm
+            row_sims = np.divide(block.rows @ q, denom, out=np.zeros_like(denom), where=denom > 0)
+            sims.append(np.round(row_sims, SIMILARITY_DECIMALS)[block.row[: block.size]])
+            indices.append(index)
+        if not sims:
+            return np.empty(0), np.empty(0, dtype=np.intp)
+        sims, index = np.concatenate(sims), np.concatenate(indices)
+        if include is not None:
+            keep = include[index]
+            sims, index = sims[keep], index[keep]
+        if len(sims) > k:
+            kth = np.partition(sims, len(sims) - k)[len(sims) - k]
+            keep = sims >= kth  # ties at the kth value are settled by lexsort
+            sims, index = sims[keep], index[keep]
+        order = np.lexsort((index, -sims))[:k]
+        return sims[order], index[order]
+
+    def source_mask(self, exclude_source: Optional[str]):
+        """Boolean mask of the entries not from `exclude_source`, or None
+        when nothing is excluded."""
+        if exclude_source is None:
+            return None
+        return np.fromiter(
+            (s != exclude_source for s in self._source_ids),
+            dtype=bool, count=len(self._source_ids),
+        )
 
     def snapshot(self) -> list:
         return list(self.entries)
@@ -155,16 +307,7 @@ def build_kb(reports: list, tools: list, emb) -> KnowledgeBase:
                         )
                     )
 
-    if pending:
-        key_vecs = emb.embed([e.param_key for e in pending])
-        described = [e for e in pending if e.description]
-        desc_vecs = emb.embed([e.description for e in described]) if described else None
-        desc_iter = iter(desc_vecs) if desc_vecs is not None else None
-        for i, entry in enumerate(pending):
-            entry.key_embedding = key_vecs[i]
-            if entry.description and desc_iter is not None:
-                entry.description_embedding = next(desc_iter)
-            kb.add(entry)
+    kb.extend(pending, emb)
     return kb
 
 
@@ -182,24 +325,21 @@ def retrieve_candidates(
 ) -> list:
     """Top candidates for one parameter: 5 by description similarity union
     5 by key similarity, deduplicated on (key, value), floor 0.5 applied
-    after the union, best first, at most 10.
+    after the union, best first, at most 10.  Similarities are exact
+    cosines rounded to 12 places; ties go to the earlier KB entry.
 
     `param` needs .name and .description attributes (a ToolArg fits).
     """
-    pool = [
-        (i, e) for i, e in enumerate(kb.snapshot())
-        if exclude_source is None or e.source_id != exclude_source
-    ]
-    if not pool:
+    include = kb.source_mask(exclude_source)
+    if not kb.entries or (include is not None and not include.any()):
         return []
 
-    best: dict = {}  # (key, str(value)) -> (similarity, pool index, entry)
+    best: dict = {}  # (key, str(value)) -> (similarity, KB index, entry)
 
-    def consider(channel_sims):
-        top = heapq.nlargest(
-            TOP_PER_CHANNEL, channel_sims, key=lambda t: (t[0], -t[1])
-        )
-        for sim, idx, entry in top:
+    def consider(channel: str, text: str):
+        sims, index = kb.nearest(channel, emb.embed_one(text), TOP_PER_CHANNEL, include)
+        for sim, idx in zip(sims.tolist(), index.tolist()):
+            entry = kb.entries[idx]
             dedupe_key = (entry.param_key, str(entry.value))
             held = best.get(dedupe_key)
             if held is None or sim > held[0] or (sim == held[0] and idx < held[1]):
@@ -207,23 +347,8 @@ def retrieve_candidates(
 
     description = getattr(param, "description", None)
     if description:
-        query_vec = emb.embed_one(description)
-        described = [
-            (cosine_similarity(query_vec, e.description_embedding), i, e)
-            for i, e in pool
-            if e.description_embedding is not None
-        ]
-        if described:
-            consider(described)
-
-    key_vec = emb.embed_one(param.name)
-    keyed = [
-        (cosine_similarity(key_vec, e.key_embedding), i, e)
-        for i, e in pool
-        if e.key_embedding is not None
-    ]
-    if keyed:
-        consider(keyed)
+        consider("description", description)
+    consider("key", param.name)
 
     survivors = [
         Candidate(entry=entry, similarity=sim)

@@ -272,10 +272,15 @@ def generate_tool(
     )
 
 
-def generate_tools_for_spec(spec, source_id: str):
+def generate_tools_for_spec(spec, source_id: str, used_names: Optional[set] = None):
     """All buildable tools from one spec, plus the endpoints that lack a
-    scheme (those become Missing Base URL outcomes downstream)."""
-    used: set = set()
+    scheme (those become Missing Base URL outcomes downstream).
+
+    Tool names are unique within `used_names`, which the call extends; pass
+    one set for every spec of a corpus so that tools of different sources
+    never share a name.  A name's first occurrence keeps its bare form.
+    """
+    used = set() if used_names is None else used_names
     tools, schemeless = [], []
     for endpoint in spec.endpoints:
         if not resolve_url(endpoint).has_scheme:

@@ -348,10 +348,11 @@ def run_validation(
     offline: bool = False,
     rate_limiter: Optional[HostRateLimiter] = None,
 ) -> list:
-    limiter = rate_limiter or HostRateLimiter(rate_per_sec=1.0)
+    """Validate every tool on a pool of `width` workers, reports in tool
+    order.  `rate_limiter=None` means no politeness limit."""
     return run_pool(
         lambda t: validate_tool(
-            t, judge, tls_verify=tls_verify, offline=offline, rate_limiter=limiter
+            t, judge, tls_verify=tls_verify, offline=offline, rate_limiter=rate_limiter
         ),
         tools,
         width,

@@ -279,6 +279,40 @@ def test_unbuildable_endpoint_counted(tmp_path):
     assert summary["unbuildable_endpoints"] == 1
 
 
+def test_same_endpoint_names_across_sources_all_kept(corpus, tmp_path):
+    manifest, corpus_dir, _ = corpus
+    rows = json.loads(manifest.read_text())
+    doubled = [
+        {"source_id": row["source_id"] + suffix, "origin": str(corpus_dir / row["origin"])}
+        for suffix in ("", "_copy")
+        for row in rows
+    ]
+    doubled_manifest = tmp_path / "manifest.json"
+    doubled_manifest.write_text(json.dumps(doubled))
+    cfg = make_config(tmp_path, doubled_manifest, corpus_dir)
+    stages = "ingest,extract,generate,validate"
+    assert main(["run", "--config", str(cfg), "--stage-filter", stages]) == 0
+    out = tmp_path / "out"
+
+    tools = [json.loads(p.read_text()) for p in (out / "tools").glob("*.tool.json")]
+    by_source: dict = {}
+    for tool in tools:
+        by_source.setdefault(tool["source_id"], []).append(tool["tool_name"])
+    for row in rows:
+        original = by_source[row["source_id"]]
+        copy = by_source[f"{row['source_id']}_copy"]
+        assert len(copy) == len(original)
+        assert not set(copy) & set(original)
+    for tool in tools:
+        assert (out / "exports" / f"{tool['tool_name']}.py").exists()
+    assert "search_cards" in {t["tool_name"] for t in tools}  # first keeps bare name
+
+    reports = [
+        json.loads(l) for l in (out / "validation" / "reports.jsonl").read_text().splitlines()
+    ]
+    assert sorted(r["tool_name"] for r in reports) == sorted(t["tool_name"] for t in tools)
+
+
 def test_offline_flag_overrides_config(corpus, tmp_path):
     manifest, corpus_dir, _ = corpus
     cfg = make_config(tmp_path, manifest, corpus_dir, offline=False)

@@ -6,8 +6,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from apimill.embedding import LexicalEmbedding, cosine_similarity
-from apimill.errors import DimensionMismatch, EmptyCorpus
+from apimill.embedding import (
+    LexicalEmbedding,
+    RemoteEmbedding,
+    RemoteEmbeddingConfig,
+    cosine_similarity,
+)
+from apimill.errors import DimensionMismatch, EmbeddingUnavailable, EmptyCorpus
 from apimill.evaluate import (
     MetricsReport,
     canonical_type,
@@ -59,6 +64,16 @@ class TestLexicalEmbedding:
         assert np.array_equal(vecs[0], vecs[1])
         assert np.array_equal(vecs[0], LexicalEmbedding().embed_one("hello world"))
 
+    def test_each_distinct_text_embedded_once(self, monkeypatch):
+        emb = LexicalEmbedding()
+        seen = []
+        embed_one = emb.embed_one
+        monkeypatch.setattr(emb, "embed_one", lambda t: seen.append(t) or embed_one(t))
+        vecs = emb.embed(["b", "a", "b", "b"])
+        assert seen == ["b", "a"]
+        for text, row in zip(["b", "a", "b", "b"], vecs):
+            assert np.array_equal(row, embed_one(text))
+
     def test_unit_norm(self, emb):
         v = emb.embed_one("some text")
         assert abs(float(np.linalg.norm(v)) - 1.0) < 1e-9
@@ -78,6 +93,29 @@ class TestLexicalEmbedding:
     def test_short_string_whole_gram(self, emb):
         v = emb.embed_one("ab")
         assert float(np.linalg.norm(v)) == pytest.approx(1.0)
+
+
+class TestRemoteEmbedding:
+    def make(self, monkeypatch, reply):
+        emb = RemoteEmbedding(
+            RemoteEmbeddingConfig(
+                endpoint_url="http://127.0.0.1:9/v1", model_name="m", batch_size=2,
+            )
+        )
+        posted = []
+        monkeypatch.setattr(emb, "_post_batch", lambda batch: posted.append(batch) or reply(batch))
+        return emb, posted
+
+    def test_each_distinct_text_sent_once(self, monkeypatch):
+        emb, posted = self.make(monkeypatch, lambda batch: [[float(len(t)), 1.0] for t in batch])
+        vecs = emb.embed(["aa", "b", "aa", "ccc", "b"])
+        assert posted == [["aa", "b"], ["ccc"]]
+        assert vecs[:, 0].tolist() == [2.0, 1.0, 2.0, 3.0, 1.0]
+
+    def test_missing_rows_rejected(self, monkeypatch):
+        emb, _ = self.make(monkeypatch, lambda batch: [[1.0, 1.0]])
+        with pytest.raises(EmbeddingUnavailable):
+            emb.embed(["a", "b"])
 
 
 class TestCanonicalType:

@@ -1,20 +1,27 @@
+import heapq
 import itertools
 import json
 import math
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from apimill.embedding import LexicalEmbedding, cosine_similarity
 from apimill.errors import (
     BackendUnreachable,
+    DimensionMismatch,
     Exhausted,
     InsufficientCorpus,
     NoCandidates,
 )
 from apimill.inference import (
     MAX_CANDIDATES,
+    SIMILARITY_DECIMALS,
     SIMILARITY_FLOOR,
+    TOP_PER_CHANNEL,
     Candidate,
     KnowledgeBase,
     ParameterKbEntry,
@@ -125,6 +132,39 @@ class TestBuildKb:
         report = scripted_report(tool, ErrorType.FAILED, json_body={"token": "abc"})
         assert len(build_kb([report], [tool], emb)) == 0
 
+    def test_entry_embeddings_are_views_of_kb_blocks(self, emb):
+        tool = self.make_tool()
+        body = {
+            "token": "abc123",
+            "items": [{"token": "abc123"}, {"token": "xyz"}, {"q": "hello"}],
+        }
+        kb = build_kb([scripted_report(tool, ErrorType.PASSED, json_body=body)], [tool], emb)
+        # ("q", "hello") is documented and harvested, ("token", "abc123") harvested twice
+        assert [(e.param_key, e.value) for e in kb.snapshot()] == [
+            ("q", "hello"), ("token", "abc123"), ("token", "xyz"),
+        ]
+        (key_block,) = kb._blocks["key"]
+        (desc_block,) = kb._blocks["description"]
+        assert len(key_block.rows) == 2  # one row per distinct key text
+        for entry in kb.snapshot():
+            assert np.shares_memory(entry.key_embedding, key_block.rows)
+            assert np.array_equal(entry.key_embedding, emb.embed_one(entry.param_key))
+        _, abc, xyz = kb.snapshot()
+        assert np.shares_memory(abc.key_embedding, xyz.key_embedding)
+        doc_entry = next(e for e in kb.snapshot() if e.description)
+        assert np.shares_memory(doc_entry.description_embedding, desc_block.rows)
+
+        for i in range(3):
+            kb.add(ParameterKbEntry(
+                param_key="later", value=i, source_id="s",
+                key_embedding=emb.embed_one(f"later {i}"),
+            ))
+        assert len(kb._blocks["key"]) == 2  # one tail block takes every add
+        tail = kb._blocks["key"][-1]
+        for i, entry in enumerate(kb.snapshot()[-3:]):
+            assert np.shares_memory(entry.key_embedding, tail.rows)
+            assert np.array_equal(entry.key_embedding, emb.embed_one(f"later {i}"))
+
 
 class TestRetrieveCandidates:
     def kb_with(self, emb, rows):
@@ -178,6 +218,22 @@ class TestRetrieveCandidates:
         )
         candidates = retrieve_candidates(described, kb, emb)
         assert candidates and candidates[0].similarity == pytest.approx(1.0)
+
+    def test_dimension_mismatch(self, emb):
+        kb = self.kb_with(emb, [("q", "x", "a", None)])
+        arg = ToolArg(name="q", location="query", required=True)
+        with pytest.raises(DimensionMismatch):
+            retrieve_candidates(arg, kb, LexicalEmbedding(dimension=64))
+        # rows of an excluded source are never compared
+        assert retrieve_candidates(
+            arg, kb, LexicalEmbedding(dimension=64), exclude_source="a"
+        ) == []
+        kb.add(ParameterKbEntry(
+            param_key="q", value="y", source_id="b",
+            key_embedding=LexicalEmbedding(dimension=64).embed_one("q"),
+        ))
+        with pytest.raises(DimensionMismatch):
+            retrieve_candidates(arg, kb, emb)
 
     def test_cap_ten(self, emb):
         rows = [(f"query_{i}", f"v{i}", "a", None) for i in range(30)]
@@ -271,6 +327,119 @@ class TestRankCombinations:
             {k: c.entry.value for k, c in row.items()} for row in rows
         ]
         assert as_values(got) == as_values(want)
+
+
+def loop_retrieve(param, kb, emb, exclude_source=None):
+    """The per-entry loop retrieve_candidates replaced, kept as the
+    reference, with the same rounding of similarities."""
+    pool = [
+        (i, e) for i, e in enumerate(kb.snapshot())
+        if exclude_source is None or e.source_id != exclude_source
+    ]
+    if not pool:
+        return []
+    best = {}
+
+    def sim(query, vec):
+        return float(np.round(cosine_similarity(query, vec), SIMILARITY_DECIMALS))
+
+    def consider(channel_sims):
+        top = heapq.nlargest(TOP_PER_CHANNEL, channel_sims, key=lambda t: (t[0], -t[1]))
+        for s, idx, entry in top:
+            dedupe_key = (entry.param_key, str(entry.value))
+            held = best.get(dedupe_key)
+            if held is None or s > held[0] or (s == held[0] and idx < held[1]):
+                best[dedupe_key] = (s, idx, entry)
+
+    if param.description:
+        query = emb.embed_one(param.description)
+        described = [
+            (sim(query, e.description_embedding), i, e)
+            for i, e in pool if e.description_embedding is not None
+        ]
+        if described:
+            consider(described)
+    query = emb.embed_one(param.name)
+    keyed = [(sim(query, e.key_embedding), i, e) for i, e in pool if e.key_embedding is not None]
+    if keyed:
+        consider(keyed)
+    survivors = [
+        Candidate(entry=entry, similarity=s)
+        for s, idx, entry in sorted(best.values(), key=lambda t: (-t[0], t[1]))
+        if s >= SIMILARITY_FLOOR
+    ]
+    return survivors[:MAX_CANDIDATES]
+
+
+class TableEmbedding:
+    """Looks each text up in a table of vectors."""
+
+    def __init__(self, table):
+        self.table = {text: np.array(vec) for text, vec in table.items()}
+
+    def embed_one(self, text):
+        return self.table[text]
+
+    def embed(self, texts):
+        return np.array([self.table[t] for t in texts]).reshape(len(texts), -1)
+
+
+# exact binary fractions keep every dot product exact, so both sides see the
+# same cosines; few distinct values, parallel and zero vectors make ties, the
+# case the earlier-entry rule decides
+component = st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0])
+vector = st.one_of(
+    st.sampled_from([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [1.0, 1.0, 0.0]]),
+    st.lists(component, min_size=3, max_size=3),
+)
+KEYS = ("id", "name", "q")
+kb_row = st.tuples(
+    st.sampled_from(KEYS),                      # key
+    st.integers(0, 3),                          # value
+    st.sampled_from(["a", "b", "c"]),           # source
+    st.booleans(),                              # described
+    st.one_of(st.none(), vector),               # key embedding when added alone
+    vector,                                     # description embedding, likewise
+)
+
+
+class TestRetrievalOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.lists(kb_row, max_size=30),
+        extended=st.integers(0, 30),
+        text_vecs=st.lists(vector, min_size=2 * len(KEYS), max_size=2 * len(KEYS)),
+        name_vec=vector,
+        desc_vec=st.one_of(st.none(), vector),
+        exclude=st.one_of(st.none(), st.sampled_from(["a", "b", "c"])),
+    )
+    def test_matches_per_entry_loop(self, rows, extended, text_vecs, name_vec, desc_vec, exclude):
+        texts = [*KEYS, *(f"about {key}" for key in KEYS)]
+        table = dict(zip(texts, text_vecs), target=name_vec, **{"target text": desc_vec})
+        emb = TableEmbedding(table)
+        entries = [
+            ParameterKbEntry(
+                param_key=key, value=value, source_id=source,
+                description=f"about {key}" if described else None,
+            )
+            for key, value, source, described, _, _ in rows
+        ]
+        kb = KnowledgeBase()
+        # a leading share is embedded by text, as build_kb does; the rest
+        # arrive one at a time with vectors of their own, as inference adds
+        kb.extend(entries[:extended], emb)
+        for entry, (_, _, _, described, key_vec, desc_vec_own) in list(
+            zip(entries, rows)
+        )[extended:]:
+            entry.key_embedding = None if key_vec is None else np.array(key_vec)
+            entry.description_embedding = np.array(desc_vec_own) if described else None
+            kb.add(entry)
+
+        param = SimpleNamespace(name="target", description="target text" if desc_vec else None)
+        got = retrieve_candidates(param, kb, emb, exclude_source=exclude)
+        want = loop_retrieve(param, kb, emb, exclude_source=exclude)
+        assert [id(c.entry) for c in got] == [id(c.entry) for c in want]
+        assert [c.similarity for c in got] == [c.similarity for c in want]
 
 
 @pytest.fixture()

@@ -9,6 +9,7 @@ from apimill.errors import (
     UnboundPathParam,
 )
 from apimill.model import Endpoint, Parameter
+from apimill.netutil import HostRateLimiter
 from apimill.toolgen import generate_tool
 from apimill.validate import (
     CAUSE_CATEGORIES,
@@ -289,6 +290,15 @@ class TestValidateTool:
         assert counts[ErrorType.PASSED] == 1
         assert counts[ErrorType.ABNORMAL] == 1
         assert sum(counts.values()) == len(reports)
+
+    def test_run_validation_none_limiter_never_waits(self, mock_api, judge, monkeypatch):
+        def refuse(self, host):
+            raise AssertionError("rate_limiter=None must not throttle")
+
+        monkeypatch.setattr(HostRateLimiter, "acquire", refuse)
+        tools = [make_tool(mock_api.base_url, path="/gone", name=f"Old {i}") for i in range(3)]
+        reports = run_validation(tools, judge, width=1, offline=True, rate_limiter=None)
+        assert [r.error_type for r in reports] == [ErrorType.ABNORMAL] * 3
 
 
 CAUSE_ROWS = [
