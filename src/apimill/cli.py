@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -43,7 +42,7 @@ from .extract import (
     ReplayBackend,
     run_extraction,
 )
-from .inference import build_kb, infer_parameters
+from .inference import InferenceOutcome, build_kb, infer_parameters
 from .ingest import ApiDocument, ingest_corpus, load_corpus_manifest
 from .judges import DEFAULT_ERROR_PHRASES, HeuristicJudge, RemoteJudge
 from .model import validate_spec
@@ -59,6 +58,7 @@ from .toolgen import (
 )
 from .validate import (
     ErrorType,
+    ValidationReport,
     counts_from_reports,
     estimate_causes,
     render_error_tables,
@@ -77,7 +77,6 @@ class ProjectConfig:
     offline: bool = False
     rate_limit_per_host: float = 1.0
     concurrency: int = 4
-    seed: int = 0
     error_phrases: list = field(default_factory=list)
     backends: dict = field(default_factory=dict)
 
@@ -137,7 +136,6 @@ def load_config(path) -> ProjectConfig:
         offline=bool(raw.get("offline", False)),
         rate_limit_per_host=float(raw.get("rate_limit_per_host", 1.0)),
         concurrency=int(raw.get("concurrency", 4)),
-        seed=int(raw.get("seed", 0)),
         error_phrases=list(raw.get("error_phrases", [])),
         backends=backends,
     )
@@ -191,11 +189,11 @@ def make_extraction_backend(config: ProjectConfig, override_kind: Optional[str] 
 def make_judge(config: ProjectConfig):
     section = dict(config.backends.get("judge") or {})
     kind = section.get("kind") or "heuristic"
-    phrases = tuple(DEFAULT_ERROR_PHRASES) + tuple(config.error_phrases)
+    heuristic = HeuristicJudge(error_phrases=(*DEFAULT_ERROR_PHRASES, *config.error_phrases))
     if kind == "heuristic":
-        return HeuristicJudge(error_phrases=phrases)
+        return heuristic
     if kind == "remote":
-        return RemoteJudge(_chat_client(section, config))
+        return RemoteJudge(_chat_client(section, config), fallback=heuristic)
     raise ConfigInvalid(f"unknown judge kind {kind!r}")
 
 
@@ -304,23 +302,7 @@ def _load_extraction_results(config: ProjectConfig, stage: str) -> list:
     results_path = config.output_dir / "specs" / "results.jsonl"
     if not results_path.exists():
         raise MissingStageInput(stage, "run extract first (specs/results.jsonl missing)")
-    results = []
-    for row in _read_jsonl(results_path):
-        spec = None
-        if row.get("spec") is not None:
-            spec, _ = validate_spec(row["spec"])
-        results.append(
-            ExtractionResult(
-                source_id=row["source_id"],
-                raw_output=row.get("raw_output", ""),
-                spec=spec,
-                valid=bool(row.get("valid")) and spec is not None,
-                violations=row.get("violations", []),
-                backend_kind=row.get("backend_kind", ""),
-                token_or_byte_cost=int(row.get("token_or_byte_cost", 0)),
-            )
-        )
-    return results
+    return [ExtractionResult.from_dict(row) for row in _read_jsonl(results_path)]
 
 
 def stage_evaluate(config: ProjectConfig, emb) -> None:
@@ -345,6 +327,12 @@ def stage_evaluate(config: ProjectConfig, emb) -> None:
     (metrics_dir / "metrics.txt").write_text(report.to_text_table() + "\n", encoding="utf-8")
     print(f"evaluate: matched {report.matched_endpoints} endpoints; "
           f"valid ratio {report.valid_ratio:.2f}")
+
+
+def _write_tool(tools_dir: Path, tool: ToolDescriptor) -> None:
+    (tools_dir / f"{tool.tool_name}.tool.json").write_text(
+        json.dumps(tool.to_dict(), indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
+    )
 
 
 def stage_generate(config: ProjectConfig) -> None:
@@ -374,10 +362,7 @@ def stage_generate(config: ProjectConfig) -> None:
             )
 
     for tool in all_tools:
-        (tools_dir / f"{tool.tool_name}.tool.json").write_text(
-            json.dumps(tool.to_dict(), indent=2, ensure_ascii=False) + "\n",
-            encoding="utf-8",
-        )
+        _write_tool(tools_dir, tool)
         (exports_dir / f"{tool.tool_name}.py").write_text(
             export_function_source(tool, tls_verify=config.tls_verify), encoding="utf-8"
         )
@@ -401,11 +386,6 @@ def _load_tools(config: ProjectConfig, stage: str) -> list:
     return tools
 
 
-def _load_unbuildable(config: ProjectConfig) -> list:
-    path = config.output_dir / "tools" / "unbuildable.jsonl"
-    return _read_jsonl(path) if path.exists() else []
-
-
 def stage_validate(config: ProjectConfig, judge) -> None:
     tools = _load_tools(config, "validate")
     limiter = HostRateLimiter(config.rate_limit_per_host)
@@ -420,12 +400,14 @@ def stage_validate(config: ProjectConfig, judge) -> None:
     validation_dir = config.subdir("validation")
     _write_jsonl(validation_dir / "reports.jsonl", [r.to_dict() for r in reports])
 
+    unbuildable_path = config.output_dir / "tools" / "unbuildable.jsonl"
+    unbuildable = len(_read_jsonl(unbuildable_path)) if unbuildable_path.exists() else 0
     counts = counts_from_reports(reports)
-    counts[ErrorType.MISSING_BASE_URL] += len(_load_unbuildable(config))
+    counts[ErrorType.MISSING_BASE_URL] += unbuildable
     estimate = estimate_causes(counts)
     summary = {
         "validated_tools": len(reports),
-        "unbuildable_endpoints": len(_load_unbuildable(config)),
+        "unbuildable_endpoints": unbuildable,
         "passed": counts[ErrorType.PASSED],
         "counts": {t.value: counts[t] for t in ErrorType},
         "causes": estimate.to_dict(),
@@ -438,39 +420,11 @@ def stage_validate(config: ProjectConfig, judge) -> None:
     print(f"validate: {counts[ErrorType.PASSED]}/{len(reports)} tools passed")
 
 
-def _reports_from_disk(config: ProjectConfig, stage: str):
-    from .validate import InvocationRecord, ValidationReport  # local to avoid clutter
-
+def _reports_from_disk(config: ProjectConfig, stage: str) -> list:
     path = config.output_dir / "validation" / "reports.jsonl"
     if not path.exists():
         raise MissingStageInput(stage, "run validate first (validation/reports.jsonl missing)")
-    reports = []
-    for row in _read_jsonl(path):
-        attempts = [
-            InvocationRecord(
-                status_code=a.get("status_code"),
-                text=a.get("text", ""),
-                json_body=a.get("json"),
-                content=a.get("content", ""),
-                transport_error=a.get("transport_error"),
-                retried_without_params=bool(a.get("retried_without_params")),
-                elapsed=float(a.get("elapsed", 0.0)),
-            )
-            for a in row.get("attempts", [])
-        ]
-        error_type = next(t for t in ErrorType if t.value == row["error_type"])
-        reports.append(
-            ValidationReport(
-                tool_name=row["tool_name"],
-                attempts=attempts,
-                error_type=error_type,
-                judge_verdict=row.get("judge_verdict"),
-                passed=bool(row.get("passed")),
-                source_id=row.get("source_id", ""),
-                args_used=row.get("args_used", {}),
-            )
-        )
-    return reports
+    return [ValidationReport.from_dict(row) for row in _read_jsonl(path)]
 
 
 def stage_infer(config: ProjectConfig, judge, emb) -> None:
@@ -501,23 +455,11 @@ def stage_infer(config: ProjectConfig, judge, emb) -> None:
                 offline=config.offline,
                 rate_limiter=limiter,
             )
-        except NoCandidates as exc:
-            from .inference import InferenceOutcome
-
-            outcome = InferenceOutcome(tool.tool_name, False, note=f"no candidates: {exc}")
-        except Exhausted as exc:
-            from .inference import InferenceOutcome
-
-            outcome = InferenceOutcome(
-                tool.tool_name, False, attempts=getattr(exc, "attempts", 0), note=str(exc)
-            )
+        except (NoCandidates, Exhausted) as exc:
+            outcome = InferenceOutcome.failed(tool.tool_name, exc)
         outcomes.append(outcome)
         if outcome.success:
-            tools_dir = config.output_dir / "tools"
-            (tools_dir / f"{tool.tool_name}.tool.json").write_text(
-                json.dumps(tool.to_dict(), indent=2, ensure_ascii=False) + "\n",
-                encoding="utf-8",
-            )
+            _write_tool(config.output_dir / "tools", tool)
 
     _write_jsonl(kb_dir / "inference.jsonl", [o.to_dict() for o in outcomes])
     fixed = sum(1 for o in outcomes if o.success)
@@ -547,30 +489,27 @@ def stage_report(config: ProjectConfig) -> None:
 
 
 def run_pipeline(stages, config: ProjectConfig, override_backend: Optional[str] = None) -> int:
-    random.seed(config.seed)
     judge = make_judge(config)
     emb = make_embedding(config)
-
+    # built here, not at import, so each stage function is looked up when it runs
+    table = {
+        "ingest": lambda: stage_ingest(config, judge),
+        "extract": lambda: stage_extract(
+            config, make_extraction_backend(config, override_backend)
+        ),
+        "evaluate": lambda: stage_evaluate(config, emb),
+        "generate": lambda: stage_generate(config),
+        "validate": lambda: stage_validate(config, judge),
+        "infer": lambda: stage_infer(config, judge, emb),
+        "report": lambda: stage_report(config),
+    }
     for stage in stages:
-        if stage == "ingest":
-            stage_ingest(config, judge)
-        elif stage == "extract":
-            stage_extract(config, make_extraction_backend(config, override_backend))
-        elif stage == "evaluate":
-            if config.truth_dir is None and len(stages) > 1:
-                print("evaluate: skipped (no truth_dir configured)")
-                continue
-            stage_evaluate(config, emb)
-        elif stage == "generate":
-            stage_generate(config)
-        elif stage == "validate":
-            stage_validate(config, judge)
-        elif stage == "infer":
-            stage_infer(config, judge, emb)
-        elif stage == "report":
-            stage_report(config)
-        else:
+        if stage not in table:
             raise ConfigInvalid(f"unknown stage {stage!r}")
+        if stage == "evaluate" and config.truth_dir is None and len(stages) > 1:
+            print("evaluate: skipped (no truth_dir configured)")
+            continue
+        table[stage]()
     return 0
 
 
@@ -584,7 +523,6 @@ def main(argv=None) -> int:
         p = sub.add_parser(name, help=f"run the {name} stage" if name != "run" else "run all stages")
         p.add_argument("--config", required=True, help="project config (YAML or JSON)")
         p.add_argument("--backend", help="override the extraction backend kind")
-        p.add_argument("--seed", type=int, help="seed for any randomized sampling")
         p.add_argument("--offline", action="store_true",
                        help="forbid all non-loopback network traffic")
         if name == "run":
@@ -596,8 +534,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = load_config(args.config)
-        if args.seed is not None:
-            config.seed = args.seed
         if args.offline:
             config.offline = True
         config.output_dir.mkdir(parents=True, exist_ok=True)

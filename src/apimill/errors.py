@@ -7,21 +7,6 @@ class ApimillError(Exception):
     """Base class for all package-specific errors."""
 
 
-class SpecValidationError(ApimillError):
-    """Raised when a structured document does not satisfy the extraction schema.
-
-    Carries the full list of violations so callers can report every problem
-    at once instead of failing on the first.
-    """
-
-    def __init__(self, violations):
-        self.violations = list(violations)
-        summary = "; ".join(str(v) for v in self.violations[:5])
-        if len(self.violations) > 5:
-            summary += f"; … ({len(self.violations)} total)"
-        super().__init__(summary or "invalid spec")
-
-
 class FetchFailed(ApimillError):
     def __init__(self, origin: str, cause: str):
         self.origin = origin
@@ -92,6 +77,10 @@ class NoCandidates(ApimillError):
 
 class Exhausted(ApimillError):
     """Every ranked value assignment failed validation."""
+
+    def __init__(self, tool_name: str, attempts: int):
+        self.attempts = attempts
+        super().__init__(f"{tool_name}: all {attempts} ranked assignments failed validation")
 
 
 class InsufficientCorpus(ApimillError):

@@ -12,25 +12,10 @@ from typing import Optional
 
 from .embedding import cosine_similarity
 from .errors import EmptyCorpus, MalformedUrl
-from .model import ApiSpec, Endpoint, resolve_url
+from .model import ApiSpec, Endpoint, canonical_type, resolve_url
 from .toolgen import parse_url_template
 
 NAME_MATCH_THRESHOLD = 0.8
-
-_TYPE_FAMILIES = {
-    "string": "string", "str": "string",
-    "integer": "integer", "int": "integer",
-    "number": "number", "float": "number", "double": "number",
-    "boolean": "boolean", "bool": "boolean",
-}
-
-
-def canonical_type(label: Optional[str]) -> Optional[str]:
-    """Collapse spelling families; anything else lowercased verbatim."""
-    if label is None:
-        return None
-    t = label.strip().lower()
-    return _TYPE_FAMILIES.get(t, t)
 
 
 def _template_key(endpoint: Endpoint) -> Optional[str]:

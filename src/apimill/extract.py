@@ -49,6 +49,21 @@ class ExtractionResult:
             "token_or_byte_cost": self.token_or_byte_cost,
         }
 
+    @classmethod
+    def from_dict(cls, d: dict) -> "ExtractionResult":
+        """Inverse of to_dict; the spec is revalidated, and a result whose
+        spec does not survive that is not valid."""
+        spec = validate_spec(d["spec"])[0] if d.get("spec") is not None else None
+        return cls(
+            source_id=d["source_id"],
+            raw_output=d.get("raw_output", ""),
+            spec=spec,
+            valid=bool(d.get("valid")) and spec is not None,
+            violations=d.get("violations", []),
+            backend_kind=d.get("backend_kind", ""),
+            token_or_byte_cost=int(d.get("token_or_byte_cost", 0)),
+        )
+
 
 # ---------------------------------------------------------------------------
 # output repair

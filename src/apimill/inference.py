@@ -416,6 +416,13 @@ class InferenceOutcome:
             "note": self.note,
         }
 
+    @classmethod
+    def failed(cls, tool_name: str, exc) -> "InferenceOutcome":
+        """The outcome of an inference that raised NoCandidates or Exhausted."""
+        if isinstance(exc, NoCandidates):
+            return cls(tool_name, False, note=f"no candidates: {exc}")
+        return cls(tool_name, False, attempts=exc.attempts, note=str(exc))
+
 
 def infer_parameters(
     tool: ToolDescriptor,
@@ -493,11 +500,7 @@ def infer_parameters(
                 attempts=attempts,
                 candidates_considered=candidates_considered,
             )
-    err = Exhausted(
-        f"{tool.tool_name}: all {attempts} ranked assignments failed validation"
-    )
-    err.attempts = attempts
-    raise err
+    raise Exhausted(tool.tool_name, attempts)
 
 
 def llm_guess_baseline(
@@ -604,12 +607,8 @@ def leave_one_api_out(
                 offline=offline,
                 rate_limiter=rate_limiter,
             )
-        except NoCandidates as exc:
-            outcome = InferenceOutcome(tool.tool_name, False, note=f"no candidates: {exc}")
-        except Exhausted as exc:
-            outcome = InferenceOutcome(
-                tool.tool_name, False, attempts=getattr(exc, "attempts", 0), note=str(exc)
-            )
+        except (NoCandidates, Exhausted) as exc:
+            outcome = InferenceOutcome.failed(tool.tool_name, exc)
         outcomes.append(outcome)
 
     attempted = [o for o in outcomes if o.attempts > 0]

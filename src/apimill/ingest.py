@@ -13,8 +13,8 @@ from typing import Optional
 
 import requests
 
-from .errors import EmptyDocument, FetchFailed, JudgeUnavailable
-from .judges import HeuristicJudge, judge_with_fallback
+from .errors import EmptyDocument, FetchFailed
+from .judges import judge_with_fallback
 from .netutil import check_url_allowed, run_pool
 
 logger = logging.getLogger(__name__)
@@ -198,7 +198,6 @@ def load_corpus_manifest(path) -> list:
 def ingest_corpus(
     manifest_entries: list,
     judge,
-    fallback: Optional[HeuristicJudge] = None,
     width: int = 4,
     tls_verify: bool = True,
     offline: bool = False,
@@ -207,9 +206,9 @@ def ingest_corpus(
 
     Returns (documents, decisions, failures): decisions carry the per-doc
     api-page verdict and classification; failures record load errors without
-    aborting the run.
+    aborting the run.  A judge that is unavailable degrades to its fallback,
+    and the decision records that as judge_degraded.
     """
-    fallback = fallback or HeuristicJudge()
 
     def work(entry):
         try:
@@ -221,20 +220,15 @@ def ingest_corpus(
             )
         except (FetchFailed, EmptyDocument) as exc:
             return None, {"source_id": entry["source_id"], "error": str(exc)}
-        try:
-            is_api, degraded = judge_with_fallback("is_api_page", judge, fallback, doc.text)
-            (category, analysis), degraded2 = judge_with_fallback(
-                "classify_doc", judge, fallback, doc.text
-            )
-        except JudgeUnavailable as exc:
-            return None, {"source_id": entry["source_id"], "error": f"judge: {exc}"}
+        is_api, failure = judge_with_fallback("is_api_page", judge, doc.text)
+        (category, analysis), failure2 = judge_with_fallback("classify_doc", judge, doc.text)
         doc.category, doc.analysis = category, analysis[:300]
         decision = {
             "source_id": doc.source_id,
             "is_api_page": bool(is_api),
             "category": category,
             "analysis": doc.analysis,
-            "judge_degraded": bool(degraded or degraded2),
+            "judge_degraded": failure is not None or failure2 is not None,
         }
         return doc, decision
 

@@ -36,6 +36,7 @@ class HeuristicJudge:
     """Deterministic text rules standing in for a model judge."""
 
     kind = "heuristic"
+    fallback = None  # never unavailable, so nothing to fall back to
 
     def __init__(self, error_phrases: Sequence[str] = DEFAULT_ERROR_PHRASES):
         self.error_phrases = tuple(p.lower() for p in error_phrases)
@@ -103,12 +104,14 @@ class HeuristicJudge:
 
 
 class RemoteJudge:
-    """Model-backed judge over the chat protocol; raises JudgeUnavailable."""
+    """Model-backed judge over the chat protocol; raises JudgeUnavailable,
+    and `fallback` answers in its place (see judge_with_fallback)."""
 
     kind = "remote"
 
-    def __init__(self, client: ChatClient):
+    def __init__(self, client: ChatClient, fallback: Optional[HeuristicJudge] = None):
         self.client = client
+        self.fallback = fallback or HeuristicJudge()
 
     def is_api_page(self, text: str) -> bool:
         prompt = (
@@ -153,14 +156,16 @@ class RemoteJudge:
         return passed, content.strip()[:200]
 
 
-def judge_with_fallback(method_name: str, judge, fallback: Optional[HeuristicJudge], *args):
-    """Call a judge method, degrading to the heuristic when the remote fails."""
+def judge_with_fallback(method_name: str, judge, *args):
+    """Call a judge method, degrading to `judge.fallback` when the judge is
+    unavailable.  Returns (result, failure): failure is the JudgeUnavailable
+    that was caught, or None."""
     try:
-        return getattr(judge, method_name)(*args), False
-    except JudgeUnavailable:
-        if fallback is None or judge is fallback:
+        return getattr(judge, method_name)(*args), None
+    except JudgeUnavailable as exc:
+        if judge.fallback is None:
             raise
-        return getattr(fallback, method_name)(*args), True
+        return getattr(judge.fallback, method_name)(*args), exc
 
 
 __all__ = [

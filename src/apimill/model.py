@@ -14,10 +14,6 @@ from typing import Any, Optional, Union
 
 Scalar = Union[str, int, float, bool]
 
-KNOWN_HTTP_METHODS = {
-    "GET", "POST", "PUT", "PATCH", "DELETE", "HEAD", "OPTIONS", "TRACE", "CONNECT",
-}
-
 # JSON Schema the extraction backends are asked to satisfy.  Structured-mode
 # remote backends receive it verbatim as their response format.
 EXTRACTION_JSON_SCHEMA: dict = {
@@ -153,10 +149,6 @@ class Endpoint:
     required_parameters: list = field(default_factory=list)
     optional_parameters: list = field(default_factory=list)
 
-    @property
-    def method_is_standard(self) -> bool:
-        return self.method in KNOWN_HTTP_METHODS
-
     def all_parameters(self) -> list:
         return list(self.required_parameters) + list(self.optional_parameters)
 
@@ -245,6 +237,22 @@ def render_scalar(value: Optional[Scalar]) -> str:
     if isinstance(value, str):
         return value
     return json.dumps(value)
+
+
+_TYPE_FAMILIES = {
+    "string": "string", "str": "string",
+    "integer": "integer", "int": "integer",
+    "number": "number", "float": "number", "double": "number",
+    "boolean": "boolean", "bool": "boolean",
+}
+
+
+def canonical_type(label: Optional[str]) -> Optional[str]:
+    """Collapse spelling families; anything else lowercased verbatim."""
+    if label is None:
+        return None
+    t = label.strip().lower()
+    return _TYPE_FAMILIES.get(t, t)
 
 
 def _text_field(raw: Any, path: str, violations: list) -> Optional[str]:
@@ -444,6 +452,16 @@ def _collapse_slashes(url: str) -> str:
     return _MULTI_SLASH.sub("/", url)
 
 
+def url_path_is_empty(url: str) -> bool:
+    """True when the URL's path, query aside, is "" or "/"; a URL without a
+    scheme is all path."""
+    if url.startswith(("http://", "https://")):
+        rest = url.split("://", 1)[1]
+        slash = rest.find("/")
+        url = rest[slash:] if slash >= 0 else ""
+    return url.split("?", 1)[0] in ("", "/")
+
+
 def resolve_url(endpoint: Endpoint) -> ResolvedUrl:
     """Pick the primary URL and derive the base-URL / empty-path signals."""
     if isinstance(endpoint.url, list):
@@ -451,17 +469,9 @@ def resolve_url(endpoint: Endpoint) -> ResolvedUrl:
         primary, alternates = urls[0], urls[1:]
     else:
         primary, alternates = _collapse_slashes(endpoint.url), []
-    has_scheme = primary.startswith("http://") or primary.startswith("https://")
-    if has_scheme:
-        rest = primary.split("://", 1)[1]
-        slash = rest.find("/")
-        path = rest[slash:] if slash >= 0 else ""
-    else:
-        path = primary
-    path = path.split("?", 1)[0]
     return ResolvedUrl(
         primary=primary,
         alternates=alternates,
-        has_scheme=has_scheme,
-        path_is_empty=path in ("", "/"),
+        has_scheme=primary.startswith(("http://", "https://")),
+        path_is_empty=url_path_is_empty(primary),
     )

@@ -16,7 +16,7 @@ from urllib.parse import quote
 import yaml
 
 from .errors import MalformedUrl, MixedHosts, UnboundPathParam
-from .model import Endpoint, Parameter, Scalar, render_scalar, resolve_url
+from .model import Endpoint, Parameter, canonical_type, render_scalar, resolve_url
 
 DEFAULT_TIMEOUT_SECONDS = 50
 
@@ -120,25 +120,12 @@ def parse_url_template(url: str) -> UrlTemplate:
     return UrlTemplate(raw=url, segments=segments, query_base=query_base)
 
 
-@dataclass
-class ToolArg:
-    name: str
+@dataclass(kw_only=True)
+class ToolArg(Parameter):
+    """A parameter as the tool binds it: in the URL path or the query."""
+
     location: str  # "path" | "query"
     required: bool
-    type_hint: Optional[str] = None
-    description: Optional[str] = None
-    example_value: Optional[Scalar] = None
-    default_value: Optional[Scalar] = None
-
-    @property
-    def has_value(self) -> bool:
-        return self.example_value is not None or self.default_value is not None
-
-    @property
-    def preferred_value(self) -> Optional[Scalar]:
-        if self.example_value is not None:
-            return self.example_value
-        return self.default_value
 
     def to_dict(self) -> dict:
         return {
@@ -231,17 +218,7 @@ def generate_tool(
     def add(params: list, required: bool):
         for p in params:
             location = "path" if p.name in path_names else "query"
-            args.append(
-                ToolArg(
-                    name=p.name,
-                    location=location,
-                    required=required,
-                    type_hint=p.type_hint,
-                    description=p.description,
-                    example_value=p.example_value,
-                    default_value=p.default_value,
-                )
-            )
+            args.append(ToolArg(**vars(p), location=location, required=required))
 
     declared = {p.name for p in endpoint.all_parameters()}
     add(endpoint.required_parameters, True)
@@ -380,12 +357,7 @@ def export_function_source(tool: ToolDescriptor, tls_verify: bool = True) -> str
 # ---------------------------------------------------------------------------
 # OpenAPI export
 
-_OPENAPI_TYPES = {
-    "string": "string",
-    "integer": "integer",
-    "number": "number",
-    "boolean": "boolean",
-}
+_OPENAPI_TYPES = {"string", "integer", "number", "boolean"}
 
 
 def split_base_and_path(template: UrlTemplate):
@@ -417,7 +389,9 @@ def export_openapi(tools: list) -> str:
         body_required: list = []
         is_get_like = tool.method.upper() == "GET"
         for arg in tool.args:
-            schema_type = _OPENAPI_TYPES.get(_canonical_openapi_type(arg.type_hint), "string")
+            schema_type = canonical_type(arg.type_hint)
+            if schema_type not in _OPENAPI_TYPES:
+                schema_type = "string"
             if arg.location == "path":
                 entry = {
                     "name": arg.name,
@@ -473,21 +447,6 @@ def export_openapi(tools: list) -> str:
         "paths": paths,
     }
     return yaml.safe_dump(doc, sort_keys=False, allow_unicode=True)
-
-
-def _canonical_openapi_type(type_hint: Optional[str]) -> str:
-    if not type_hint:
-        return "string"
-    t = type_hint.strip().lower()
-    if t in ("string", "str"):
-        return "string"
-    if t in ("integer", "int"):
-        return "integer"
-    if t in ("number", "float", "double"):
-        return "number"
-    if t in ("boolean", "bool"):
-        return "boolean"
-    return "string"
 
 
 def group_tools_by_host(tools: list) -> dict:

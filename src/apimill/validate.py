@@ -15,14 +15,9 @@ from urllib.parse import quote, quote_from_bytes, unquote, unquote_to_bytes, url
 
 import requests
 
-from .errors import (
-    JudgeUnavailable,
-    MissingRequiredParameter,
-    NegativeCount,
-    UnboundPathParam,
-)
-from .judges import HeuristicJudge
-from .model import render_scalar
+from .errors import MissingRequiredParameter, NegativeCount, UnboundPathParam
+from .judges import judge_with_fallback
+from .model import render_scalar, url_path_is_empty
 from .netutil import HostRateLimiter, is_loopback_url, run_pool
 from .toolgen import ToolDescriptor
 
@@ -82,6 +77,18 @@ class InvocationRecord:
             "retried_without_params": self.retried_without_params,
             "elapsed": self.elapsed,
         }
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "InvocationRecord":
+        return cls(
+            status_code=d.get("status_code"),
+            text=d.get("text", ""),
+            json_body=d.get("json"),
+            content=d.get("content", ""),
+            transport_error=d.get("transport_error"),
+            retried_without_params=bool(d.get("retried_without_params")),
+            elapsed=float(d.get("elapsed", 0.0)),
+        )
 
 
 @dataclass
@@ -215,21 +222,15 @@ def invoke_tool(
     return record
 
 
-def judge_response(tool_description: str, record: InvocationRecord, judge,
-                   fallback: Optional[HeuristicJudge] = None):
+def judge_response(tool_description: str, record: InvocationRecord, judge):
     """pass/fail verdict on a 200 response; remote failures degrade to the
-    heuristic with the degradation noted in the rationale."""
-    try:
-        passed, rationale = judge.judge_response(
-            tool_description, record.text, record.json_body
-        )
-        return passed, rationale
-    except JudgeUnavailable as exc:
-        backup = fallback or HeuristicJudge()
-        passed, rationale = backup.judge_response(
-            tool_description, record.text, record.json_body
-        )
-        return passed, f"heuristic fallback ({exc}): {rationale}"
+    judge's fallback heuristic with the degradation noted in the rationale."""
+    (passed, rationale), failure = judge_with_fallback(
+        "judge_response", judge, tool_description, record.text, record.json_body
+    )
+    if failure is not None:
+        rationale = f"heuristic fallback ({failure}): {rationale}"
+    return passed, rationale
 
 
 @dataclass
@@ -253,19 +254,25 @@ class ValidationReport:
             "args_used": self.args_used,
         }
 
+    @classmethod
+    def from_dict(cls, d: dict) -> "ValidationReport":
+        return cls(
+            tool_name=d["tool_name"],
+            attempts=[InvocationRecord.from_dict(a) for a in d.get("attempts", [])],
+            error_type=ErrorType(d["error_type"]),
+            judge_verdict=d.get("judge_verdict"),
+            passed=bool(d.get("passed")),
+            source_id=d.get("source_id", ""),
+            args_used=d.get("args_used", {}),
+        )
+
 
 def _preflight(tool: ToolDescriptor, args: dict) -> Optional[ErrorType]:
     """Structural failures that make an HTTP attempt pointless."""
     template = tool.template
-    scheme_ok = template.raw.startswith(("http://", "https://"))
-    if not scheme_ok:
+    if not template.raw.startswith(("http://", "https://")):
         return ErrorType.MISSING_BASE_URL
-
-    path = template.erased().split("?", 1)[0]
-    after_host = path.split("://", 1)[-1]
-    slash = after_host.find("/")
-    path_only = after_host[slash:] if slash >= 0 else ""
-    if path_only in ("", "/") and tool.args:
+    if tool.args and url_path_is_empty(template.erased()):
         return ErrorType.MISSING_ENDPOINT_PATH
     for arg in tool.args:
         if arg.location == "path" and args.get(arg.name) is None:

@@ -5,8 +5,9 @@ from pathlib import Path
 import pytest
 import yaml
 
-from apimill.cli import load_config, main
-from apimill.errors import ConfigInvalid
+from apimill.cli import load_config, main, make_judge
+from apimill.errors import BackendUnreachable, ConfigInvalid
+from apimill.validate import InvocationRecord, judge_response
 from conftest import DATA_DIR, make_config
 
 
@@ -61,6 +62,14 @@ class TestLoadConfig:
         assert config.rate_limit_per_host == 1.0
         assert config.concurrency == 4
         assert config.truth_dir is None
+
+    def test_seed_key_is_accepted_and_ignored(self, tmp_path):
+        (tmp_path / "m.json").write_text("[]")
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text("corpus_manifest: m.json\noutput_dir: out\nseed: 3\n")
+        config = load_config(cfg)
+        assert config.output_dir == tmp_path / "out"
+        assert not hasattr(config, "seed")
 
     def test_bad_backend_kind(self, tmp_path):
         (tmp_path / "m.json").write_text("[]")
@@ -250,6 +259,30 @@ class TestReplayProject:
         assert rc == 0
         summary = json.loads((out / "validation" / "summary.json").read_text())
         assert summary["counts"]["Wrong Parameter Value"] == 1
+
+
+def test_remote_judge_fallback_keeps_configured_phrases(tmp_path, monkeypatch):
+    (tmp_path / "m.json").write_text("[]")
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(json.dumps({
+        "corpus_manifest": "m.json",
+        "output_dir": "out",
+        "offline": True,
+        "error_phrases": ["quota exceeded"],
+        "backends": {"judge": {"kind": "remote", "endpoint_url": "http://127.0.0.1:9/v1",
+                               "model_name": "m"}},
+    }))
+    judge = make_judge(load_config(cfg))
+
+    def down(*args, **kwargs):
+        raise BackendUnreachable("down")
+
+    monkeypatch.setattr(judge.client, "complete", down)
+    record = InvocationRecord(status_code=200, text="Daily quota exceeded, retry tomorrow")
+    passed, rationale = judge_response("desc", record, judge)
+    assert passed is False
+    assert rationale.startswith("heuristic fallback (down): ")
+    assert "quota exceeded" in rationale
 
 
 def test_unbuildable_endpoint_counted(tmp_path):

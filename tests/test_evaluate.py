@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -21,6 +22,7 @@ from apimill.evaluate import (
 )
 from apimill.extract import ExtractionResult
 from apimill.model import ApiSpec, Endpoint, Parameter
+from apimill.toolgen import export_openapi, generate_tool
 
 
 def ep(name, url, method="GET", required=(), optional=(), description=None):
@@ -132,6 +134,15 @@ class TestCanonicalType:
     )
     def test_families(self, given_label, expected):
         assert canonical_type(given_label) == expected
+        tool = generate_tool(
+            ep("E", "https://h.example/v1/e", required=[Parameter(name="p", type_hint=given_label)]),
+            "s",
+        )
+        operation = yaml.safe_load(export_openapi([tool]))["paths"]["/v1/e"]["get"]
+        openapi_types = ("string", "integer", "number", "boolean")
+        assert operation["parameters"][0]["schema"]["type"] == (
+            expected if expected in openapi_types else "string"
+        )
 
 
 class TestMatchEndpoints:

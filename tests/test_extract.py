@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from apimill.errors import RepairFailure
 from apimill.extract import (
+    ExtractionResult,
     HeuristicBackend,
     RemoteChatBackend,
     RemoteStructuredBackend,
@@ -193,6 +194,15 @@ class TestRemoteBackends:
         result = extract_spec(doc("text"), backend)
         assert not result.valid and result.spec is None
         assert any("missing_required_field" in v for v in (str(x) for x in result.violations))
+
+
+def test_extraction_result_dict_round_trip(pokemon_html):
+    valid = extract_spec(doc(dehtml(pokemon_html), "pokemon"), HeuristicBackend())
+    unrepaired = extract_spec(doc("x", "broken"), ReplayBackend({"broken": "no json here"}))
+    unreachable = extract_spec(doc("x", "gone"), ReplayBackend({}))
+    assert valid.valid and valid.spec.endpoints
+    for result in (valid, unrepaired, unreachable):
+        assert ExtractionResult.from_dict(json.loads(json.dumps(result.to_dict()))) == result
 
 
 def test_run_extraction_preserves_order():

@@ -23,6 +23,7 @@ from apimill.inference import (
     SIMILARITY_FLOOR,
     TOP_PER_CHANNEL,
     Candidate,
+    InferenceOutcome,
     KnowledgeBase,
     ParameterKbEntry,
     build_kb,
@@ -496,6 +497,14 @@ class TestInferParameters:
         with pytest.raises(Exhausted) as err:
             infer_parameters(tool, kb, judge, emb, offline=True)
         assert err.value.attempts == 3
+
+    def test_failed_outcomes(self):
+        none = InferenceOutcome.failed("t", NoCandidates("q"))
+        assert (none.success, none.attempts) == (False, 0)
+        assert none.note == "no candidates: no usable candidates for parameter 'q'"
+        spent = InferenceOutcome.failed("t", Exhausted("t", 4))
+        assert (spent.success, spent.attempts) == (False, 4)
+        assert spent.note == "t: all 4 ranked assignments failed validation"
 
     def test_nothing_to_infer(self, judge, emb):
         tool = generate_tool(

@@ -153,6 +153,8 @@ class TestCorpus:
 
     def test_broken_judge_falls_back(self, tmp_path):
         class Broken:
+            fallback = HeuristicJudge()
+
             def is_api_page(self, text):
                 from apimill.errors import JudgeUnavailable
                 raise JudgeUnavailable("down")
@@ -162,7 +164,7 @@ class TestCorpus:
         good = tmp_path / "good.txt"
         good.write_text("GET https://h.example/v1/items with parameter q")
         docs, decisions, _ = ingest_corpus(
-            [{"source_id": "good", "origin": str(good)}], Broken(), fallback=HeuristicJudge()
+            [{"source_id": "good", "origin": str(good)}], Broken()
         )
         assert len(docs) == 1
         assert decisions[0]["judge_degraded"] is True

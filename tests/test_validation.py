@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +10,7 @@ from apimill.errors import (
     NegativeCount,
     UnboundPathParam,
 )
+from apimill.judges import HeuristicJudge
 from apimill.model import Endpoint, Parameter
 from apimill.netutil import HostRateLimiter
 from apimill.toolgen import generate_tool
@@ -15,6 +18,7 @@ from apimill.validate import (
     CAUSE_CATEGORIES,
     ErrorType,
     InvocationRecord,
+    ValidationReport,
     build_request,
     classify_outcome,
     counts_from_reports,
@@ -191,6 +195,8 @@ class TestJudgeResponse:
 
     def test_remote_failure_falls_back(self):
         class Down:
+            fallback = HeuristicJudge()
+
             def judge_response(self, *a):
                 raise JudgeUnavailable("boom")
 
@@ -198,6 +204,28 @@ class TestJudgeResponse:
         passed, rationale = judge_response("desc", record, Down())
         assert passed is True
         assert rationale.startswith("heuristic fallback")
+
+
+def test_validation_report_dict_round_trip():
+    answered = InvocationRecord(
+        status_code=200, text='{"data": [1]}', json_body={"data": [1]},
+        content='{"data": [1]}', retried_without_params=True, elapsed=0.25,
+    )
+    refused = InvocationRecord(transport_error="connection refused", elapsed=0.5)
+    reports = [
+        ValidationReport(
+            tool_name="search", attempts=[answered], error_type=ErrorType.PASSED,
+            judge_verdict={"passed": True, "rationale": "response object carries data"},
+            passed=True, source_id="src", args_used={"q": "x", "n": 3},
+        ),
+        ValidationReport(
+            tool_name="lookup", attempts=[refused], error_type=ErrorType.WRONG_PARAM_VALUE,
+            source_id="src", args_used={"id": None},
+        ),
+        ValidationReport(tool_name="bare", attempts=[], error_type=ErrorType.MISSING_BASE_URL),
+    ]
+    for report in reports:
+        assert ValidationReport.from_dict(json.loads(json.dumps(report.to_dict()))) == report
 
 
 class TestClassifyOutcome:
