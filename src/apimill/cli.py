@@ -122,8 +122,13 @@ def load_config(path) -> ProjectConfig:
         ("judge", {"heuristic", "remote"}),
         ("embedding", {"lexical", "remote"}),
     ):
-        kind = (backends.get(section) or {}).get("kind", next(iter(sorted(allowed))))
-        if section in backends and backends[section].get("kind") not in (None, *allowed):
+        entry = backends.get(section)
+        if entry is None:
+            continue
+        if not isinstance(entry, dict):
+            raise ConfigInvalid(f"backends.{section} must be a mapping, got {entry!r}")
+        kind = entry.get("kind")
+        if kind not in (None, *allowed):
             raise ConfigInvalid(
                 f"backends.{section}.kind must be one of {sorted(allowed)}, got {kind!r}"
             )

@@ -53,19 +53,40 @@ class ParameterKbEntry:
     description_embedding: Optional[np.ndarray] = None
     provenance: str = "documentation"  # or "response_json"
 
-    def to_dict(self) -> dict:
+    def to_dict(self, encoded: tuple = (None, None)) -> dict:
+        """The KB row.  `encoded` may hold the key and the description
+        embedding already encoded as JSON text, to be written as they are."""
         return {
             "param_key": self.param_key,
             "value": self.value,
             "source_id": self.source_id,
             "description": self.description,
-            "key_embedding": None if self.key_embedding is None else list(map(float, self.key_embedding)),
-            "description_embedding": (
-                None if self.description_embedding is None
-                else list(map(float, self.description_embedding))
-            ),
+            "key_embedding": _embedding_field(self.key_embedding, encoded[0]),
+            "description_embedding": _embedding_field(self.description_embedding, encoded[1]),
             "provenance": self.provenance,
         }
+
+
+class _Json(str):
+    """Text already encoded as JSON."""
+
+
+def _embedding_field(vec, text: Optional[str] = None):
+    if vec is None:
+        return None
+    return list(map(float, vec)) if text is None else _Json(text)
+
+
+# one encoder for every field: json.dumps(ensure_ascii=False) builds one per call
+_encode = json.JSONEncoder(ensure_ascii=False).encode
+
+
+def _json_line(fields: dict) -> str:
+    """`json.dumps(fields, ensure_ascii=False)` for a flat dict, with its
+    _Json values spliced in as they are."""
+    return "{" + ", ".join(
+        f"{_encode(k)}: {v if isinstance(v, _Json) else _encode(v)}" for k, v in fields.items()
+    ) + "}"
 
 
 def _identity(entry: ParameterKbEntry) -> tuple:
@@ -239,10 +260,24 @@ class KnowledgeBase:
     def snapshot(self) -> list:
         return list(self.entries)
 
+    def _embedding_texts(self, channel: str) -> list:
+        """Per entry, the JSON text of its `channel` row, None where no block
+        holds one; each row is encoded once, however many entries share it."""
+        texts = [None] * len(self.entries)
+        for block in self._blocks[channel]:
+            encoded: dict = {}
+            for i, r in zip(block.index[: block.size].tolist(), block.row[: block.size].tolist()):
+                if r not in encoded:
+                    encoded[r] = json.dumps(_embedding_field(block.rows[r]))
+                texts[i] = encoded[r]
+        return texts
+
     def save_jsonl(self, path) -> None:
+        """One `to_dict` row per entry, as JSON."""
+        rows = zip(self._embedding_texts("key"), self._embedding_texts("description"))
         with open(path, "w", encoding="utf-8") as fh:
-            for entry in self.entries:
-                fh.write(json.dumps(entry.to_dict(), ensure_ascii=False) + "\n")
+            for entry, encoded in zip(self.entries, rows):
+                fh.write(_json_line(entry.to_dict(encoded)) + "\n")
 
 
 def harvest_response_values(json_body) -> list:

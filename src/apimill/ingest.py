@@ -6,7 +6,6 @@ import json
 import logging
 import re
 from dataclasses import dataclass
-from html import unescape
 from html.parser import HTMLParser
 from pathlib import Path
 from typing import Optional
@@ -61,7 +60,7 @@ class _TextExtractor(HTMLParser):
         if tag in _SKIPPED:
             self._skip_depth += 1
             return
-        if tag == "a":
+        if tag == "a" and not self._skip_depth:
             href = dict(attrs).get("href") or ""
             self._anchor_hrefs.append(href)
             self._anchor_texts.append([])
@@ -72,7 +71,7 @@ class _TextExtractor(HTMLParser):
         if tag in _SKIPPED:
             self._skip_depth = max(0, self._skip_depth - 1)
             return
-        if tag == "a" and self._anchor_hrefs:
+        if tag == "a" and self._anchor_hrefs and not self._skip_depth:
             href = self._anchor_hrefs.pop()
             text = "".join(self._anchor_texts.pop())
             # endpoint URLs often live only in the link target
@@ -91,11 +90,12 @@ class _TextExtractor(HTMLParser):
 
 def dehtml(markup: str) -> str:
     """Markup to plain text: tags gone, script/style dropped, hrefs kept,
-    horizontal whitespace collapsed, blank lines removed."""
+    entities unescaped once (by the parser), horizontal whitespace
+    collapsed, blank lines removed."""
     parser = _TextExtractor()
     parser.feed(markup)
     parser.close()
-    text = unescape("".join(parser.parts))
+    text = "".join(parser.parts)
     lines = []
     for line in text.split("\n"):
         line = re.sub(r"[ \t\r\f\v ]+", " ", line).strip()

@@ -1,4 +1,5 @@
-"""Shared networking plumbing: politeness limits, offline guard, worker pool."""
+"""Shared networking plumbing: politeness limits, offline guard, worker pool,
+per-thread HTTP sessions."""
 
 from __future__ import annotations
 
@@ -8,6 +9,8 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence
 from urllib.parse import urlsplit
+
+import requests
 
 from .errors import OfflineViolation
 
@@ -72,3 +75,45 @@ def run_pool(fn: Callable, items: Sequence, width: int = 4) -> list:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=width) as pool:
         return list(pool.map(fn, items))
+
+
+# (scheme, hostname, port, verify) -> the environment settings requests
+# merges into a request to that origin; filled once per origin per process
+_ENV_SETTINGS: dict = {}
+_local = threading.local()
+
+
+class _Session(requests.Session):
+    """A Session that reads the proxy and CA-bundle environment once per
+    origin.  `http_request`, its only caller, passes no proxies, stream or
+    cert, so the origin and `verify` decide the settings."""
+
+    def merge_environment_settings(self, url, proxies, stream, verify, cert):
+        parts = urlsplit(url)
+        key = (parts.scheme, parts.hostname, parts.port, verify)
+        settings = _ENV_SETTINGS.get(key)
+        if settings is None:
+            # two threads may both compute it; they compute the same value
+            settings = _ENV_SETTINGS.setdefault(
+                key, super().merge_environment_settings(url, proxies, stream, verify, cert)
+            )
+        # every thread reads the memo: each request gets a proxies dict of its own
+        return {**settings, "proxies": dict(settings["proxies"])}
+
+
+def http_request(
+    method: str, url: str, *, json=None, headers=None, timeout=None, verify=True
+) -> requests.Response:
+    """`requests.request` on this thread's reused session.
+
+    The cookie jar is cleared first, so no cookie crosses calls, as with
+    the fresh session `requests.request` makes; redirects and .netrc are
+    requests' own.
+    """
+    session = getattr(_local, "session", None)
+    if session is None:
+        session = _local.session = _Session()
+    session.cookies.clear()
+    return session.request(
+        method, url, json=json, headers=headers, timeout=timeout, verify=verify
+    )

@@ -18,7 +18,7 @@ import requests
 from .errors import MissingRequiredParameter, NegativeCount, UnboundPathParam
 from .judges import judge_with_fallback
 from .model import render_scalar, url_path_is_empty
-from .netutil import HostRateLimiter, is_loopback_url, run_pool
+from .netutil import HostRateLimiter, http_request, is_loopback_url, run_pool
 from .toolgen import ToolDescriptor
 
 
@@ -177,7 +177,8 @@ def invoke_tool(
 
     A non-200 first response triggers one retry without query/body arguments,
     and the retry's response is returned unconditionally.  Transport failures
-    are recorded, never raised.
+    are recorded, never raised.  Both calls go through this thread's reused
+    session, with no cookies carried over from any earlier call.
     """
     request = build_request(tool, args)
     started = time.monotonic()
@@ -188,14 +189,13 @@ def invoke_tool(
             raise requests.ConnectionError(f"offline mode forbids host {host!r}")
         if rate_limiter is not None:
             rate_limiter.acquire(host)
-        return requests.request(
+        return http_request(
             request.verb,
             url,
             json=body,
             headers=request.headers or None,
             timeout=tool.timeout_seconds,
             verify=tls_verify,
-            allow_redirects=True,
         )
 
     record = InvocationRecord()

@@ -81,6 +81,13 @@ class TestLoadConfig:
         with pytest.raises(ConfigInvalid, match="extraction"):
             load_config(cfg)
 
+    def test_backend_section_not_a_mapping(self, tmp_path, capsys):
+        (tmp_path / "m.json").write_text("[]")
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text("corpus_manifest: m.json\noutput_dir: out\nbackends: {judge: remote}\n")
+        assert main(["report", "--config", str(cfg)]) == 2
+        assert "backends.judge must be a mapping" in capsys.readouterr().err
+
 
 class TestFullRun:
     def test_exit_zero(self, full_run):

@@ -21,6 +21,7 @@ from apimill.inference import (
     MAX_CANDIDATES,
     SIMILARITY_DECIMALS,
     SIMILARITY_FLOOR,
+    TAIL_ROWS,
     TOP_PER_CHANNEL,
     Candidate,
     InferenceOutcome,
@@ -87,6 +88,40 @@ class TestKnowledgeBase:
         assert row["param_key"] == "q"
         assert isinstance(row["key_embedding"], list)
         assert row["description_embedding"] is None
+
+    def test_save_jsonl_bytes_match_per_entry_encoding(self, tmp_path, emb):
+        def batch(source):
+            return [
+                ParameterKbEntry(
+                    param_key=key, value=value, source_id=source, description=desc,
+                    provenance="documentation" if desc else "response_json",
+                )
+                for key, value, desc in (
+                    ("city", "Zürich", "the city 東京"), ("city", "Köln", "the city 東京"),
+                    ("limit", 10, None), ("ratio", 0.1, "a ratio"), ("flag", True, None),
+                    ("limit", 20, None),
+                )
+            ]
+
+        kb = KnowledgeBase()
+        kb.extend(batch("a"), emb)
+        kb.extend(batch("b"), emb)
+        for i in range(TAIL_ROWS + 3):  # the adds outgrow the first tail block
+            desc = f"added {i % 2}" if i % 3 else None
+            kb.add(ParameterKbEntry(
+                param_key=f"k{i % 4}", value=i, source_id="c", description=desc,
+                key_embedding=emb.embed_one(f"k{i % 4}"),
+                description_embedding=emb.embed_one(desc) if desc else None,
+            ))
+        assert len(kb._blocks["key"]) == 4 and len(kb._blocks["description"]) == 3
+        path = tmp_path / "kb.jsonl"
+        kb.save_jsonl(path)
+        want = "".join(json.dumps(e.to_dict(), ensure_ascii=False) + "\n" for e in kb.entries)
+        assert path.read_bytes() == want.encode("utf-8")
+        for channel in ("key", "description"):  # every row, tail blocks too, came from a block
+            assert [t is None for t in kb._embedding_texts(channel)] == [
+                getattr(e, f"{channel}_embedding") is None for e in kb.entries
+            ]
 
 
 def scripted_report(tool, error_type, json_body=None):

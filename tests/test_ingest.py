@@ -31,6 +31,20 @@ class TestDehtml:
     def test_entities_unescaped(self):
         assert dehtml("<p>a &amp; b &lt;c&gt;</p>") == "a & b <c>"
 
+    @pytest.mark.parametrize("markup, text", [
+        ("<p>GET https://api.x.org/v1/search?q=x&amp;region=eu&amp;copy=2</p>",
+         "GET https://api.x.org/v1/search?q=x&region=eu&copy=2"),
+        ("<code>&amp;lt;id&amp;gt;</code>", "&lt;id&gt;"),
+        ('<a href="https://api.x.org/v1?q=x&amp;region=eu">docs</a>',
+         "docs https://api.x.org/v1?q=x&region=eu"),
+    ])
+    def test_entities_unescaped_once(self, markup, text):
+        assert dehtml(markup) == text
+
+    def test_anchor_in_skipped_content_dropped(self):
+        markup = '<noscript><a href="https://tracker.example/pixel">x</a></noscript><p>hi</p>'
+        assert dehtml(markup) == "hi"
+
     def test_href_kept_when_not_in_text(self):
         text = dehtml('<a href="https://api.example/v1">docs</a>')
         assert "https://api.example/v1" in text and "docs" in text

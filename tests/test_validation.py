@@ -1,9 +1,15 @@
 import json
+import os
+import sys
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from apimill import netutil
 from apimill.errors import (
     JudgeUnavailable,
     MissingRequiredParameter,
@@ -34,6 +40,9 @@ from apimill.validate import (
     run_validation,
     validate_tool,
 )
+
+
+PROXY = "http://proxy.test:3128"
 
 
 def make_tool(base_url, path="/cards", name="Search Cards", method="GET",
@@ -183,6 +192,108 @@ class TestInvokeTool:
         tool = make_tool(mock_api.base_url)
         record = invoke_tool(tool, {}, offline=True)
         assert record.status_code == 200
+
+    def test_one_session_per_thread(self, mock_api, monkeypatch):
+        made, statuses = [], []
+
+        class Counting(netutil._Session):
+            def __init__(self):
+                super().__init__()
+                made.append(self)
+
+        monkeypatch.setattr(netutil, "_Session", Counting)
+        tool = make_tool(mock_api.base_url)
+
+        def work():
+            for _ in range(5):
+                statuses.append(invoke_tool(tool, {}).status_code)
+
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # threads interleave inside each call
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert statuses == [200] * 20
+        assert len(made) == 4
+
+    def test_no_cookie_crosses_calls(self):
+        class SetsCookie(BaseHTTPRequestHandler):
+            def log_message(self, fmt, *args):
+                pass
+
+            def do_GET(self):
+                self.server.cookies.append(self.headers.get("Cookie"))
+                body = b'{"data": 1}'
+                self.send_response(400 if "?" in self.path else 200)
+                self.send_header("Set-Cookie", "session=abc; Path=/")
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+        server = ThreadingHTTPServer(("127.0.0.1", 0), SetsCookie)
+        server.cookies = []
+        serving = threading.Thread(target=server.serve_forever, daemon=True)
+        serving.start()
+        try:
+            base = f"http://127.0.0.1:{server.server_address[1]}"
+            first = make_tool(base, optional=[Parameter(name="verbose", example_value=1)])
+            record = invoke_tool(first, {"verbose": 1})
+            assert record.retried_without_params and record.status_code == 200
+            assert invoke_tool(make_tool(base, path="/other", name="Other"), {}).status_code == 200
+        finally:
+            server.shutdown()
+            server.server_close()
+            serving.join(timeout=10)
+        # the first call, its retry, the next tool's call
+        assert server.cookies == [None, None, None]
+
+    @pytest.mark.parametrize("env, proxied, ca", [
+        ({"HTTP_PROXY": PROXY}, {8080, 9090}, True),
+        ({"HTTP_PROXY": PROXY, "NO_PROXY": "api.test:8080"}, {9090}, True),
+        ({"HTTP_PROXY": PROXY, "NO_PROXY": "api.test"}, set(), True),
+        ({"REQUESTS_CA_BUNDLE": "/etc/ssl/bundle.pem"}, set(), "/etc/ssl/bundle.pem"),
+    ])
+    def test_environment_reaches_adapter_as_with_requests(self, monkeypatch, env, proxied, ca):
+        for name in list(os.environ):
+            if name.lower().endswith("_proxy") or name in ("REQUESTS_CA_BUNDLE", "CURL_CA_BUNDLE"):
+                monkeypatch.delenv(name)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        monkeypatch.setattr(netutil, "_ENV_SETTINGS", {})
+        seen = []
+
+        def send(adapter, request, **kwargs):
+            # stands in for the network: nothing leaves the process
+            seen.append({key: kwargs[key] for key in ("proxies", "verify", "cert")})
+            response = requests.Response()
+            response.status_code, response._content = 200, b"{}"
+            response.request, response.url = request, request.url
+            return response
+
+        monkeypatch.setattr(requests.adapters.HTTPAdapter, "send", send)
+        # urllib's getproxies() reports NO_PROXY under "no"
+        proxies = {"http": PROXY, "no": env["NO_PROXY"]} if "NO_PROXY" in env else {"http": PROXY}
+        want = []
+        # the second True per origin is served from the memo
+        for tls_verify in (True, False, True):
+            for port in (8080, 9090):
+                tool = make_tool(f"http://api.test:{port}")
+                requests.request("GET", f"http://api.test:{port}/cards", verify=tls_verify,
+                                 timeout=tool.timeout_seconds, allow_redirects=True)
+                invoke_tool(tool, {}, tls_verify=tls_verify)
+                want += 2 * [{
+                    "proxies": proxies if port in proxied else {},
+                    "verify": ca if tls_verify else False,
+                    "cert": None,
+                }]
+        assert seen == want
 
 
 class TestJudgeResponse:
