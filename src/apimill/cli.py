@@ -256,6 +256,7 @@ def stage_ingest(config: ProjectConfig, judge) -> None:
         width=config.concurrency,
         tls_verify=config.tls_verify,
         offline=config.offline,
+        rate_limiter=HostRateLimiter(config.rate_limit_per_host),
     )
     docs_dir = config.subdir("docs")
     for doc in documents:

@@ -383,7 +383,8 @@ def extract_spec(doc: ApiDocument, backend) -> ExtractionResult:
         raw_output=raw,
         spec=spec,
         valid=spec is not None and not violations,
-        violations=violations,
+        # strings, as to_dict writes them, so the result survives its round trip
+        violations=[str(v) for v in violations],
         backend_kind=backend.kind,
         token_or_byte_cost=cost,
     )

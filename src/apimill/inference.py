@@ -205,6 +205,10 @@ class KnowledgeBase:
             distinct, row = distinct_texts(texts)
             embedded.append((channel, members, emb.embed(distinct), row))
         first = self._append(entries)
+        for entry in entries:
+            if not entry.description:
+                # no block holds a vector for it, so `nearest` could never see one
+                entry.description_embedding = None
         for channel, members, rows, row in embedded:
             index = first + np.asarray(members, dtype=np.intp)
             block = _Block.of(rows, index, row)

@@ -14,7 +14,7 @@ import requests
 
 from .errors import EmptyDocument, FetchFailed
 from .judges import judge_with_fallback
-from .netutil import check_url_allowed, run_pool
+from .netutil import check_url_allowed, run_cpu_pool, run_pool
 
 logger = logging.getLogger(__name__)
 
@@ -95,13 +95,18 @@ def dehtml(markup: str) -> str:
     parser = _TextExtractor()
     parser.feed(markup)
     parser.close()
-    text = "".join(parser.parts)
-    lines = []
-    for line in text.split("\n"):
-        line = re.sub(r"[ \t\r\f\v ]+", " ", line).strip()
-        if line:
-            lines.append(line)
-    return "\n".join(lines)
+    return _collapse_lines("".join(parser.parts))
+
+
+# horizontal whitespace only: a run never spans a line break
+_HSPACE = re.compile("[ \t\r\f\v\xa0]+")
+
+
+def _collapse_lines(text: str) -> str:
+    """Runs of horizontal whitespace to one space, each line stripped,
+    blank lines dropped."""
+    lines = (line.strip() for line in _HSPACE.sub(" ", text).split("\n"))
+    return "\n".join(line for line in lines if line)
 
 
 def _looks_like_html(content: str) -> bool:
@@ -117,30 +122,45 @@ def _source_id_from_origin(origin: str) -> str:
     return slug or "doc"
 
 
-def load_and_clean(
+def load_page(
     origin: str,
-    source_id: Optional[str] = None,
     timeout: float = 30.0,
-    max_text_bytes: int = DEFAULT_TEXT_CAP,
     tls_verify: bool = True,
     offline: bool = False,
-) -> ApiDocument:
-    """Read a page from a file or URL and clean it to plain text."""
+    rate_limiter=None,
+) -> str:
+    """A page's raw content, read from a file or fetched from a URL.
+
+    An HTTP fetch first waits for `rate_limiter`'s token for the origin's
+    host, when one is given.  Every failure raises FetchFailed.
+    """
     if origin.startswith(("http://", "https://")):
         try:
             check_url_allowed(origin, offline)
+            if rate_limiter is not None:
+                rate_limiter.acquire_for(origin)
             resp = requests.get(origin, timeout=timeout, verify=tls_verify)
             resp.raise_for_status()
-            raw = resp.text
+            return resp.text
         except Exception as exc:  # noqa: BLE001 - every fetch failure maps the same way
             raise FetchFailed(origin, str(exc)) from exc
-    else:
-        try:
-            raw = Path(origin).read_text(encoding="utf-8", errors="replace")
-        except OSError as exc:
-            raise FetchFailed(origin, str(exc)) from exc
+    try:
+        return Path(origin).read_text(encoding="utf-8", errors="replace")
+    except OSError as exc:
+        raise FetchFailed(origin, str(exc)) from exc
 
-    text = dehtml(raw) if _looks_like_html(raw) else _plain_clean(raw)
+
+def clean_text(raw: str) -> str:
+    """A page's plain text: `dehtml` for markup, otherwise whitespace
+    collapsed.  Pure and module-level, so worker processes can run it."""
+    return dehtml(raw) if _looks_like_html(raw) else _collapse_lines(raw)
+
+
+def _document(
+    origin: str, source_id: Optional[str], raw: str, text: str, max_text_bytes: int
+) -> ApiDocument:
+    """The cleaned page as a document; EmptyDocument when no text is left,
+    and the text cut to `max_text_bytes` of UTF-8."""
     if not text.strip():
         raise EmptyDocument(origin)
     encoded = text.encode("utf-8")
@@ -155,13 +175,17 @@ def load_and_clean(
     )
 
 
-def _plain_clean(content: str) -> str:
-    lines = []
-    for line in content.split("\n"):
-        line = re.sub(r"[ \t\r\f\v ]+", " ", line).strip()
-        if line:
-            lines.append(line)
-    return "\n".join(lines)
+def load_and_clean(
+    origin: str,
+    source_id: Optional[str] = None,
+    timeout: float = 30.0,
+    max_text_bytes: int = DEFAULT_TEXT_CAP,
+    tls_verify: bool = True,
+    offline: bool = False,
+) -> ApiDocument:
+    """Read a page from a file or URL and clean it to plain text."""
+    raw = load_page(origin, timeout=timeout, tls_verify=tls_verify, offline=offline)
+    return _document(origin, source_id, raw, clean_text(raw), max_text_bytes)
 
 
 def filter_api_pages(doc: ApiDocument, judge) -> bool:
@@ -201,8 +225,13 @@ def ingest_corpus(
     width: int = 4,
     tls_verify: bool = True,
     offline: bool = False,
+    rate_limiter=None,
 ):
     """Load, clean, filter, and classify a corpus concurrently.
+
+    Pages load on `width` threads, HTTP fetches waiting for `rate_limiter`
+    when one is given.  They are cleaned on up to `width` worker processes
+    (see run_cpu_pool), then judged on `width` threads.
 
     Returns (documents, decisions, failures): decisions carry the per-doc
     api-page verdict and classification; failures record load errors without
@@ -210,34 +239,40 @@ def ingest_corpus(
     and the decision records that as judge_degraded.
     """
 
-    def work(entry):
+    def load(entry):
         try:
-            doc = load_and_clean(
-                entry["origin"],
-                source_id=entry["source_id"],
-                tls_verify=tls_verify,
-                offline=offline,
+            return load_page(
+                entry["origin"], tls_verify=tls_verify, offline=offline,
+                rate_limiter=rate_limiter,
+            )
+        except FetchFailed as exc:
+            return exc
+
+    pages = run_pool(load, manifest_entries, width)
+    loaded = [raw for raw in pages if isinstance(raw, str)]
+    texts = iter(run_cpu_pool(clean_text, loaded, width))
+    documents, failures = [], []
+    for entry, raw in zip(manifest_entries, pages):
+        try:
+            if isinstance(raw, FetchFailed):
+                raise raw
+            documents.append(
+                _document(entry["origin"], entry["source_id"], raw, next(texts), DEFAULT_TEXT_CAP)
             )
         except (FetchFailed, EmptyDocument) as exc:
-            return None, {"source_id": entry["source_id"], "error": str(exc)}
+            failures.append({"source_id": entry["source_id"], "error": str(exc)})
+
+    def judge_doc(doc):
         is_api, failure = judge_with_fallback("is_api_page", judge, doc.text)
         (category, analysis), failure2 = judge_with_fallback("classify_doc", judge, doc.text)
         doc.category, doc.analysis = category, analysis[:300]
-        decision = {
+        return {
             "source_id": doc.source_id,
             "is_api_page": bool(is_api),
             "category": category,
             "analysis": doc.analysis,
             "judge_degraded": failure is not None or failure2 is not None,
         }
-        return doc, decision
 
-    results = run_pool(work, manifest_entries, width)
-    documents, decisions, failures = [], [], []
-    for doc, info in results:
-        if doc is None:
-            failures.append(info)
-        else:
-            documents.append(doc)
-            decisions.append(info)
+    decisions = run_pool(judge_doc, documents, width)
     return documents, decisions, failures

@@ -200,8 +200,10 @@ def test_extraction_result_dict_round_trip(pokemon_html):
     valid = extract_spec(doc(dehtml(pokemon_html), "pokemon"), HeuristicBackend())
     unrepaired = extract_spec(doc("x", "broken"), ReplayBackend({"broken": "no json here"}))
     unreachable = extract_spec(doc("x", "gone"), ReplayBackend({}))
+    invalid = extract_spec(doc("x", "bad"), ReplayBackend({"bad": '{"endpoints": [{"name": "X"}]}'}))
     assert valid.valid and valid.spec.endpoints
-    for result in (valid, unrepaired, unreachable):
+    assert not invalid.valid and invalid.violations
+    for result in (valid, unrepaired, unreachable, invalid):
         assert ExtractionResult.from_dict(json.loads(json.dumps(result.to_dict()))) == result
 
 

@@ -89,6 +89,18 @@ class TestKnowledgeBase:
         assert isinstance(row["key_embedding"], list)
         assert row["description_embedding"] is None
 
+    def test_extend_drops_vector_of_missing_description(self, tmp_path, emb):
+        kb = KnowledgeBase()
+        kb.extend([ParameterKbEntry(
+            param_key="q", value="x", source_id="s",
+            description_embedding=emb.embed_one("query text"),
+        )], emb)
+        assert kb._blocks["description"] == []
+        assert kb.entries[0].description_embedding is None
+        path = tmp_path / "kb.jsonl"
+        kb.save_jsonl(path)
+        assert json.loads(path.read_text())["description_embedding"] is None
+
     def test_save_jsonl_bytes_match_per_entry_encoding(self, tmp_path, emb):
         def batch(source):
             return [
