@@ -260,7 +260,9 @@ def stage_ingest(config: ProjectConfig, judge) -> None:
     )
     docs_dir = config.subdir("docs")
     for doc in documents:
-        (docs_dir / f"{doc.source_id}.html").write_text(doc.raw, encoding="utf-8")
+        # a fetched page is kept as fetched; a file origin is already on disk
+        if doc.origin.startswith(("http://", "https://")):
+            (docs_dir / f"{doc.source_id}.html").write_text(doc.raw, encoding="utf-8")
         (docs_dir / f"{doc.source_id}.txt").write_text(doc.text, encoding="utf-8")
     (docs_dir / "index.json").write_text(
         json.dumps({"documents": decisions, "failures": failures}, indent=2) + "\n",

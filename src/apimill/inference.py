@@ -261,9 +261,6 @@ class KnowledgeBase:
             dtype=bool, count=len(self._source_ids),
         )
 
-    def snapshot(self) -> list:
-        return list(self.entries)
-
     def _embedding_texts(self, channel: str) -> list:
         """Per entry, the JSON text of its `channel` row, None where no block
         holds one; each row is encoded once, however many entries share it."""

@@ -6,7 +6,7 @@ import json
 import logging
 import re
 from dataclasses import dataclass
-from html.parser import HTMLParser
+from html import unescape
 from pathlib import Path
 from typing import Optional
 
@@ -14,7 +14,7 @@ import requests
 
 from .errors import EmptyDocument, FetchFailed
 from .judges import judge_with_fallback
-from .netutil import check_url_allowed, run_cpu_pool, run_pool
+from .netutil import check_url_allowed, run_pool
 
 logger = logging.getLogger(__name__)
 
@@ -48,54 +48,144 @@ class ApiDocument:
         }
 
 
-class _TextExtractor(HTMLParser):
-    def __init__(self):
-        super().__init__(convert_charrefs=True)
-        self.parts: list = []
-        self._skip_depth = 0
-        self._anchor_hrefs: list = []
-        self._anchor_texts: list = []
-
-    def handle_starttag(self, tag, attrs):
-        if tag in _SKIPPED:
-            self._skip_depth += 1
-            return
-        if tag == "a" and not self._skip_depth:
-            href = dict(attrs).get("href") or ""
-            self._anchor_hrefs.append(href)
-            self._anchor_texts.append([])
-        if tag in _BLOCK:
-            self.parts.append("\n")
-
-    def handle_endtag(self, tag):
-        if tag in _SKIPPED:
-            self._skip_depth = max(0, self._skip_depth - 1)
-            return
-        if tag == "a" and self._anchor_hrefs and not self._skip_depth:
-            href = self._anchor_hrefs.pop()
-            text = "".join(self._anchor_texts.pop())
-            # endpoint URLs often live only in the link target
-            if href.startswith(("http://", "https://")) and href not in text:
-                self.parts.append(f" {href} ")
-        if tag in _BLOCK:
-            self.parts.append("\n")
-
-    def handle_data(self, data):
-        if self._skip_depth:
-            return
-        if self._anchor_texts:
-            self._anchor_texts[-1].append(data)
-        self.parts.append(data)
+# html.parser's patterns (Python 3.11), copied so that the text does not
+# change with the Python release.  One match reads a text run, then a start
+# tag (name, attributes, and `>` or `/>` unless unfinished) or an end tag.
+_TEXT_AND_TAG = re.compile(
+    r"([^<]*)(?:<(?:([a-zA-Z][^\t\n\r\f />\x00]*)((?:[\s/]*(?:(?<=['\"\s/])[^\s/>][^\s/=>]*"
+    r"(?:\s*=+\s*(?:'[^']*'|\"[^\"]*\"|(?!['\"])[^>\s]*)\s*)?(?:\s|/(?!>))*)*)?\s*)(/?>)?"
+    r"|/\s*([a-zA-Z][-.a-zA-Z0-9:_]*)\s*>))?")
+_TAG_NAME = re.compile(r"([a-zA-Z][^\t\n\r\f />\x00]*)(?:\s|/(?!>))*")
+_ATTR = re.compile(r"((?<=['\"\s/])[^\s/>][^\s/=>]*)(\s*=+\s*('[^']*'|\"[^\"]*\"|(?!['\"])[^>\s]*))?"
+                   r"(?:\s|/(?!>))*")
+_ONLY_SLASHES = re.compile(r"[\s/]*")
+_COMMENT_CLOSE = re.compile(r"--\s*>")
+_SECTION_NAME = re.compile(r"[a-zA-Z][-_.a-zA-Z0-9]*\s*")
+_SECTION_CLOSE = {**dict.fromkeys(("temp", "cdata", "ignore", "include", "rcdata"),
+                                  re.compile(r"]\s*]\s*>")),
+                  **dict.fromkeys(("if", "else", "endif"), re.compile(r"]\s*>"))}
+_RAW_TEXT_CLOSE = {tag: re.compile(r"</\s*(?ai:%s)\s*>" % tag) for tag in ("script", "style")}
+# where a start tag's markup stops before one of these, html.parser finds it unfinished
+_UNFINISHED = frozenset("/=abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
 
 
 def dehtml(markup: str) -> str:
     """Markup to plain text: tags gone, script/style dropped, hrefs kept,
-    entities unescaped once (by the parser), horizontal whitespace
-    collapsed, blank lines removed."""
-    parser = _TextExtractor()
-    parser.feed(markup)
-    parser.close()
-    return _collapse_lines("".join(parser.parts))
+    entities unescaped once, horizontal whitespace collapsed, blank lines
+    removed.  One scan, linear in the input, by html.parser's rules except
+    on two kinds of broken markup.  An unfinished start tag with no `>`
+    after it, or whose next `>` lies inside its quotes, is text up to where
+    its markup stops; html.parser rescans that markup, in quadratic time,
+    and may find a tag in it or leave a `<name` before a NUL unescaped.
+    `<![` with an unknown keyword is a bogus comment; html.parser raises."""
+    parts: list = []
+    anchors: list = []  # per open <a>: (href, its text runs)
+    skip = 0  # open script/style/noscript/template elements
+    n, last_gt = len(markup), markup.rfind(">")
+    unclosed: dict = {}  # close pattern -> a position no match follows
+
+    def data(text):
+        if text and not skip:
+            if anchors:
+                anchors[-1][1].append(text)
+            parts.append(text)
+
+    def close_after(pattern, pos):
+        """The end of pattern's first match from pos, or -1."""
+        if pos < unclosed.get(pattern, n + 1):
+            m = pattern.search(markup, pos)
+            if m:
+                return m.end()
+            unclosed[pattern] = pos
+        return -1
+
+    def end(tag):
+        nonlocal skip
+        if tag in _SKIPPED:
+            skip = max(0, skip - 1)
+        elif tag in _BLOCK:
+            parts.append("\n")
+        elif tag == "a" and anchors and not skip:
+            href, text = anchors.pop()
+            # endpoint URLs often live only in the link target
+            if href.startswith(("http://", "https://")) and href not in "".join(text):
+                parts.append(f" {href} ")
+
+    def start(i, tag, attrs, closing, j):
+        """Open the tag read from i to j; where reading goes on."""
+        nonlocal skip
+        if tag in _SKIPPED:
+            skip += 1
+        elif tag in _BLOCK:
+            parts.append("\n")
+        elif tag == "a" and not skip:
+            href, k = "", j
+            # only an absolute href is used, and it needs "http" or an entity
+            if "http" in attrs or "&" in attrs:
+                k = _TAG_NAME.match(markup, i + 1).end()
+            while k < j and (attr := _ATTR.match(markup, k)):
+                name, rest, value = attr.groups()
+                if name.lower() == "href":
+                    href = rest and unescape(value[1:-1] if value[:1] in "'\"" else value)
+                k = attr.end()
+            anchors.append((href or "", []))
+        # `<br/>` closes itself, `<a href=x/>` does not: the slash is its value's
+        if closing == "/>" or markup[j - 2] == "/" and _ONLY_SLASHES.fullmatch(attrs):
+            end(tag)
+        elif tag in _RAW_TEXT_CLOSE:  # raw text up to its own end tag
+            j = close_after(_RAW_TEXT_CLOSE[tag], j)
+            if j < 0:
+                return n
+            end(tag)
+        return j
+
+    i = 0
+    while i < n:
+        m = _TEXT_AND_TAG.match(markup, i)
+        text, tag, attrs, closing, end_tag = m.groups()
+        if text:
+            data(unescape(text))
+            i += len(text)
+        if end_tag:
+            end(end_tag.lower())
+            i = m.end()
+        elif closing:
+            i = start(i, tag.lower(), attrs, closing, m.end())
+        elif tag:
+            j = m.end()
+            if j == n or markup[j] in _UNFINISHED:  # unfinished: text up to
+                # the next `>`, or to where the markup stops if that is further
+                j = max(markup.find(">", i + 1) + 1, j)
+                data(unescape(markup[i:j]))
+            else:
+                data(markup[i:j])  # html.parser's raw `<name`, e.g. before a NUL
+            i = j
+        elif i == n:
+            break
+        elif i > last_gt:  # nothing can end any more
+            data(unescape(markup[i:]))
+            break
+        elif markup[i + 1] == "/":
+            name = _TAG_NAME.match(markup, i + 2)
+            if name:
+                end(name.group(1).lower())
+            i = markup.find(">", i + 2) + 1
+        elif markup[i + 1] in "!?":
+            section = markup.startswith("<![", i) and _SECTION_NAME.match(markup, i + 3)
+            if markup.startswith("<!--", i):
+                k = close_after(_COMMENT_CLOSE, i + 4)
+            elif section and (close := _SECTION_CLOSE.get(section.group().strip().lower())):
+                k = close_after(close, i + 3)
+            else:  # doctypes, `<?...>` and bogus comments
+                k = markup.find(">", i + 2) + 1
+            if k < 0:  # unfinished: text up to the next `>`
+                k = markup.find(">", i + 1) + 1
+                data(unescape(markup[i:k]))
+            i = k
+        else:
+            data("<")
+            i += 1
+    return _collapse_lines("".join(parts))
 
 
 # horizontal whitespace only: a run never spans a line break
@@ -109,9 +199,17 @@ def _collapse_lines(text: str) -> str:
     return "\n".join(line for line in lines if line)
 
 
+# real markup, not a `<placeholder>` in plain text: a doctype, a comment, an
+# end tag or the start of an element dehtml acts on
+_MARKUP = re.compile(
+    r"<(?:!doctype|!--|/[a-z]|(?:%s)[\s/>])"
+    % "|".join(sorted(_SKIPPED | _BLOCK | {"html", "head", "body", "a", "code", "span"})),
+    re.I,
+)
+
+
 def _looks_like_html(content: str) -> bool:
-    head = content[:2048].lower()
-    return "<html" in head or "<!doctype" in head or re.search(r"<\w+[^>]*>", head) is not None
+    return _MARKUP.search(content, 0, 2048) is not None
 
 
 def _source_id_from_origin(origin: str) -> str:
@@ -152,7 +250,7 @@ def load_page(
 
 def clean_text(raw: str) -> str:
     """A page's plain text: `dehtml` for markup, otherwise whitespace
-    collapsed.  Pure and module-level, so worker processes can run it."""
+    collapsed."""
     return dehtml(raw) if _looks_like_html(raw) else _collapse_lines(raw)
 
 
@@ -188,34 +286,28 @@ def load_and_clean(
     return _document(origin, source_id, raw, clean_text(raw), max_text_bytes)
 
 
-def filter_api_pages(doc: ApiDocument, judge) -> bool:
-    """True iff the page documents callable endpoints (not an index page)."""
-    return judge.is_api_page(doc.text)
-
-
-def classify_document(doc: ApiDocument, judge):
-    """Label documentation quality; fills doc.category / doc.analysis."""
-    category, analysis = judge.classify_doc(doc.text)
-    doc.category = category
-    doc.analysis = analysis[:300]
-    return category, doc.analysis
-
-
 def load_corpus_manifest(path) -> list:
-    """Manifest format: JSON list of {source_id, origin}."""
+    """Manifest format: JSON list of {source_id, origin}.
+
+    Each source_id names the source's files under the output directory, so
+    it must be unique, non-empty, and free of `/`, `\\` and `..`.
+    """
     entries = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(entries, list):
         raise FetchFailed(str(path), "manifest must be a JSON list")
-    out = []
+    out, seen = [], set()
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict) or "origin" not in entry:
             raise FetchFailed(str(path), f"manifest entry {i} needs an origin")
-        out.append(
-            {
-                "source_id": entry.get("source_id") or _source_id_from_origin(entry["origin"]),
-                "origin": entry["origin"],
-            }
-        )
+        source_id = entry.get("source_id")
+        if source_id is None:
+            source_id = _source_id_from_origin(entry["origin"])
+        if not isinstance(source_id, str) or re.search(r"^$|[/\\]|\.\.", source_id):
+            raise FetchFailed(str(path), f"manifest entry {i} has a bad source_id {source_id!r}")
+        if source_id in seen:
+            raise FetchFailed(str(path), f"manifest entry {i} repeats source_id {source_id!r}")
+        seen.add(source_id)
+        out.append({"source_id": source_id, "origin": entry["origin"]})
     return out
 
 
@@ -230,8 +322,8 @@ def ingest_corpus(
     """Load, clean, filter, and classify a corpus concurrently.
 
     Pages load on `width` threads, HTTP fetches waiting for `rate_limiter`
-    when one is given.  They are cleaned on up to `width` worker processes
-    (see run_cpu_pool), then judged on `width` threads.
+    when one is given.  They are cleaned here, one after another, then
+    judged on `width` threads.
 
     Returns (documents, decisions, failures): decisions carry the per-doc
     api-page verdict and classification; failures record load errors without
@@ -249,15 +341,13 @@ def ingest_corpus(
             return exc
 
     pages = run_pool(load, manifest_entries, width)
-    loaded = [raw for raw in pages if isinstance(raw, str)]
-    texts = iter(run_cpu_pool(clean_text, loaded, width))
     documents, failures = [], []
     for entry, raw in zip(manifest_entries, pages):
         try:
             if isinstance(raw, FetchFailed):
                 raise raw
             documents.append(
-                _document(entry["origin"], entry["source_id"], raw, next(texts), DEFAULT_TEXT_CAP)
+                _document(entry["origin"], entry["source_id"], raw, clean_text(raw), DEFAULT_TEXT_CAP)
             )
         except (FetchFailed, EmptyDocument) as exc:
             failures.append({"source_id": entry["source_id"], "error": str(exc)})

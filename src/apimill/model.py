@@ -436,15 +436,6 @@ def validate_spec(document: Any):
     return ApiSpec(endpoints=endpoints, title=title), []
 
 
-def spec_from_json(text: str):
-    """validate_spec over a JSON string."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        return None, [SchemaViolation("not_an_object", "$", f"not JSON: {exc.msg}")]
-    return validate_spec(doc)
-
-
 _MULTI_SLASH = re.compile(r"(?<!:)/{2,}")
 
 

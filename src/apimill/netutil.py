@@ -1,15 +1,13 @@
-"""Shared networking plumbing: politeness limits, offline guard, worker
+"""Shared networking plumbing: politeness limits, offline guard, thread
 pools, per-thread HTTP sessions."""
 
 from __future__ import annotations
 
 import ipaddress
-import os
-import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 from urllib.parse import urlsplit
 
 import requests
@@ -77,32 +75,6 @@ def run_pool(fn: Callable, items: Sequence, width: int = 4) -> list:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=width) as pool:
         return list(pool.map(fn, items))
-
-
-def run_cpu_pool(fn: Callable, items: Sequence, width: int = 4) -> list:
-    """Map fn over items on forked worker processes, preserving input order;
-    a worker's exception is raised here.
-
-    For pure-Python work that threads cannot overlap.  fn must be a
-    module-level function, and items and results picklable.  The pool has
-    min(width, len(items), usable CPUs) workers.  Fork copies only the
-    calling thread, and a lock another thread held would stay locked in the
-    child, so with fewer than two workers, off Linux, or while another
-    Python thread is alive, fn runs here, in order, instead.
-    """
-    items = list(items)
-    workers = 1
-    if sys.platform == "linux" and threading.active_count() == 1:
-        workers = min(width, len(items), len(os.sched_getaffinity(0)))
-    if workers < 2:
-        return [fn(item) for item in items]
-    # imported here, so commands that never clean pages never load them
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    chunksize = max(1, round(len(items) / (4 * workers)))
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        return list(pool.map(fn, items, chunksize=chunksize))
 
 
 # (scheme, hostname, port, verify) -> the environment settings requests

@@ -101,7 +101,8 @@ class TestFullRun:
         for info in index["documents"]:
             sid = info["source_id"]
             assert (out / "docs" / f"{sid}.txt").exists()
-            assert (out / "docs" / f"{sid}.html").exists()
+            # every bundled page is a file: no copy of it is written
+            assert not (out / "docs" / f"{sid}.html").exists()
 
     def test_spec_artifacts(self, full_run):
         _, out = full_run
@@ -358,3 +359,36 @@ def test_offline_flag_overrides_config(corpus, tmp_path):
     cfg = make_config(tmp_path, manifest, corpus_dir, offline=False)
     rc = main(["run", "--config", str(cfg), "--offline", "--stage-filter", "ingest"])
     assert rc == 0  # loopback origins stay reachable under --offline
+
+
+def test_html_copy_only_for_fetched_pages(mock_api, tmp_path):
+    (tmp_path / "local.txt").write_text("GET https://h.example/v1/items")
+    (tmp_path / "manifest.json").write_text(json.dumps([
+        {"source_id": "local", "origin": "local.txt"},
+        {"source_id": "remote", "origin": f"{mock_api.base_url}/cards"},
+    ]))
+    (tmp_path / "truth").mkdir()
+    cfg = make_config(tmp_path, tmp_path / "manifest.json", tmp_path)
+    assert main(["ingest", "--config", str(cfg)]) == 0
+    docs = tmp_path / "out" / "docs"
+    assert sorted(p.name for p in docs.iterdir()) == [
+        "index.json", "local.txt", "remote.html", "remote.txt",
+    ]
+    assert "Gardevoir" in (docs / "remote.html").read_text()
+
+
+@pytest.mark.parametrize("entries, lost", [
+    # the second page's document used to replace the first's
+    ([{"source_id": "same", "origin": "a.txt"}, {"source_id": "same", "origin": "b.txt"}],
+     "out/docs/same.txt"),
+    # written outside docs/ before the check
+    ([{"source_id": "../escaped", "origin": "a.txt"}], "out/escaped.txt"),
+])
+def test_bad_manifest_ids_stop_ingest(tmp_path, entries, lost):
+    (tmp_path / "a.txt").write_text("GET https://h.example/v1/a")
+    (tmp_path / "b.txt").write_text("GET https://h.example/v1/b")
+    (tmp_path / "manifest.json").write_text(json.dumps(entries))
+    (tmp_path / "truth").mkdir()
+    cfg = make_config(tmp_path, tmp_path / "manifest.json", tmp_path)
+    assert main(["ingest", "--config", str(cfg)]) == 1
+    assert not (tmp_path / lost).exists()

@@ -167,12 +167,12 @@ class TestBuildKb:
         tool = self.make_tool()
         report = scripted_report(tool, ErrorType.PASSED, json_body={"token": "abc123"})
         kb = build_kb([report], [tool], emb)
-        by_key = {(e.param_key, e.provenance) for e in kb.snapshot()}
+        by_key = {(e.param_key, e.provenance) for e in kb.entries}
         assert ("q", "documentation") in by_key
         assert ("token", "response_json") in by_key
-        for entry in kb.snapshot():
+        for entry in kb.entries:
             assert entry.key_embedding is not None
-        doc_entry = next(e for e in kb.snapshot() if e.provenance == "documentation")
+        doc_entry = next(e for e in kb.entries if e.provenance == "documentation")
         assert doc_entry.description_embedding is not None
 
     def test_failing_tools_contribute_nothing(self, emb):
@@ -188,18 +188,18 @@ class TestBuildKb:
         }
         kb = build_kb([scripted_report(tool, ErrorType.PASSED, json_body=body)], [tool], emb)
         # ("q", "hello") is documented and harvested, ("token", "abc123") harvested twice
-        assert [(e.param_key, e.value) for e in kb.snapshot()] == [
+        assert [(e.param_key, e.value) for e in kb.entries] == [
             ("q", "hello"), ("token", "abc123"), ("token", "xyz"),
         ]
         (key_block,) = kb._blocks["key"]
         (desc_block,) = kb._blocks["description"]
         assert len(key_block.rows) == 2  # one row per distinct key text
-        for entry in kb.snapshot():
+        for entry in kb.entries:
             assert np.shares_memory(entry.key_embedding, key_block.rows)
             assert np.array_equal(entry.key_embedding, emb.embed_one(entry.param_key))
-        _, abc, xyz = kb.snapshot()
+        _, abc, xyz = kb.entries
         assert np.shares_memory(abc.key_embedding, xyz.key_embedding)
-        doc_entry = next(e for e in kb.snapshot() if e.description)
+        doc_entry = next(e for e in kb.entries if e.description)
         assert np.shares_memory(doc_entry.description_embedding, desc_block.rows)
 
         for i in range(3):
@@ -209,7 +209,7 @@ class TestBuildKb:
             ))
         assert len(kb._blocks["key"]) == 2  # one tail block takes every add
         tail = kb._blocks["key"][-1]
-        for i, entry in enumerate(kb.snapshot()[-3:]):
+        for i, entry in enumerate(kb.entries[-3:]):
             assert np.shares_memory(entry.key_embedding, tail.rows)
             assert np.array_equal(entry.key_embedding, emb.embed_one(f"later {i}"))
 
@@ -381,7 +381,7 @@ def loop_retrieve(param, kb, emb, exclude_source=None):
     """The per-entry loop retrieve_candidates replaced, kept as the
     reference, with the same rounding of similarities."""
     pool = [
-        (i, e) for i, e in enumerate(kb.snapshot())
+        (i, e) for i, e in enumerate(kb.entries)
         if exclude_source is None or e.source_id != exclude_source
     ]
     if not pool:

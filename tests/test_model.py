@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from apimill.extract import ReplayBackend, extract_spec
+from apimill.ingest import ApiDocument
 from apimill.model import (
     ApiSpec,
     Endpoint,
@@ -11,7 +13,6 @@ from apimill.model import (
     coerce_scalar,
     render_scalar,
     resolve_url,
-    spec_from_json,
     validate_spec,
 )
 
@@ -55,7 +56,7 @@ class TestValidateSpec:
         assert q.example_value == "name:gardevoir"
         assert q.default_value is None  # explicit null means absent
         # serialized form re-validates to the same structure
-        again, v = spec_from_json(spec.to_json())
+        again, v = validate_spec(json.loads(spec.to_json()))
         assert v == [] and again.to_dict() == spec.to_dict()
 
     def test_method_uppercased(self):
@@ -154,8 +155,9 @@ class TestValidateSpec:
         assert "novel_field" not in spec.endpoints[0].to_dict()
 
     def test_not_json(self):
-        spec, v = spec_from_json("{nope")
-        assert spec is None and "not JSON" in v[0].detail
+        doc = ApiDocument(source_id="x", origin="", raw="", text="")
+        result = extract_spec(doc, ReplayBackend({"x": "{nope"}))
+        assert result.spec is None and result.violations == ["repair: unbalanced"]
 
 
 class TestValueHandling:
