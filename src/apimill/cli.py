@@ -19,6 +19,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Optional
 
@@ -79,6 +80,12 @@ class ProjectConfig:
     concurrency: int = 4
     error_phrases: list = field(default_factory=list)
     backends: dict = field(default_factory=dict)
+
+    @cached_property
+    def rate_limiter(self) -> HostRateLimiter:
+        """The one per-host limiter of every request a run sends: pages,
+        model and embedding calls, and tool invocations."""
+        return HostRateLimiter(self.rate_limit_per_host)
 
     def subdir(self, name: str) -> Path:
         path = self.output_dir / name
@@ -159,7 +166,7 @@ def _chat_client(section: dict, config: ProjectConfig) -> ChatClient:
             model_name=section["model_name"],
             api_key_env=section.get("api_key_env"),
         ),
-        rate_limiter=HostRateLimiter(config.rate_limit_per_host),
+        rate_limiter=config.rate_limiter,
         offline=config.offline,
     )
 
@@ -218,7 +225,8 @@ def make_embedding(config: ProjectConfig):
                 api_key_env=section.get("api_key_env"),
             ),
             dimension=section.get("dimension"),
-            rate_limiter=HostRateLimiter(config.rate_limit_per_host),
+            rate_limiter=config.rate_limiter,
+            offline=config.offline,
         )
     raise ConfigInvalid(f"unknown embedding kind {kind!r}")
 
@@ -256,7 +264,7 @@ def stage_ingest(config: ProjectConfig, judge) -> None:
         width=config.concurrency,
         tls_verify=config.tls_verify,
         offline=config.offline,
-        rate_limiter=HostRateLimiter(config.rate_limit_per_host),
+        rate_limiter=config.rate_limiter,
     )
     docs_dir = config.subdir("docs")
     for doc in documents:
@@ -396,14 +404,13 @@ def _load_tools(config: ProjectConfig, stage: str) -> list:
 
 def stage_validate(config: ProjectConfig, judge) -> None:
     tools = _load_tools(config, "validate")
-    limiter = HostRateLimiter(config.rate_limit_per_host)
     reports = run_validation(
         tools,
         judge,
         width=config.concurrency,
         tls_verify=config.tls_verify,
         offline=config.offline,
-        rate_limiter=limiter,
+        rate_limiter=config.rate_limiter,
     )
     validation_dir = config.subdir("validation")
     _write_jsonl(validation_dir / "reports.jsonl", [r.to_dict() for r in reports])
@@ -444,7 +451,6 @@ def stage_infer(config: ProjectConfig, judge, emb) -> None:
     kb_dir = config.subdir("kb")
     kb.save_jsonl(kb_dir / "kb.jsonl")
 
-    limiter = HostRateLimiter(config.rate_limit_per_host)
     outcomes = []
     targets = [
         r for r in reports
@@ -461,7 +467,7 @@ def stage_infer(config: ProjectConfig, judge, emb) -> None:
                 emb,
                 tls_verify=config.tls_verify,
                 offline=config.offline,
-                rate_limiter=limiter,
+                rate_limiter=config.rate_limiter,
             )
         except (NoCandidates, Exhausted) as exc:
             outcome = InferenceOutcome.failed(tool.tool_name, exc)

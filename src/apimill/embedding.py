@@ -7,15 +7,14 @@ Evaluation and parameter inference both consume this interface.
 
 from __future__ import annotations
 
-import os
 import zlib
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-import requests
 
 from .errors import DimensionMismatch, EmbeddingUnavailable
+from .remote import post_json
 
 
 def cosine_similarity(a, b) -> float:
@@ -89,42 +88,27 @@ class RemoteEmbedding:
     """Embedding served over HTTP: POST {model, input: [texts]} →
     {data: [{embedding: [...]}, ...]}.  Credentials come from the
     environment variable named in the config, never from the config itself.
+    Offline, a non-loopback endpoint raises OfflineViolation.
     """
 
     kind = "remote"
 
     def __init__(self, config: RemoteEmbeddingConfig, dimension: Optional[int] = None,
-                 rate_limiter=None):
+                 rate_limiter=None, offline: bool = False):
         self.config = config
         self.dimension = dimension  # learned from the first response when unset
         self._rate_limiter = rate_limiter
-
-    def _headers(self) -> dict:
-        headers = {"Content-Type": "application/json"}
-        if self.config.api_key_env:
-            key = os.environ.get(self.config.api_key_env)
-            if key:
-                headers["Authorization"] = f"Bearer {key}"
-        return headers
+        self._offline = offline
 
     def _post_batch(self, batch: Sequence[str]) -> list:
-        if self._rate_limiter is not None:
-            self._rate_limiter.acquire_for(self.config.endpoint_url)
+        payload = post_json(
+            self.config.endpoint_url, {"model": self.config.model_name, "input": list(batch)},
+            api_key_env=self.config.api_key_env, timeout=self.config.timeout,
+            error=EmbeddingUnavailable, offline=self._offline, rate_limiter=self._rate_limiter,
+        )
         try:
-            resp = requests.post(
-                self.config.endpoint_url,
-                json={"model": self.config.model_name, "input": list(batch)},
-                headers=self._headers(),
-                timeout=self.config.timeout,
-            )
-        except requests.RequestException as exc:
-            raise EmbeddingUnavailable(f"transport: {exc}") from exc
-        if resp.status_code != 200:
-            raise EmbeddingUnavailable(f"status {resp.status_code}: {resp.text[:200]}")
-        try:
-            rows = resp.json()["data"]
-            return [row["embedding"] for row in rows]
-        except (ValueError, KeyError, TypeError) as exc:
+            return [row["embedding"] for row in payload["data"]]
+        except (KeyError, TypeError) as exc:
             raise EmbeddingUnavailable(f"malformed response: {exc}") from exc
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:

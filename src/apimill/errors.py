@@ -102,3 +102,7 @@ class ConfigInvalid(ApimillError):
 
 class OfflineViolation(ApimillError):
     """A non-loopback request was attempted while offline mode is active."""
+
+
+class TransportFailed(ApimillError):
+    """An HTTP request got no complete response (connection, TLS, timeout)."""

@@ -4,17 +4,16 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import re
 from dataclasses import dataclass
 from html import unescape
 from pathlib import Path
 from typing import Optional
 
-import requests
-
 from .errors import EmptyDocument, FetchFailed
 from .judges import judge_with_fallback
-from .netutil import check_url_allowed, run_pool
+from .netutil import MAX_BODY_BYTES, http_request, run_pool
 
 logger = logging.getLogger(__name__)
 
@@ -38,14 +37,6 @@ class ApiDocument:
     text: str
     category: Optional[str] = None
     analysis: Optional[str] = None
-
-    def to_dict(self) -> dict:
-        return {
-            "source_id": self.source_id,
-            "origin": self.origin,
-            "category": self.category,
-            "analysis": self.analysis,
-        }
 
 
 # html.parser's patterns (Python 3.11), copied so that the text does not
@@ -227,25 +218,34 @@ def load_page(
     offline: bool = False,
     rate_limiter=None,
 ) -> str:
-    """A page's raw content, read from a file or fetched from a URL.
+    """A page's raw content, read from a file or fetched from a URL, at most
+    MAX_BODY_BYTES of it.
 
-    An HTTP fetch first waits for `rate_limiter`'s token for the origin's
+    An HTTP fetch goes through `http_request`, which refuses a non-loopback
+    URL offline and first waits for `rate_limiter`'s token for the origin's
     host, when one is given.  Every failure raises FetchFailed.
     """
     if origin.startswith(("http://", "https://")):
         try:
-            check_url_allowed(origin, offline)
-            if rate_limiter is not None:
-                rate_limiter.acquire_for(origin)
-            resp = requests.get(origin, timeout=timeout, verify=tls_verify)
+            resp = http_request("GET", origin, timeout=timeout, verify=tls_verify,
+                                offline=offline, rate_limiter=rate_limiter)
             resp.raise_for_status()
-            return resp.text
         except Exception as exc:  # noqa: BLE001 - every fetch failure maps the same way
             raise FetchFailed(origin, str(exc)) from exc
-    try:
-        return Path(origin).read_text(encoding="utf-8", errors="replace")
-    except OSError as exc:
-        raise FetchFailed(origin, str(exc)) from exc
+        raw, truncated = resp.text, resp.truncated
+    else:
+        try:
+            # text mode turns \r\n into \n, as read_text does; the read counts
+            # characters (each at least one byte) and is sized by the file, as a
+            # buffer of the cap's size for every page raises peak memory
+            with open(origin, encoding="utf-8", errors="replace") as fh:
+                raw = fh.read(min(os.fstat(fh.fileno()).st_size, MAX_BODY_BYTES) + 1)
+        except OSError as exc:
+            raise FetchFailed(origin, str(exc)) from exc
+        truncated, raw = len(raw) > MAX_BODY_BYTES, raw[:MAX_BODY_BYTES]
+    if truncated:
+        logger.warning("read only the start of %s, over %d bytes", origin, MAX_BODY_BYTES)
+    return raw
 
 
 def clean_text(raw: str) -> str:

@@ -1,5 +1,5 @@
-"""Shared networking plumbing: politeness limits, offline guard, thread
-pools, per-thread HTTP sessions."""
+"""Shared networking plumbing: politeness limits, thread pools, and the one
+outbound HTTP path, `http_request`."""
 
 from __future__ import annotations
 
@@ -12,21 +12,28 @@ from urllib.parse import urlsplit
 
 import requests
 
-from .errors import OfflineViolation
+from .errors import OfflineViolation, TransportFailed
+
+# The most bytes of a response body, or of a page file, ever read.  The
+# largest legitimate body is a remote embedding batch: 128 texts of 3,072
+# pretty-printed floats is about 12 MB.  Pages and model replies are far
+# smaller (ingest keeps 512 KiB of cleaned text), so a hostile or runaway
+# body costs at most this much memory per in-flight request.
+MAX_BODY_BYTES = 16 * 1024 * 1024
+_CHUNK_BYTES = 64 * 1024
 
 
 class HostRateLimiter:
-    """Token-bucket politeness limiter, one bucket per host.
+    """Token-bucket politeness limiter, one bucket of one token per host.
 
     acquire() blocks until the host's bucket has a token; thread-safe.
     rate <= 0 disables limiting.
     """
 
-    def __init__(self, rate_per_sec: float = 1.0, burst: int = 1):
+    def __init__(self, rate_per_sec: float = 1.0):
         self.rate = rate_per_sec
-        self.burst = max(1, burst)
         self._lock = threading.Lock()
-        self._buckets: dict = {}  # host -> [tokens, last_refill]
+        self._buckets: dict = {}  # host -> (tokens, last_refill)
 
     def acquire(self, host: str) -> None:
         if self.rate <= 0:
@@ -34,8 +41,8 @@ class HostRateLimiter:
         while True:
             with self._lock:
                 now = time.monotonic()
-                tokens, last = self._buckets.get(host, (float(self.burst), now))
-                tokens = min(float(self.burst), tokens + (now - last) * self.rate)
+                tokens, last = self._buckets.get(host, (1.0, now))
+                tokens = min(1.0, tokens + (now - last) * self.rate)
                 if tokens >= 1.0:
                     self._buckets[host] = (tokens - 1.0, now)
                     return
@@ -43,26 +50,13 @@ class HostRateLimiter:
                 wait = (1.0 - tokens) / self.rate
             time.sleep(min(wait, 0.2))
 
-    def acquire_for(self, url: str) -> None:
-        self.acquire(urlsplit(url).hostname or "")
-
 
 def is_loopback_url(url: str) -> bool:
-    host = urlsplit(url).hostname
-    if not host:
-        return False
-    if host == "localhost":
-        return True
+    host = urlsplit(url).hostname or ""
     try:
-        return ipaddress.ip_address(host).is_loopback
-    except ValueError:
+        return host == "localhost" or ipaddress.ip_address(host).is_loopback
+    except ValueError:  # a name other than localhost, or no host
         return False
-
-
-def check_url_allowed(url: str, offline: bool) -> None:
-    """Raise OfflineViolation for non-loopback targets in offline mode."""
-    if offline and not is_loopback_url(url):
-        raise OfflineViolation(f"offline mode forbids non-loopback target: {url}")
 
 
 def run_pool(fn: Callable, items: Sequence, width: int = 4) -> list:
@@ -85,8 +79,8 @@ _local = threading.local()
 
 class _Session(requests.Session):
     """A Session that reads the proxy and CA-bundle environment once per
-    origin.  `http_request`, its only caller, passes no proxies, stream or
-    cert, so the origin and `verify` decide the settings."""
+    origin.  `http_request`, its only caller, passes no proxies or cert and
+    always streams, so the origin and `verify` decide the settings."""
 
     def merge_environment_settings(self, url, proxies, stream, verify, cert):
         parts = urlsplit(url)
@@ -102,18 +96,42 @@ class _Session(requests.Session):
 
 
 def http_request(
-    method: str, url: str, *, json=None, headers=None, timeout=None, verify=True
+    method: str, url: str, *, json=None, headers=None, timeout=None, verify=True,
+    offline: bool = False, rate_limiter=None,
 ) -> requests.Response:
-    """`requests.request` on this thread's reused session.
+    """Send one request; every outbound request of apimill comes here.
 
-    The cookie jar is cleared first, so no cookie crosses calls, as with
-    the fresh session `requests.request` makes; redirects and .netrc are
-    requests' own.
+    Offline, a non-loopback `url` raises OfflineViolation before any wait
+    or socket.  Otherwise the request waits for `rate_limiter`'s token for
+    the URL's host, when one is given, and goes out on this thread's reused
+    session with its cookie jar cleared first, so no cookie crosses calls,
+    as with the fresh session `requests.request` makes; redirects and .netrc
+    are requests' own.  The body is read up to MAX_BODY_BYTES and the
+    connection released or closed.  The response's `content`, `text` and
+    `json()` hold what was read, and `truncated` says whether more was
+    sent.  Any transport failure raises TransportFailed.
     """
+    if offline and not is_loopback_url(url):
+        raise OfflineViolation(f"offline mode forbids non-loopback target: {url}")
+    if rate_limiter is not None:
+        rate_limiter.acquire(urlsplit(url).hostname or "")
     session = getattr(_local, "session", None)
     if session is None:
         session = _local.session = _Session()
     session.cookies.clear()
-    return session.request(
-        method, url, json=json, headers=headers, timeout=timeout, verify=verify
-    )
+    try:
+        with session.request(method, url, json=json, headers=headers, timeout=timeout,
+                             verify=verify, stream=True) as response:
+            chunks, size = [], 0
+            for chunk in response.iter_content(_CHUNK_BYTES):
+                chunks.append(chunk)
+                size += len(chunk)
+                if size > MAX_BODY_BYTES:  # keep the first MAX_BODY_BYTES
+                    chunks[-1] = chunk[: len(chunk) - (size - MAX_BODY_BYTES)]
+                    break
+    except requests.RequestException as exc:
+        raise TransportFailed(str(exc) or exc.__class__.__name__) from exc
+    # filled as requests fills it, so text and json() decode as they always did
+    response._content = b"".join(chunks)
+    response.truncated = size > MAX_BODY_BYTES
+    return response

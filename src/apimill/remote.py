@@ -3,20 +3,42 @@
 One wire protocol serves extraction, judging, and value guessing:
 POST {model, messages, optional response_format} → choices[0].message.content.
 This is the de-facto interface of hosted and locally-served models alike, so
-a fine-tuned local model is a config entry, not code.
+a fine-tuned local model is a config entry, not code.  `post_json` is the
+POST of this client and of the remote embedding provider alike.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-import requests
+from .errors import BackendUnreachable, TransportFailed
+from .netutil import http_request
 
-from .errors import BackendUnreachable
-from .netutil import check_url_allowed
+
+def post_json(url: str, body: dict, *, api_key_env: Optional[str], timeout: float,
+              error: type, offline: bool = False, rate_limiter=None):
+    """POST `body` to a model service; its decoded JSON reply.  The bearer
+    key comes from the environment variable `api_key_env`, when set.  A
+    transport failure, a status other than 200 or a reply that is not JSON
+    raises `error`; offline mode's OfflineViolation propagates."""
+    headers = {"Content-Type": "application/json"}
+    key = os.environ.get(api_key_env) if api_key_env else None
+    if key:
+        headers["Authorization"] = f"Bearer {key}"
+    try:
+        resp = http_request("POST", url, json=body, headers=headers, timeout=timeout,
+                            offline=offline, rate_limiter=rate_limiter)
+    except TransportFailed as exc:
+        raise error(f"transport: {exc}") from exc
+    if resp.status_code != 200:
+        raise error(f"status {resp.status_code}: {resp.text[:200]}")
+    try:
+        return resp.json()
+    except ValueError as exc:
+        raise error(f"malformed response: {exc}") from exc
 
 
 @dataclass
@@ -25,7 +47,6 @@ class RemoteConfig:
     model_name: str
     api_key_env: Optional[str] = None
     timeout: float = 120.0
-    extra_headers: dict = field(default_factory=dict)
 
 
 class ChatClient:
@@ -34,42 +55,23 @@ class ChatClient:
         self._rate_limiter = rate_limiter
         self._offline = offline
 
-    def _headers(self) -> dict:
-        headers = {"Content-Type": "application/json"}
-        headers.update(self.config.extra_headers)
-        if self.config.api_key_env:
-            key = os.environ.get(self.config.api_key_env)
-            if key:
-                headers["Authorization"] = f"Bearer {key}"
-        return headers
-
     def complete(self, messages: list, response_schema: Optional[dict] = None,
                  schema_name: str = "output"):
         """Run one chat completion; returns (content, total_tokens)."""
-        check_url_allowed(self.config.endpoint_url, self._offline)
         body: dict = {"model": self.config.model_name, "messages": messages}
         if response_schema is not None:
             body["response_format"] = {
                 "type": "json_schema",
                 "json_schema": {"name": schema_name, "schema": response_schema},
             }
-        if self._rate_limiter is not None:
-            self._rate_limiter.acquire_for(self.config.endpoint_url)
+        payload = post_json(
+            self.config.endpoint_url, body, api_key_env=self.config.api_key_env,
+            timeout=self.config.timeout, error=BackendUnreachable, offline=self._offline,
+            rate_limiter=self._rate_limiter,
+        )
         try:
-            resp = requests.post(
-                self.config.endpoint_url,
-                json=body,
-                headers=self._headers(),
-                timeout=self.config.timeout,
-            )
-        except requests.RequestException as exc:
-            raise BackendUnreachable(f"transport: {exc}") from exc
-        if resp.status_code != 200:
-            raise BackendUnreachable(f"status {resp.status_code}: {resp.text[:200]}")
-        try:
-            payload = resp.json()
             content = payload["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
+        except (KeyError, IndexError, TypeError) as exc:
             raise BackendUnreachable(f"malformed response: {exc}") from exc
         tokens = 0
         usage = payload.get("usage")

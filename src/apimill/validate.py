@@ -11,14 +11,13 @@ import enum
 import time
 from dataclasses import dataclass, field
 from typing import Optional
-from urllib.parse import quote, quote_from_bytes, unquote, unquote_to_bytes, urlsplit
+from urllib.parse import quote, quote_from_bytes, unquote, unquote_to_bytes
 
-import requests
-
-from .errors import MissingRequiredParameter, NegativeCount, UnboundPathParam
+from .errors import (MissingRequiredParameter, NegativeCount, OfflineViolation,
+                     TransportFailed, UnboundPathParam)
 from .judges import judge_with_fallback
 from .model import render_scalar, url_path_is_empty
-from .netutil import HostRateLimiter, http_request, is_loopback_url, run_pool
+from .netutil import HostRateLimiter, http_request, run_pool
 from .toolgen import ToolDescriptor
 
 
@@ -60,9 +59,9 @@ FAILURE_TYPES = [t for t in ErrorType if t is not ErrorType.PASSED]
 @dataclass
 class InvocationRecord:
     status_code: Optional[int] = None
-    text: str = ""
+    text: str = ""  # at most MAX_BODY_BYTES of the body, decoded
     json_body: Optional[object] = None
-    content: str = ""
+    truncated: bool = False  # the body was longer than what `text` holds
     transport_error: Optional[str] = None
     retried_without_params: bool = False
     elapsed: float = 0.0
@@ -72,7 +71,7 @@ class InvocationRecord:
             "status_code": self.status_code,
             "text": self.text,
             "json": self.json_body,
-            "content": self.content,
+            "truncated": self.truncated,
             "transport_error": self.transport_error,
             "retried_without_params": self.retried_without_params,
             "elapsed": self.elapsed,
@@ -84,7 +83,7 @@ class InvocationRecord:
             status_code=d.get("status_code"),
             text=d.get("text", ""),
             json_body=d.get("json"),
-            content=d.get("content", ""),
+            truncated=bool(d.get("truncated")),
             transport_error=d.get("transport_error"),
             retried_without_params=bool(d.get("retried_without_params")),
             elapsed=float(d.get("elapsed", 0.0)),
@@ -176,48 +175,33 @@ def invoke_tool(
     """Perform the request; at most two HTTP calls (one param-less retry).
 
     A non-200 first response triggers one retry without query/body arguments,
-    and the retry's response is returned unconditionally.  Transport failures
-    are recorded, never raised.  Both calls go through this thread's reused
-    session, with no cookies carried over from any earlier call.
+    and the retry's response is returned unconditionally.  Transport failures,
+    and targets that offline mode refuses, are recorded, never raised.  Both
+    calls go through `http_request`.
     """
     request = build_request(tool, args)
     started = time.monotonic()
-
-    def perform(url: str, body: Optional[dict]):
-        host = urlsplit(url).hostname or ""
-        if offline and not is_loopback_url(url):
-            raise requests.ConnectionError(f"offline mode forbids host {host!r}")
-        if rate_limiter is not None:
-            rate_limiter.acquire(host)
-        return http_request(
-            request.verb,
-            url,
-            json=body,
-            headers=request.headers or None,
-            timeout=tool.timeout_seconds,
-            verify=tls_verify,
-        )
-
+    options = dict(headers=request.headers or None, timeout=tool.timeout_seconds,
+                   verify=tls_verify, offline=offline, rate_limiter=rate_limiter)
     record = InvocationRecord()
-    sent_args = bool(request.query or request.body)
     try:
-        response = perform(request.full_url(), request.body)
-        if response.status_code != 200 and sent_args:
+        response = http_request(request.verb, request.full_url(), json=request.body, **options)
+        if response.status_code != 200 and (request.query or request.body):
             # in case the API can't handle redundant params
-            response = perform(request.url, None)
+            response = http_request(request.verb, request.url, **options)
             record.retried_without_params = True
-    except requests.RequestException as exc:
-        record.transport_error = str(exc) or exc.__class__.__name__
+    except (OfflineViolation, TransportFailed) as exc:
+        record.transport_error = str(exc)
         record.elapsed = time.monotonic() - started
         return record
 
     record.status_code = response.status_code
     record.text = response.text
+    record.truncated = response.truncated
     try:
         record.json_body = response.json()
     except ValueError:
         record.json_body = None
-    record.content = response.content.decode("utf-8", errors="replace")
     record.elapsed = time.monotonic() - started
     return record
 

@@ -398,10 +398,10 @@ class TestCorpus:
     def test_ingest_corpus_waits_for_each_http_fetch(self, tmp_path, judge, mock_api):
         class Recording:
             def __init__(self):
-                self.urls = []
+                self.hosts = []
 
-            def acquire_for(self, url):
-                self.urls.append(url)
+            def acquire(self, host):
+                self.hosts.append(host)
 
         page = tmp_path / "local.txt"
         page.write_text("GET https://h.example/v1/items")
@@ -412,7 +412,7 @@ class TestCorpus:
         limiter = Recording()
         docs, _, failures = ingest_corpus(entries, judge, width=2, offline=True,
                                           rate_limiter=limiter)
-        assert sorted(limiter.urls) == sorted(urls)
+        assert limiter.hosts == ["127.0.0.1"] * len(urls)
         assert len(docs) == 3 and failures == []
 
 

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import sys
@@ -273,7 +274,7 @@ class TestInvokeTool:
             # stands in for the network: nothing leaves the process
             seen.append({key: kwargs[key] for key in ("proxies", "verify", "cert")})
             response = requests.Response()
-            response.status_code, response._content = 200, b"{}"
+            response.status_code, response.raw = 200, io.BytesIO(b"{}")
             response.request, response.url = request, request.url
             return response
 
@@ -320,7 +321,7 @@ class TestJudgeResponse:
 def test_validation_report_dict_round_trip():
     answered = InvocationRecord(
         status_code=200, text='{"data": [1]}', json_body={"data": [1]},
-        content='{"data": [1]}', retried_without_params=True, elapsed=0.25,
+        truncated=True, retried_without_params=True, elapsed=0.25,
     )
     refused = InvocationRecord(transport_error="connection refused", elapsed=0.5)
     reports = [
