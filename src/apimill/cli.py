@@ -110,14 +110,17 @@ def load_config(path) -> ProjectConfig:
 
     base = path.parent
 
-    def respath(value) -> Path:
+    def respath(key: str) -> Path:
+        value = raw[key]
+        if not isinstance(value, str):
+            raise ConfigInvalid(f"{key} must be a path, got {value!r}")
         p = Path(value)
         return p if p.is_absolute() else (base / p)
 
-    manifest = respath(raw["corpus_manifest"])
+    manifest = respath("corpus_manifest")
     if not manifest.exists():
         raise ConfigInvalid(f"corpus_manifest does not exist: {manifest}")
-    truth_dir = respath(raw["truth_dir"]) if raw.get("truth_dir") else None
+    truth_dir = respath("truth_dir") if raw.get("truth_dir") else None
     if truth_dir is not None and not truth_dir.exists():
         raise ConfigInvalid(f"truth_dir does not exist: {truth_dir}")
 
@@ -140,15 +143,29 @@ def load_config(path) -> ProjectConfig:
                 f"backends.{section}.kind must be one of {sorted(allowed)}, got {kind!r}"
             )
 
+    for key in ("tls_verify", "offline"):
+        if not isinstance(raw.get(key, False), bool):
+            raise ConfigInvalid(f"{key} must be true or false, got {raw[key]!r}")
+    # a YAML true/false loads as a bool, which Python counts as an int
+    rate = raw.get("rate_limit_per_host", 1.0)
+    if isinstance(rate, bool) or not isinstance(rate, (int, float)):
+        raise ConfigInvalid(f"rate_limit_per_host must be a number, got {rate!r}")
+    concurrency = raw.get("concurrency", 4)
+    if isinstance(concurrency, bool) or not isinstance(concurrency, int) or concurrency < 1:
+        raise ConfigInvalid(f"concurrency must be an integer of at least 1, got {concurrency!r}")
+    error_phrases = raw.get("error_phrases", [])
+    if not isinstance(error_phrases, list) or not all(isinstance(p, str) for p in error_phrases):
+        raise ConfigInvalid(f"error_phrases must be a list of strings, got {error_phrases!r}")
+
     return ProjectConfig(
         corpus_manifest=manifest,
-        output_dir=respath(raw["output_dir"]),
+        output_dir=respath("output_dir"),
         truth_dir=truth_dir,
-        tls_verify=bool(raw.get("tls_verify", True)),
-        offline=bool(raw.get("offline", False)),
-        rate_limit_per_host=float(raw.get("rate_limit_per_host", 1.0)),
-        concurrency=int(raw.get("concurrency", 4)),
-        error_phrases=list(raw.get("error_phrases", [])),
+        tls_verify=raw.get("tls_verify", True),
+        offline=raw.get("offline", False),
+        rate_limit_per_host=float(rate),
+        concurrency=concurrency,
+        error_phrases=error_phrases,
         backends=backends,
     )
 

@@ -127,11 +127,12 @@ def compute_metrics(results: list, truth: dict, emb) -> MetricsReport:
     valid_ratio = valid / len(results)
 
     matched_total = 0
-    name_sims: list = []
-    desc_sims: list = []
+    # (predicted text, truth text) pairs to score, embedded once all are known
+    name_pairs: list = []
+    desc_pairs: list = []
+    param_desc_pairs: list = []
     method_hits: list = []
     tp = pred_total = truth_total = 0
-    param_desc_sims: list = []
     type_hits: list = []
     per_endpoint: list = []
 
@@ -147,15 +148,9 @@ def compute_metrics(results: list, truth: dict, emb) -> MetricsReport:
             pred_ep = result.spec.endpoints[pi]
             truth_ep = truth_spec.endpoints[ti]
 
-            name_sim = _clamp01(cosine_similarity(
-                emb.embed_one(pred_ep.name), emb.embed_one(truth_ep.name)
-            ))
-            name_sims.append(name_sim)
+            name_pairs.append((pred_ep.name, truth_ep.name))
             if truth_ep.description:
-                desc_sims.append(_clamp01(cosine_similarity(
-                    emb.embed_one(pred_ep.description or ""),
-                    emb.embed_one(truth_ep.description),
-                )))
+                desc_pairs.append((pred_ep.description or "", truth_ep.description))
             method_hits.append(1.0 if pred_ep.method.upper() == truth_ep.method.upper() else 0.0)
 
             pred_params = {p.name: p for p in pred_ep.all_parameters()}
@@ -169,10 +164,7 @@ def compute_metrics(results: list, truth: dict, emb) -> MetricsReport:
                 t_param = truth_params[name]
                 p_param = pred_params[name]
                 if t_param.description:
-                    param_desc_sims.append(_clamp01(cosine_similarity(
-                        emb.embed_one(p_param.description or ""),
-                        emb.embed_one(t_param.description),
-                    )))
+                    param_desc_pairs.append((p_param.description or "", t_param.description))
                 if t_param.type_hint:
                     type_hits.append(
                         1.0 if canonical_type(p_param.type_hint) == canonical_type(t_param.type_hint)
@@ -183,12 +175,26 @@ def compute_metrics(results: list, truth: dict, emb) -> MetricsReport:
                     "source_id": result.source_id,
                     "pred": pred_ep.name,
                     "truth": truth_ep.name,
-                    "name_similarity": name_sim,
+                    "name_similarity": None,  # scored below
                     "param_intersection": len(inter),
                     "pred_params": len(pred_params),
                     "truth_params": len(truth_params),
                 }
             )
+
+    # one embed call over the distinct texts; `row` maps each text to its vector
+    row: dict = {}
+    for pair in (*name_pairs, *desc_pairs, *param_desc_pairs):
+        for text in pair:
+            row.setdefault(text, len(row))
+    vectors = emb.embed(list(row))
+
+    def similarities(pairs: list) -> list:
+        return [_clamp01(cosine_similarity(vectors[row[a]], vectors[row[b]])) for a, b in pairs]
+
+    name_sims = similarities(name_pairs)
+    for entry, sim in zip(per_endpoint, name_sims):
+        entry["name_similarity"] = sim
 
     # micro-averages; an empty denominator means nothing was claimed/owed,
     # which counts as perfect rather than as failure
@@ -199,11 +205,11 @@ def compute_metrics(results: list, truth: dict, emb) -> MetricsReport:
         valid_ratio=valid_ratio,
         matched_endpoints=matched_total,
         name_similarity=_mean(name_sims),
-        description_similarity=_mean(desc_sims),
+        description_similarity=_mean(similarities(desc_pairs)),
         method_accuracy=_mean(method_hits),
         param_precision=precision,
         param_recall=recall,
-        param_description_similarity=_mean(param_desc_sims),
+        param_description_similarity=_mean(similarities(param_desc_pairs)),
         type_accuracy=_mean(type_hits),
         per_endpoint=per_endpoint,
     )

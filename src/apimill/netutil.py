@@ -1,5 +1,10 @@
 """Shared networking plumbing: politeness limits, thread pools, and the one
-outbound HTTP path, `http_request`."""
+outbound HTTP path, `http_request`.
+
+`requests` (and with it urllib3, ssl and charset_normalizer) loads on the
+first request, not with this module, so a run that sends none never pays
+for it.
+"""
 
 from __future__ import annotations
 
@@ -7,12 +12,13 @@ import ipaddress
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 from urllib.parse import urlsplit
 
-import requests
-
 from .errors import OfflineViolation, TransportFailed
+
+if TYPE_CHECKING:
+    import requests
 
 # The most bytes of a response body, or of a page file, ever read.  The
 # largest legitimate body is a remote embedding batch: 128 texts of 3,072
@@ -75,24 +81,46 @@ def run_pool(fn: Callable, items: Sequence, width: int = 4) -> list:
 # merges into a request to that origin; filled once per origin per process
 _ENV_SETTINGS: dict = {}
 _local = threading.local()
+_session_class_lock = threading.Lock()
 
 
-class _Session(requests.Session):
-    """A Session that reads the proxy and CA-bundle environment once per
-    origin.  `http_request`, its only caller, passes no proxies or cert and
-    always streams, so the origin and `verify` decide the settings."""
+def _build_session_class() -> type:
+    import requests
 
-    def merge_environment_settings(self, url, proxies, stream, verify, cert):
-        parts = urlsplit(url)
-        key = (parts.scheme, parts.hostname, parts.port, verify)
-        settings = _ENV_SETTINGS.get(key)
-        if settings is None:
-            # two threads may both compute it; they compute the same value
-            settings = _ENV_SETTINGS.setdefault(
-                key, super().merge_environment_settings(url, proxies, stream, verify, cert)
-            )
-        # every thread reads the memo: each request gets a proxies dict of its own
-        return {**settings, "proxies": dict(settings["proxies"])}
+    class _Session(requests.Session):
+        """A Session that reads the proxy and CA-bundle environment once per
+        origin.  `http_request`, its only caller, passes no proxies or cert and
+        always streams, so the origin and `verify` decide the settings."""
+
+        def merge_environment_settings(self, url, proxies, stream, verify, cert):
+            parts = urlsplit(url)
+            key = (parts.scheme, parts.hostname, parts.port, verify)
+            settings = _ENV_SETTINGS.get(key)
+            if settings is None:
+                # two threads may both compute it; they compute the same value
+                settings = _ENV_SETTINGS.setdefault(
+                    key, super().merge_environment_settings(url, proxies, stream, verify, cert)
+                )
+            # every thread reads the memo: each request gets a proxies dict of its own
+            return {**settings, "proxies": dict(settings["proxies"])}
+
+    return _Session
+
+
+def _session_class() -> type:
+    """The module's `_Session`, built by the first caller.  It is then a plain
+    module global, so whatever replaces it there is what new sessions use."""
+    with _session_class_lock:
+        if "_Session" not in globals():
+            globals()["_Session"] = _build_session_class()
+        return globals()["_Session"]
+
+
+def __getattr__(name: str):
+    # PEP 562: `netutil._Session` before the first request builds it
+    if name == "_Session":
+        return _session_class()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def http_request(
@@ -115,9 +143,11 @@ def http_request(
         raise OfflineViolation(f"offline mode forbids non-loopback target: {url}")
     if rate_limiter is not None:
         rate_limiter.acquire(urlsplit(url).hostname or "")
+    import requests  # loaded by the first request; see the module docstring
+
     session = getattr(_local, "session", None)
     if session is None:
-        session = _local.session = _Session()
+        session = _local.session = _session_class()()
     session.cookies.clear()
     try:
         with session.request(method, url, json=json, headers=headers, timeout=timeout,

@@ -8,6 +8,7 @@ aggressive ranges over four root-cause categories.
 from __future__ import annotations
 
 import enum
+import json
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -199,7 +200,9 @@ def invoke_tool(
     record.text = response.text
     record.truncated = response.truncated
     try:
-        record.json_body = response.json()
+        # with a known encoding, json() would parse this same text after
+        # decoding the body again; without one it guesses a UTF from the bytes
+        record.json_body = json.loads(record.text) if response.encoding else response.json()
     except ValueError:
         record.json_body = None
     record.elapsed = time.monotonic() - started

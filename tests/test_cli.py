@@ -88,6 +88,23 @@ class TestLoadConfig:
         assert main(["report", "--config", str(cfg)]) == 2
         assert "backends.judge must be a mapping" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line, message", [
+        ("rate_limit_per_host: null", "rate_limit_per_host must be a number"),
+        ("concurrency: two", "concurrency must be an integer"),
+        ("concurrency: 0", "concurrency must be an integer of at least 1"),
+        ("error_phrases: quota exceeded", "error_phrases must be a list of strings"),
+        ('offline: "false"', "offline must be true or false"),
+        ("output_dir: 5", "output_dir must be a path"),
+    ], ids=["null-rate", "word-concurrency", "zero-concurrency", "string-error-phrases",
+            "string-offline", "number-output-dir"])
+    def test_wrong_typed_key(self, tmp_path, capsys, line, message):
+        (tmp_path / "m.json").write_text("[]")
+        cfg = tmp_path / "c.yaml"
+        # the line comes last, so it overrides a default output_dir
+        cfg.write_text(f"corpus_manifest: m.json\noutput_dir: out\n{line}\n")
+        assert main(["report", "--config", str(cfg)]) == 2
+        assert message in capsys.readouterr().err
+
 
 class TestFullRun:
     def test_exit_zero(self, full_run):

@@ -7,6 +7,7 @@ import yaml
 from hypothesis import given
 from hypothesis import strategies as st
 
+from apimill import evaluate
 from apimill.embedding import (
     LexicalEmbedding,
     RemoteEmbedding,
@@ -264,6 +265,31 @@ class TestComputeMetrics:
         fwd = compute_metrics(results, specs, emb).to_dict()
         rev = compute_metrics(list(reversed(results)), specs, emb).to_dict()
         assert fwd == rev
+
+    def test_each_distinct_text_embedded_once(self, emb, monkeypatch):
+        class Counting:  # no embed_one: the scoring must embed in batches
+            texts = 0
+
+            def embed(self, texts):
+                Counting.texts += len(texts)
+                return emb.embed(texts)
+
+        # matching embeds on its own, uncounted; this counts the scoring
+        match = evaluate.match_endpoints
+        monkeypatch.setattr(evaluate, "match_endpoints", lambda p, t, _emb: match(p, t, emb))
+        spec = ApiSpec(endpoints=[
+            ep("Search Cards", "https://h.example/cards", description="Find cards.",
+               required=[Parameter(name="q", description="Query text.")]),
+            ep("Get Card", "https://h.example/cards/{id}", description="One card.",
+               required=[Parameter(name="id", description="Card id.")]),
+        ])
+        specs = {f"s{i}": spec for i in range(3)}
+        results = [result(sid, s) for sid, s in specs.items()]
+        counted = compute_metrics(results, specs, Counting()).to_dict()
+        # two names, two descriptions and two parameter descriptions, each on
+        # both sides of three pairs
+        assert Counting.texts == 6
+        assert counted == compute_metrics(results, specs, emb).to_dict()
 
     def test_text_table_shape(self, emb):
         spec = ApiSpec(endpoints=[ep("E", "https://h.example/x")])

@@ -2,7 +2,11 @@
 request accounting."""
 
 import json
+import os
 import socket
+import subprocess
+import sys
+import textwrap
 import threading
 import tracemalloc
 import types
@@ -12,6 +16,7 @@ from pathlib import Path
 import pytest
 import requests
 
+import apimill
 from apimill import ingest, netutil
 from apimill.cli import load_config, main, make_extraction_backend, make_judge
 from apimill.embedding import RemoteEmbedding, RemoteEmbeddingConfig
@@ -87,8 +92,7 @@ def _peak_bytes(fn):
 
 
 class TestBodyCap:
-    # what a capped read may hold at once: the body read, its decoded text,
-    # and for invoke_tool the second decode that json() makes
+    # what a capped read may hold at once: the body read and its decoded text
     def test_load_page_reads_at_most_the_cap(self, stub):
         raw, peak = _peak_bytes(lambda: load_page(f"{stub}/docs", offline=True))
         assert len(raw) == MAX_BODY_BYTES
@@ -102,6 +106,13 @@ class TestBodyCap:
         assert len(record.text) == MAX_BODY_BYTES and record.json_body is None
         assert peak < 4 * MAX_BODY_BYTES
         assert "truncated" in record.to_dict() and "content" not in record.to_dict()
+
+    def test_invoke_tool_decodes_the_body_once(self, stub):
+        # json parses the decoded text; it does not decode the body a second time
+        tool = make_tool(stub, path="/big", name="Big")
+        record, peak = _peak_bytes(lambda: invoke_tool(tool, {}, offline=True))
+        assert record.truncated is True and len(record.text) == MAX_BODY_BYTES
+        assert peak < 3 * MAX_BODY_BYTES
 
     def test_small_body_not_truncated(self, mock_api):
         record = invoke_tool(make_tool(mock_api.base_url), {})
@@ -240,3 +251,74 @@ def test_mock_hits_equal_requests_sent(corpus, tmp_path, mock_api, monkeypatch):
     assert main(["run", "--config", str(cfg), "--stage-filter", "validate,infer"]) == 0
     assert len(sent) > 0
     assert len(mock_api.hits) - before == len(sent)
+
+
+HTTP_MODULES = ("requests", "urllib3", "ssl", "charset_normalizer")
+
+
+def _in_fresh_python(script: str) -> dict:
+    """Run `script` in a new interpreter that imports apimill from this
+    checkout; the JSON object it prints last."""
+    env = dict(os.environ, PYTHONPATH=str(Path(apimill.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestLazyHttpImport:
+    """`requests` and what it brings load on the first request, not before."""
+
+    @staticmethod
+    def pipeline(argv) -> dict:
+        return _in_fresh_python(textwrap.dedent(f"""
+            import json, sys
+            from apimill.cli import main
+            code = main({argv!r})
+            loaded = [m for m in {HTTP_MODULES!r} if m in sys.modules]
+            print(json.dumps({{"code": code, "loaded": loaded}}))
+        """))
+
+    def test_run_without_requests_never_loads_them(self, corpus, tmp_path):
+        manifest, corpus_dir, _ = corpus
+        cfg = make_config(tmp_path, manifest, corpus_dir)
+        out = self.pipeline(["run", "--config", str(cfg),
+                             "--stage-filter", "ingest,extract,evaluate,generate"])
+        assert out == {"code": 0, "loaded": []}
+        assert (tmp_path / "out" / "metrics" / "metrics.json").exists()
+
+    def test_validate_loads_them(self, corpus, tmp_path):
+        manifest, corpus_dir, _ = corpus
+        cfg = make_config(tmp_path, manifest, corpus_dir)
+        assert main(["run", "--config", str(cfg), "--stage-filter", "ingest,extract,generate"]) == 0
+        out = self.pipeline(["validate", "--config", str(cfg)])
+        assert out == {"code": 0, "loaded": list(HTTP_MODULES)}
+
+    def test_simultaneous_first_requests_build_one_session_class(self, mock_api):
+        out = _in_fresh_python(textwrap.dedent(f"""
+            import json, sys, threading, time
+            from apimill import netutil
+            assert not [m for m in {HTTP_MODULES!r} if m in sys.modules]
+            build = netutil._build_session_class
+            def slow_build():
+                time.sleep(0.05)  # time for a second builder to enter, if one could
+                return build()
+            netutil._build_session_class = slow_build
+            start, statuses = threading.Barrier(4), []
+            def first():
+                start.wait()
+                response = netutil.http_request("GET", "{mock_api.base_url}/cards",
+                                                timeout=30, offline=True)
+                statuses.append(response.status_code)
+            threads = [threading.Thread(target=first) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            import requests
+            built = [c for c in requests.Session.__subclasses__()
+                     if c.__module__ == "apimill.netutil"]
+            print(json.dumps({{"statuses": statuses, "classes": len(built)}}))
+        """))
+        assert out == {"statuses": [200] * 4, "classes": 1}
