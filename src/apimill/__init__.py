@@ -5,6 +5,7 @@ from .evaluate import compute_metrics
 from .extract import extract_spec, repair_json
 from .inference import infer_parameters, leave_one_api_out, rank_combinations
 from .model import ApiSpec, Endpoint, Parameter, validate_spec
+from .netutil import HttpPolicy
 from .toolgen import (
     ToolDescriptor,
     export_function_source,
@@ -20,6 +21,7 @@ __all__ = [
     "ApiSpec",
     "Endpoint",
     "ErrorType",
+    "HttpPolicy",
     "LexicalEmbedding",
     "Parameter",
     "ToolDescriptor",

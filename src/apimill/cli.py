@@ -47,7 +47,7 @@ from .inference import InferenceOutcome, build_kb, infer_parameters
 from .ingest import ApiDocument, ingest_corpus, load_corpus_manifest
 from .judges import DEFAULT_ERROR_PHRASES, HeuristicJudge, RemoteJudge
 from .model import validate_spec
-from .netutil import HostRateLimiter
+from .netutil import HostRateLimiter, HttpPolicy
 from .remote import ChatClient, RemoteConfig
 from .toolgen import (
     ToolDescriptor,
@@ -82,10 +82,16 @@ class ProjectConfig:
     backends: dict = field(default_factory=dict)
 
     @cached_property
-    def rate_limiter(self) -> HostRateLimiter:
-        """The one per-host limiter of every request a run sends: pages,
-        model and embedding calls, and tool invocations."""
-        return HostRateLimiter(self.rate_limit_per_host)
+    def http(self) -> HttpPolicy:
+        """The policy of every request a run sends: pages, model and
+        embedding calls, and tool invocations.  It holds the run's one
+        per-host limiter, and it is built on first use, after `main` has
+        applied `--offline`."""
+        return HttpPolicy(
+            offline=self.offline,
+            tls_verify=self.tls_verify,
+            limiter=HostRateLimiter(self.rate_limit_per_host),
+        )
 
     def subdir(self, name: str) -> Path:
         path = self.output_dir / name
@@ -183,8 +189,7 @@ def _chat_client(section: dict, config: ProjectConfig) -> ChatClient:
             model_name=section["model_name"],
             api_key_env=section.get("api_key_env"),
         ),
-        rate_limiter=config.rate_limiter,
-        offline=config.offline,
+        http=config.http,
     )
 
 
@@ -242,8 +247,7 @@ def make_embedding(config: ProjectConfig):
                 api_key_env=section.get("api_key_env"),
             ),
             dimension=section.get("dimension"),
-            rate_limiter=config.rate_limiter,
-            offline=config.offline,
+            http=config.http,
         )
     raise ConfigInvalid(f"unknown embedding kind {kind!r}")
 
@@ -276,12 +280,7 @@ def stage_ingest(config: ProjectConfig, judge) -> None:
             entry["origin"] = str(manifest_dir / origin)
 
     documents, decisions, failures = ingest_corpus(
-        entries,
-        judge,
-        width=config.concurrency,
-        tls_verify=config.tls_verify,
-        offline=config.offline,
-        rate_limiter=config.rate_limiter,
+        entries, judge, width=config.concurrency, http=config.http
     )
     docs_dir = config.subdir("docs")
     for doc in documents:
@@ -421,14 +420,7 @@ def _load_tools(config: ProjectConfig, stage: str) -> list:
 
 def stage_validate(config: ProjectConfig, judge) -> None:
     tools = _load_tools(config, "validate")
-    reports = run_validation(
-        tools,
-        judge,
-        width=config.concurrency,
-        tls_verify=config.tls_verify,
-        offline=config.offline,
-        rate_limiter=config.rate_limiter,
-    )
+    reports = run_validation(tools, judge, width=config.concurrency, http=config.http)
     validation_dir = config.subdir("validation")
     _write_jsonl(validation_dir / "reports.jsonl", [r.to_dict() for r in reports])
 
@@ -477,15 +469,7 @@ def stage_infer(config: ProjectConfig, judge, emb) -> None:
     for report in targets:
         tool = by_name[report.tool_name]
         try:
-            outcome = infer_parameters(
-                tool,
-                kb,
-                judge,
-                emb,
-                tls_verify=config.tls_verify,
-                offline=config.offline,
-                rate_limiter=config.rate_limiter,
-            )
+            outcome = infer_parameters(tool, kb, judge, emb, http=config.http)
         except (NoCandidates, Exhausted) as exc:
             outcome = InferenceOutcome.failed(tool.tool_name, exc)
         outcomes.append(outcome)

@@ -14,6 +14,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, EmbeddingUnavailable
+from .netutil import HttpPolicy
 from .remote import post_json
 
 
@@ -94,17 +95,16 @@ class RemoteEmbedding:
     kind = "remote"
 
     def __init__(self, config: RemoteEmbeddingConfig, dimension: Optional[int] = None,
-                 rate_limiter=None, offline: bool = False):
+                 http: HttpPolicy = HttpPolicy()):
         self.config = config
         self.dimension = dimension  # learned from the first response when unset
-        self._rate_limiter = rate_limiter
-        self._offline = offline
+        self._http = http
 
     def _post_batch(self, batch: Sequence[str]) -> list:
         payload = post_json(
             self.config.endpoint_url, {"model": self.config.model_name, "input": list(batch)},
             api_key_env=self.config.api_key_env, timeout=self.config.timeout,
-            error=EmbeddingUnavailable, offline=self._offline, rate_limiter=self._rate_limiter,
+            error=EmbeddingUnavailable, http=self._http,
         )
         try:
             return [row["embedding"] for row in payload["data"]]

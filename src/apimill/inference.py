@@ -26,9 +26,10 @@ from .errors import (
     NoCandidates,
 )
 from .model import Scalar
+from .netutil import HttpPolicy
 from .prompts import PARAMETER_GUESS_PROMPT, PARAMETER_LIST_SCHEMA
 from .toolgen import ToolDescriptor
-from .validate import ErrorType, validate_tool
+from .validate import ErrorType, default_args, validate_tool
 
 TOP_PER_CHANNEL = 5
 MAX_CANDIDATES = 10
@@ -460,6 +461,13 @@ class InferenceOutcome:
         return cls(tool_name, False, attempts=exc.attempts, note=str(exc))
 
 
+def _inference_targets(tool: ToolDescriptor) -> list:
+    """The args whose values inference looks for: the value-missing required
+    args when there are any, otherwise every required arg (the wrong-value
+    case)."""
+    return tool.missing_value_args or [a for a in tool.args if a.required]
+
+
 def infer_parameters(
     tool: ToolDescriptor,
     kb: KnowledgeBase,
@@ -467,18 +475,14 @@ def infer_parameters(
     emb,
     exclude_source: Optional[str] = None,
     limit: int = MAX_COMBINATIONS,
-    tls_verify: bool = True,
-    offline: bool = False,
-    rate_limiter=None,
+    http: HttpPolicy = HttpPolicy(),
 ) -> InferenceOutcome:
-    """Try ranked KB value combinations until the tool passes validation.
-
-    Targets the value-missing required args when there are any, otherwise
-    every required arg (the wrong-value case).  The winning assignment is
-    written back onto the descriptor's example values and inserted into the
-    knowledge base; failures leave the KB untouched.
+    """Try ranked KB value combinations for the tool's `_inference_targets`
+    until it passes validation.  The winning assignment is written back onto
+    the descriptor's example values and inserted into the knowledge base;
+    failures leave the KB untouched.
     """
-    targets = tool.missing_value_args or [a for a in tool.args if a.required]
+    targets = _inference_targets(tool)
     if not targets:
         return InferenceOutcome(tool.tool_name, True, assignment={}, note="nothing to infer")
 
@@ -495,20 +499,13 @@ def infer_parameters(
         per_param[arg.name] = candidates
         candidates_considered += len(candidates)
 
-    base_args = {a.name: a.preferred_value for a in tool.args if a.has_value}
+    base_args = default_args(tool)
     attempts = 0
     for assignment in rank_combinations(per_param, limit=limit):
         trial_args = dict(base_args)
         trial_args.update({name: c.entry.value for name, c in assignment.items()})
         attempts += 1
-        report = validate_tool(
-            tool,
-            judge,
-            args=trial_args,
-            tls_verify=tls_verify,
-            offline=offline,
-            rate_limiter=rate_limiter,
-        )
+        report = validate_tool(tool, judge, args=trial_args, http=http)
         if report.passed:
             values = {name: c.entry.value for name, c in assignment.items()}
             by_name = {a.name: a for a in tool.args}
@@ -544,20 +541,18 @@ def llm_guess_baseline(
     judge,
     backend,
     rounds: int = GUESS_ROUNDS,
-    tls_verify: bool = True,
-    offline: bool = False,
-    rate_limiter=None,
+    http: HttpPolicy = HttpPolicy(),
 ) -> InferenceOutcome:
     """Guess values with a model instead of the knowledge base: up to 10
     rounds, feeding failed guesses back through the prompt's history block."""
-    targets = tool.missing_value_args or [a for a in tool.args if a.required]
+    targets = _inference_targets(tool)
     if not targets:
         return InferenceOutcome(tool.tool_name, True, assignment={}, note="nothing to infer")
 
     param_description = "\n".join(
         f"{a.name}: {a.description or '(no description)'}" for a in targets
     )
-    base_args = {a.name: a.preferred_value for a in tool.args if a.has_value}
+    base_args = default_args(tool)
     history: list = []
     attempts = 0
     for _ in range(rounds):
@@ -583,14 +578,7 @@ def llm_guess_baseline(
         trial_args = dict(base_args)
         trial_args.update({a.name: guesses[a.name] for a in targets if a.name in guesses})
         attempts += 1
-        report = validate_tool(
-            tool,
-            judge,
-            args=trial_args,
-            tls_verify=tls_verify,
-            offline=offline,
-            rate_limiter=rate_limiter,
-        )
+        report = validate_tool(tool, judge, args=trial_args, http=http)
         if report.passed:
             return InferenceOutcome(
                 tool.tool_name, True, assignment=guesses, attempts=attempts
@@ -604,9 +592,7 @@ def leave_one_api_out(
     reports: list,
     emb,
     judge,
-    tls_verify: bool = True,
-    offline: bool = False,
-    rate_limiter=None,
+    http: HttpPolicy = HttpPolicy(),
 ) -> dict:
     """Re-infer each passing tool's required values with its own source
     hidden from retrieval.  Needs at least two distinct source documents."""
@@ -639,9 +625,7 @@ def leave_one_api_out(
                 judge,
                 emb,
                 exclude_source=tool.source_id,
-                tls_verify=tls_verify,
-                offline=offline,
-                rate_limiter=rate_limiter,
+                http=http,
             )
         except (NoCandidates, Exhausted) as exc:
             outcome = InferenceOutcome.failed(tool.tool_name, exc)

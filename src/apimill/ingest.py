@@ -13,7 +13,7 @@ from typing import Optional
 
 from .errors import EmptyDocument, FetchFailed
 from .judges import judge_with_fallback
-from .netutil import MAX_BODY_BYTES, http_request, run_pool
+from .netutil import MAX_BODY_BYTES, HttpPolicy, http_request, run_pool
 
 logger = logging.getLogger(__name__)
 
@@ -211,24 +211,16 @@ def _source_id_from_origin(origin: str) -> str:
     return slug or "doc"
 
 
-def load_page(
-    origin: str,
-    timeout: float = 30.0,
-    tls_verify: bool = True,
-    offline: bool = False,
-    rate_limiter=None,
-) -> str:
+def load_page(origin: str, timeout: float = 30.0, http: HttpPolicy = HttpPolicy()) -> str:
     """A page's raw content, read from a file or fetched from a URL, at most
     MAX_BODY_BYTES of it.
 
-    An HTTP fetch goes through `http_request`, which refuses a non-loopback
-    URL offline and first waits for `rate_limiter`'s token for the origin's
-    host, when one is given.  Every failure raises FetchFailed.
+    An HTTP fetch goes through `http_request` under the policy `http`.
+    Every failure, an offline refusal included, raises FetchFailed.
     """
     if origin.startswith(("http://", "https://")):
         try:
-            resp = http_request("GET", origin, timeout=timeout, verify=tls_verify,
-                                offline=offline, rate_limiter=rate_limiter)
+            resp = http_request("GET", origin, timeout=timeout, http=http)
             resp.raise_for_status()
         except Exception as exc:  # noqa: BLE001 - every fetch failure maps the same way
             raise FetchFailed(origin, str(exc)) from exc
@@ -278,11 +270,10 @@ def load_and_clean(
     source_id: Optional[str] = None,
     timeout: float = 30.0,
     max_text_bytes: int = DEFAULT_TEXT_CAP,
-    tls_verify: bool = True,
-    offline: bool = False,
+    http: HttpPolicy = HttpPolicy(),
 ) -> ApiDocument:
     """Read a page from a file or URL and clean it to plain text."""
-    raw = load_page(origin, timeout=timeout, tls_verify=tls_verify, offline=offline)
+    raw = load_page(origin, timeout=timeout, http=http)
     return _document(origin, source_id, raw, clean_text(raw), max_text_bytes)
 
 
@@ -315,15 +306,13 @@ def ingest_corpus(
     manifest_entries: list,
     judge,
     width: int = 4,
-    tls_verify: bool = True,
-    offline: bool = False,
-    rate_limiter=None,
+    http: HttpPolicy = HttpPolicy(),
 ):
     """Load, clean, filter, and classify a corpus concurrently.
 
-    Pages load on `width` threads, HTTP fetches waiting for `rate_limiter`
-    when one is given.  They are cleaned here, one after another, then
-    judged on `width` threads.
+    Pages load on `width` threads, HTTP fetches under the policy `http`.
+    They are cleaned here, one after another, then judged on `width`
+    threads.
 
     Returns (documents, decisions, failures): decisions carry the per-doc
     api-page verdict and classification; failures record load errors without
@@ -333,10 +322,7 @@ def ingest_corpus(
 
     def load(entry):
         try:
-            return load_page(
-                entry["origin"], tls_verify=tls_verify, offline=offline,
-                rate_limiter=rate_limiter,
-            )
+            return load_page(entry["origin"], http=http)
         except FetchFailed as exc:
             return exc
 

@@ -183,9 +183,7 @@ class ApiSpec:
 @dataclass
 class ResolvedUrl:
     primary: str
-    alternates: list
     has_scheme: bool
-    path_is_empty: bool
 
 
 @dataclass
@@ -454,15 +452,8 @@ def url_path_is_empty(url: str) -> bool:
 
 
 def resolve_url(endpoint: Endpoint) -> ResolvedUrl:
-    """Pick the primary URL and derive the base-URL / empty-path signals."""
-    if isinstance(endpoint.url, list):
-        urls = [_collapse_slashes(u) for u in endpoint.url]
-        primary, alternates = urls[0], urls[1:]
-    else:
-        primary, alternates = _collapse_slashes(endpoint.url), []
-    return ResolvedUrl(
-        primary=primary,
-        alternates=alternates,
-        has_scheme=primary.startswith(("http://", "https://")),
-        path_is_empty=url_path_is_empty(primary),
-    )
+    """Pick the primary URL, the first of a URL list, and derive the
+    base-URL signal."""
+    url = endpoint.url[0] if isinstance(endpoint.url, list) else endpoint.url
+    primary = _collapse_slashes(url)
+    return ResolvedUrl(primary=primary, has_scheme=primary.startswith(("http://", "https://")))

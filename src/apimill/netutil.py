@@ -12,7 +12,8 @@ import ipaddress
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import TYPE_CHECKING, Callable, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 from urllib.parse import urlsplit
 
 from .errors import OfflineViolation, TransportFailed
@@ -55,6 +56,18 @@ class HostRateLimiter:
                 self._buckets[host] = (tokens, now)
                 wait = (1.0 - tokens) / self.rate
             time.sleep(min(wait, 0.2))
+
+
+@dataclass(frozen=True)
+class HttpPolicy:
+    """The rules every outbound request of a run follows: offline, refuse
+    non-loopback targets; verify TLS certificates or not; wait for `limiter`'s
+    token for the target host, when one is given.  Only `http_request` reads
+    them; every other function passes the policy on whole."""
+
+    offline: bool = False
+    tls_verify: bool = True
+    limiter: Optional[HostRateLimiter] = None
 
 
 def is_loopback_url(url: str) -> bool:
@@ -124,25 +137,27 @@ def __getattr__(name: str):
 
 
 def http_request(
-    method: str, url: str, *, json=None, headers=None, timeout=None, verify=True,
-    offline: bool = False, rate_limiter=None,
+    method: str, url: str, *, json=None, headers=None, timeout=None,
+    http: HttpPolicy = HttpPolicy(),
 ) -> requests.Response:
-    """Send one request; every outbound request of apimill comes here.
+    """Send one request under the policy `http`; every outbound request of
+    apimill comes here.
 
     Offline, a non-loopback `url` raises OfflineViolation before any wait
-    or socket.  Otherwise the request waits for `rate_limiter`'s token for
-    the URL's host, when one is given, and goes out on this thread's reused
-    session with its cookie jar cleared first, so no cookie crosses calls,
-    as with the fresh session `requests.request` makes; redirects and .netrc
-    are requests' own.  The body is read up to MAX_BODY_BYTES and the
-    connection released or closed.  The response's `content`, `text` and
-    `json()` hold what was read, and `truncated` says whether more was
-    sent.  Any transport failure raises TransportFailed.
+    or socket.  Otherwise the request waits for the policy limiter's token
+    for the URL's host, when there is a limiter, and goes out, TLS verified
+    or not as the policy says, on this thread's reused session with its
+    cookie jar cleared first, so no cookie crosses calls, as with the fresh
+    session `requests.request` makes; redirects and .netrc are requests'
+    own.  The body is read up to MAX_BODY_BYTES and the connection released
+    or closed.  The response's `content`, `text` and `json()` hold what was
+    read, and `truncated` says whether more was sent.  Any transport failure
+    raises TransportFailed.
     """
-    if offline and not is_loopback_url(url):
+    if http.offline and not is_loopback_url(url):
         raise OfflineViolation(f"offline mode forbids non-loopback target: {url}")
-    if rate_limiter is not None:
-        rate_limiter.acquire(urlsplit(url).hostname or "")
+    if http.limiter is not None:
+        http.limiter.acquire(urlsplit(url).hostname or "")
     import requests  # loaded by the first request; see the module docstring
 
     session = getattr(_local, "session", None)
@@ -151,7 +166,7 @@ def http_request(
     session.cookies.clear()
     try:
         with session.request(method, url, json=json, headers=headers, timeout=timeout,
-                             verify=verify, stream=True) as response:
+                             verify=http.tls_verify, stream=True) as response:
             chunks, size = [], 0
             for chunk in response.iter_content(_CHUNK_BYTES):
                 chunks.append(chunk)

@@ -15,11 +15,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import BackendUnreachable, TransportFailed
-from .netutil import http_request
+from .netutil import HttpPolicy, http_request
 
 
 def post_json(url: str, body: dict, *, api_key_env: Optional[str], timeout: float,
-              error: type, offline: bool = False, rate_limiter=None):
+              error: type, http: HttpPolicy = HttpPolicy()):
     """POST `body` to a model service; its decoded JSON reply.  The bearer
     key comes from the environment variable `api_key_env`, when set.  A
     transport failure, a status other than 200 or a reply that is not JSON
@@ -29,8 +29,7 @@ def post_json(url: str, body: dict, *, api_key_env: Optional[str], timeout: floa
     if key:
         headers["Authorization"] = f"Bearer {key}"
     try:
-        resp = http_request("POST", url, json=body, headers=headers, timeout=timeout,
-                            offline=offline, rate_limiter=rate_limiter)
+        resp = http_request("POST", url, json=body, headers=headers, timeout=timeout, http=http)
     except TransportFailed as exc:
         raise error(f"transport: {exc}") from exc
     if resp.status_code != 200:
@@ -50,10 +49,9 @@ class RemoteConfig:
 
 
 class ChatClient:
-    def __init__(self, config: RemoteConfig, rate_limiter=None, offline: bool = False):
+    def __init__(self, config: RemoteConfig, http: HttpPolicy = HttpPolicy()):
         self.config = config
-        self._rate_limiter = rate_limiter
-        self._offline = offline
+        self._http = http
 
     def complete(self, messages: list, response_schema: Optional[dict] = None,
                  schema_name: str = "output"):
@@ -66,8 +64,7 @@ class ChatClient:
             }
         payload = post_json(
             self.config.endpoint_url, body, api_key_env=self.config.api_key_env,
-            timeout=self.config.timeout, error=BackendUnreachable, offline=self._offline,
-            rate_limiter=self._rate_limiter,
+            timeout=self.config.timeout, error=BackendUnreachable, http=self._http,
         )
         try:
             content = payload["choices"][0]["message"]["content"]

@@ -18,7 +18,7 @@ from .errors import (MissingRequiredParameter, NegativeCount, OfflineViolation,
                      TransportFailed, UnboundPathParam)
 from .judges import judge_with_fallback
 from .model import render_scalar, url_path_is_empty
-from .netutil import HostRateLimiter, http_request, run_pool
+from .netutil import HttpPolicy, http_request, run_pool
 from .toolgen import ToolDescriptor
 
 
@@ -167,23 +167,18 @@ def build_request(tool: ToolDescriptor, args: dict) -> ConcreteRequest:
 
 
 def invoke_tool(
-    tool: ToolDescriptor,
-    args: dict,
-    tls_verify: bool = True,
-    offline: bool = False,
-    rate_limiter: Optional[HostRateLimiter] = None,
+    tool: ToolDescriptor, args: dict, http: HttpPolicy = HttpPolicy()
 ) -> InvocationRecord:
     """Perform the request; at most two HTTP calls (one param-less retry).
 
     A non-200 first response triggers one retry without query/body arguments,
     and the retry's response is returned unconditionally.  Transport failures,
     and targets that offline mode refuses, are recorded, never raised.  Both
-    calls go through `http_request`.
+    calls go through `http_request` under the policy `http`.
     """
     request = build_request(tool, args)
     started = time.monotonic()
-    options = dict(headers=request.headers or None, timeout=tool.timeout_seconds,
-                   verify=tls_verify, offline=offline, rate_limiter=rate_limiter)
+    options = dict(headers=request.headers or None, timeout=tool.timeout_seconds, http=http)
     record = InvocationRecord()
     try:
         response = http_request(request.verb, request.full_url(), json=request.body, **options)
@@ -296,9 +291,7 @@ def validate_tool(
     tool: ToolDescriptor,
     judge,
     args: Optional[dict] = None,
-    tls_verify: bool = True,
-    offline: bool = False,
-    rate_limiter: Optional[HostRateLimiter] = None,
+    http: HttpPolicy = HttpPolicy(),
 ) -> ValidationReport:
     """build → invoke → judge → classify for one tool."""
     bound = default_args(tool) if args is None else dict(args)
@@ -314,9 +307,7 @@ def validate_tool(
             args_used=bound,
         )
 
-    record = invoke_tool(
-        tool, bound, tls_verify=tls_verify, offline=offline, rate_limiter=rate_limiter
-    )
+    record = invoke_tool(tool, bound, http=http)
     verdict = None
     judge_passed = None
     if record.status_code == 200:
@@ -338,19 +329,11 @@ def run_validation(
     tools: list,
     judge,
     width: int = 4,
-    tls_verify: bool = True,
-    offline: bool = False,
-    rate_limiter: Optional[HostRateLimiter] = None,
+    http: HttpPolicy = HttpPolicy(),
 ) -> list:
     """Validate every tool on a pool of `width` workers, reports in tool
-    order.  `rate_limiter=None` means no politeness limit."""
-    return run_pool(
-        lambda t: validate_tool(
-            t, judge, tls_verify=tls_verify, offline=offline, rate_limiter=rate_limiter
-        ),
-        tools,
-        width,
-    )
+    order.  A policy without a limiter means no politeness limit."""
+    return run_pool(lambda t: validate_tool(t, judge, http=http), tools, width)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import socket
 from pathlib import Path
 
 import pytest
@@ -25,6 +26,20 @@ def emb():
 @pytest.fixture(scope="session")
 def judge():
     return HeuristicJudge()
+
+
+@pytest.fixture
+def no_network(monkeypatch):
+    """Records, and refuses, every name lookup and connect."""
+    touched = []
+
+    def refuse(*args, **kwargs):
+        touched.append(args)
+        raise OSError("network refused by the test")
+
+    monkeypatch.setattr(socket, "getaddrinfo", refuse)
+    monkeypatch.setattr(socket.socket, "connect", refuse)
+    return touched
 
 
 @pytest.fixture(scope="session")

@@ -31,7 +31,7 @@ from apimill.ingest import ApiDocument, dehtml
 from apimill.model import ApiSpec, Endpoint, Parameter, validate_spec
 from apimill.synthetic import build_corpus
 from apimill.toolgen import export_function_source, generate_tool, generate_tools_for_spec, parse_url_template
-from apimill.netutil import HostRateLimiter
+from apimill.netutil import HostRateLimiter, HttpPolicy
 from apimill.validate import (
     ErrorType,
     build_request,
@@ -261,7 +261,7 @@ def loo_setup(mock_api, judge, emb):
     for source_id, spec, _text in build_corpus(mock_api.base_url):
         built, _ = generate_tools_for_spec(spec, source_id)
         tools.extend(built)
-    reports = run_validation(tools, judge, width=4, offline=True, rate_limiter=limiter)
+    reports = run_validation(tools, judge, width=4, http=HttpPolicy(offline=True, limiter=limiter))
     return tools, reports, limiter
 
 
@@ -269,7 +269,7 @@ def test_criterion_7_inference_oracle(verdict, loo_setup, judge, emb):
     with verdict(7, "inference oracle"):
         tools, reports, limiter = loo_setup
         result = leave_one_api_out(
-            tools, reports, emb, judge, offline=True, rate_limiter=limiter
+            tools, reports, emb, judge, http=HttpPolicy(offline=True, limiter=limiter)
         )
         by_name = {o.tool_name: o for o in result["outcomes"]}
 

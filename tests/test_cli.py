@@ -371,11 +371,21 @@ def test_same_endpoint_names_across_sources_all_kept(corpus, tmp_path):
     assert sorted(r["tool_name"] for r in reports) == sorted(t["tool_name"] for t in tools)
 
 
-def test_offline_flag_overrides_config(corpus, tmp_path):
+def test_offline_flag_overrides_config(corpus, tmp_path, no_network):
     manifest, corpus_dir, _ = corpus
-    cfg = make_config(tmp_path, manifest, corpus_dir, offline=False)
+    entries = [{**e, "origin": str(corpus_dir / e["origin"])}
+               for e in json.loads(manifest.read_text())]
+    entries.append({"source_id": "remote", "origin": "http://docs.example.invalid/api"})
+    (tmp_path / "manifest.json").write_text(json.dumps(entries))
+    cfg = make_config(tmp_path, tmp_path / "manifest.json", corpus_dir, offline=False)
     rc = main(["run", "--config", str(cfg), "--offline", "--stage-filter", "ingest"])
     assert rc == 0  # loopback origins stay reachable under --offline
+    index = json.loads((tmp_path / "out" / "docs" / "index.json").read_text())
+    assert len(index["documents"]) == len(entries) - 1
+    [failure] = index["failures"]
+    assert failure["source_id"] == "remote"
+    assert "offline mode forbids non-loopback target" in failure["error"]
+    assert no_network == []
 
 
 def test_html_copy_only_for_fetched_pages(mock_api, tmp_path):

@@ -36,6 +36,7 @@ from apimill.inference import (
     retrieve_candidates,
 )
 from apimill.model import Endpoint, Parameter
+from apimill.netutil import HttpPolicy
 from apimill.synthetic import build_corpus
 from apimill.toolgen import ToolArg, generate_tool, generate_tools_for_spec
 from apimill.validate import ErrorType, run_validation, validate_tool
@@ -497,7 +498,7 @@ def validated_corpus(mock_api, judge, emb):
     for source_id, spec, _text in build_corpus(mock_api.base_url):
         built, _ = generate_tools_for_spec(spec, source_id)
         tools.extend(built)
-    reports = run_validation(tools, judge, width=4, offline=True, rate_limiter=None)
+    reports = run_validation(tools, judge, width=4, http=HttpPolicy(offline=True, limiter=None))
     return tools, reports
 
 
@@ -512,7 +513,8 @@ class TestInferParameters:
         for arg in stripped.args:
             arg.example_value = arg.default_value = None
         outcome = infer_parameters(
-            stripped, kb, judge, emb, exclude_source=target.source_id, offline=True
+            stripped, kb, judge, emb, exclude_source=target.source_id,
+            http=HttpPolicy(offline=True),
         )
         assert outcome.success
         assert outcome.assignment == {"glytoucan_id": "G00048MO"}
@@ -527,7 +529,7 @@ class TestInferParameters:
             "s",
         )
         with pytest.raises(NoCandidates):
-            infer_parameters(tool, KnowledgeBase(), judge, emb, offline=True)
+            infer_parameters(tool, KnowledgeBase(), judge, emb, http=HttpPolicy(offline=True))
 
     def test_exhausted_counts_attempts(self, mock_api, judge, emb):
         kb = KnowledgeBase()
@@ -542,7 +544,7 @@ class TestInferParameters:
             "mine",
         )
         with pytest.raises(Exhausted) as err:
-            infer_parameters(tool, kb, judge, emb, offline=True)
+            infer_parameters(tool, kb, judge, emb, http=HttpPolicy(offline=True))
         assert err.value.attempts == 3
 
     def test_failed_outcomes(self):
@@ -557,7 +559,8 @@ class TestInferParameters:
         tool = generate_tool(
             Endpoint(name="E", method="GET", url="https://h.example/x"), "s"
         )
-        outcome = infer_parameters(tool, KnowledgeBase(), judge, emb, offline=True)
+        outcome = infer_parameters(tool, KnowledgeBase(), judge, emb,
+                                   http=HttpPolicy(offline=True))
         assert outcome.success and outcome.note == "nothing to infer"
         assert outcome.attempts == 0
 
@@ -586,7 +589,8 @@ class TestGuessBaseline:
             json.dumps({"parameters": [{"parameter_key": "glytoucan_id", "parameter_guess": "WRONG"}]}),
             json.dumps({"parameters": [{"parameter_key": "glytoucan_id", "parameter_guess": "G00048MO"}]}),
         ])
-        outcome = llm_guess_baseline(self.make_tool(mock_api), judge, backend, offline=True)
+        outcome = llm_guess_baseline(self.make_tool(mock_api), judge, backend,
+                                     http=HttpPolicy(offline=True))
         assert outcome.success and outcome.attempts == 2
         assert "WRONG" in backend.prompts[1]  # failed guess fed back as history
         assert "***history start" in backend.prompts[0]
@@ -594,19 +598,21 @@ class TestGuessBaseline:
     def test_rounds_exhausted(self, mock_api, judge):
         wrong = json.dumps({"parameters": [{"parameter_key": "glytoucan_id", "parameter_guess": "NOPE"}]})
         backend = _GuessBackend([wrong] * 10)
-        outcome = llm_guess_baseline(self.make_tool(mock_api), judge, backend, rounds=10, offline=True)
+        outcome = llm_guess_baseline(self.make_tool(mock_api), judge, backend, rounds=10,
+                                     http=HttpPolicy(offline=True))
         assert not outcome.success and outcome.attempts == 10
 
     def test_malformed_output_raises(self, mock_api, judge):
         backend = _GuessBackend(["not json at all"])
         with pytest.raises(BackendUnreachable):
-            llm_guess_baseline(self.make_tool(mock_api), judge, backend, offline=True)
+            llm_guess_baseline(self.make_tool(mock_api), judge, backend,
+                               http=HttpPolicy(offline=True))
 
 
 class TestLeaveOneApiOut:
     def test_two_source_recovery(self, validated_corpus, judge, emb):
         tools, reports = validated_corpus
-        result = leave_one_api_out(tools, reports, emb, judge, offline=True)
+        result = leave_one_api_out(tools, reports, emb, judge, http=HttpPolicy(offline=True))
         by_name = {o.tool_name: o for o in result["outcomes"]}
 
         assert by_name["get_glycan"].success
@@ -622,7 +628,7 @@ class TestLeaveOneApiOut:
     def test_original_tools_untouched(self, validated_corpus, judge, emb):
         tools, reports = validated_corpus
         before = {t.tool_name: json.dumps(t.to_dict(), sort_keys=True) for t in tools}
-        leave_one_api_out(tools, reports, emb, judge, offline=True)
+        leave_one_api_out(tools, reports, emb, judge, http=HttpPolicy(offline=True))
         after = {t.tool_name: json.dumps(t.to_dict(), sort_keys=True) for t in tools}
         assert before == after
 
@@ -634,4 +640,4 @@ class TestLeaveOneApiOut:
         )
         report = scripted_report(tool, ErrorType.PASSED)
         with pytest.raises(InsufficientCorpus):
-            leave_one_api_out([tool], [report], emb, judge, offline=True)
+            leave_one_api_out([tool], [report], emb, judge, http=HttpPolicy(offline=True))

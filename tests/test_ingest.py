@@ -21,6 +21,7 @@ from apimill.ingest import (
     load_corpus_manifest,
 )
 from apimill.judges import HeuristicJudge
+from apimill.netutil import HttpPolicy
 
 
 class _OracleExtractor(html.parser.HTMLParser):
@@ -311,11 +312,11 @@ class TestLoadAndClean:
 
     def test_offline_blocks_remote_fetch(self):
         with pytest.raises(FetchFailed) as err:
-            load_and_clean("https://example.invalid/docs", offline=True)
+            load_and_clean("https://example.invalid/docs", http=HttpPolicy(offline=True))
         assert isinstance(err.value.__cause__, OfflineViolation)
 
     def test_offline_allows_loopback(self, mock_api):
-        doc = load_and_clean(f"{mock_api.base_url}/cards", offline=True)
+        doc = load_and_clean(f"{mock_api.base_url}/cards", http=HttpPolicy(offline=True))
         assert "Gardevoir" in doc.text
 
     def test_source_id_derivation(self, tmp_path):
@@ -410,8 +411,8 @@ class TestCorpus:
             {"source_id": f"remote{i}", "origin": url} for i, url in enumerate(urls)
         ]
         limiter = Recording()
-        docs, _, failures = ingest_corpus(entries, judge, width=2, offline=True,
-                                          rate_limiter=limiter)
+        docs, _, failures = ingest_corpus(entries, judge, width=2,
+                                          http=HttpPolicy(offline=True, limiter=limiter))
         assert limiter.hosts == ["127.0.0.1"] * len(urls)
         assert len(docs) == 3 and failures == []
 

@@ -13,6 +13,7 @@ from apimill.model import (
     coerce_scalar,
     render_scalar,
     resolve_url,
+    url_path_is_empty,
     validate_spec,
 )
 
@@ -197,14 +198,11 @@ class TestResolveUrl:
         ep = Endpoint(name="E", method="GET", url="https://h.example/v1/x")
         assert resolve_url(ep).has_scheme
         ep = Endpoint(name="E", method="GET", url="/v1/x")
-        r = resolve_url(ep)
-        assert not r.has_scheme and not r.path_is_empty
+        assert not resolve_url(ep).has_scheme
 
     def test_url_array_first_is_primary(self):
         ep = Endpoint(name="E", method="GET", url=["https://a.example/x", "https://b.example/y"])
-        r = resolve_url(ep)
-        assert r.primary == "https://a.example/x"
-        assert r.alternates == ["https://b.example/y"]
+        assert resolve_url(ep).primary == "https://a.example/x"
 
     @pytest.mark.parametrize(
         "url,empty",
@@ -218,7 +216,7 @@ class TestResolveUrl:
     )
     def test_path_is_empty(self, url, empty):
         ep = Endpoint(name="E", method="GET", url=url)
-        assert resolve_url(ep).path_is_empty is empty
+        assert url_path_is_empty(resolve_url(ep).primary) is empty
 
     def test_double_slash_collapsed_scheme_kept(self):
         ep = Endpoint(name="E", method="GET", url="https://h.example//v1///x")

@@ -1,9 +1,12 @@
 """The one outbound HTTP path: body cap, offline guard, shared limiter, and
 request accounting."""
 
+import importlib
+import inspect
+import io
 import json
 import os
-import socket
+import pkgutil
 import subprocess
 import sys
 import textwrap
@@ -18,12 +21,13 @@ import requests
 
 import apimill
 from apimill import ingest, netutil
-from apimill.cli import load_config, main, make_extraction_backend, make_judge
+from apimill.cli import (load_config, main, make_embedding, make_extraction_backend,
+                         make_judge)
 from apimill.embedding import RemoteEmbedding, RemoteEmbeddingConfig
 from apimill.errors import FetchFailed, OfflineViolation
 from apimill.ingest import clean_text, load_page
 from apimill.model import Endpoint, Parameter
-from apimill.netutil import MAX_BODY_BYTES
+from apimill.netutil import MAX_BODY_BYTES, HttpPolicy
 from apimill.remote import ChatClient, RemoteConfig
 from apimill.toolgen import generate_tool
 from apimill.validate import invoke_tool
@@ -94,13 +98,13 @@ def _peak_bytes(fn):
 class TestBodyCap:
     # what a capped read may hold at once: the body read and its decoded text
     def test_load_page_reads_at_most_the_cap(self, stub):
-        raw, peak = _peak_bytes(lambda: load_page(f"{stub}/docs", offline=True))
+        raw, peak = _peak_bytes(lambda: load_page(f"{stub}/docs", http=HttpPolicy(offline=True)))
         assert len(raw) == MAX_BODY_BYTES
         assert peak < 3 * MAX_BODY_BYTES < STREAMED_BYTES
 
     def test_invoke_tool_records_truncated_body(self, stub):
         tool = make_tool(stub, path="/big", name="Big")
-        record, peak = _peak_bytes(lambda: invoke_tool(tool, {}, offline=True))
+        record, peak = _peak_bytes(lambda: invoke_tool(tool, {}, http=HttpPolicy(offline=True)))
         assert record.status_code == 200 and record.transport_error is None
         assert record.truncated is True
         assert len(record.text) == MAX_BODY_BYTES and record.json_body is None
@@ -110,7 +114,7 @@ class TestBodyCap:
     def test_invoke_tool_decodes_the_body_once(self, stub):
         # json parses the decoded text; it does not decode the body a second time
         tool = make_tool(stub, path="/big", name="Big")
-        record, peak = _peak_bytes(lambda: invoke_tool(tool, {}, offline=True))
+        record, peak = _peak_bytes(lambda: invoke_tool(tool, {}, http=HttpPolicy(offline=True)))
         assert record.truncated is True and len(record.text) == MAX_BODY_BYTES
         assert peak < 3 * MAX_BODY_BYTES
 
@@ -151,20 +155,6 @@ class TestBodyCap:
         return copy
 
 
-@pytest.fixture
-def no_network(monkeypatch):
-    """Records, and refuses, every name lookup and connect."""
-    touched = []
-
-    def refuse(*args, **kwargs):
-        touched.append(args)
-        raise OSError("network refused by the test")
-
-    monkeypatch.setattr(socket, "getaddrinfo", refuse)
-    monkeypatch.setattr(socket.socket, "connect", refuse)
-    return touched
-
-
 class _NeverWait:
     def __init__(self):
         self.hosts = []
@@ -181,28 +171,29 @@ class TestOfflineGuard:
     def test_load_page(self, no_network):
         limiter = _NeverWait()
         with pytest.raises(FetchFailed) as err:
-            load_page(self.URL, offline=True, rate_limiter=limiter)
+            load_page(self.URL, http=HttpPolicy(offline=True, limiter=limiter))
         assert isinstance(err.value.__cause__, OfflineViolation)
         assert no_network == [] and limiter.hosts == []
 
     def test_invoke_tool(self, no_network):
         limiter = _NeverWait()
         tool = make_tool(self.URL, required=[Parameter(name="q", example_value="x")])
-        record = invoke_tool(tool, {"q": "x"}, offline=True, rate_limiter=limiter)
+        record = invoke_tool(tool, {"q": "x"}, http=HttpPolicy(offline=True, limiter=limiter))
         assert "offline" in record.transport_error and record.status_code is None
         assert no_network == [] and limiter.hosts == []
 
     def test_chat_client(self, no_network):
         limiter = _NeverWait()
-        client = ChatClient(RemoteConfig(self.URL, "m"), rate_limiter=limiter, offline=True)
+        client = ChatClient(RemoteConfig(self.URL, "m"),
+                            http=HttpPolicy(offline=True, limiter=limiter))
         with pytest.raises(OfflineViolation):
             client.complete([{"role": "user", "content": "hi"}])
         assert no_network == [] and limiter.hosts == []
 
     def test_remote_embedding(self, no_network):
         limiter = _NeverWait()
-        emb = RemoteEmbedding(RemoteEmbeddingConfig(self.URL, "m"), rate_limiter=limiter,
-                              offline=True)
+        emb = RemoteEmbedding(RemoteEmbeddingConfig(self.URL, "m"),
+                              http=HttpPolicy(offline=True, limiter=limiter))
         with pytest.raises(OfflineViolation):
             emb.embed(["x"])
         assert no_network == [] and limiter.hosts == []
@@ -232,6 +223,72 @@ def test_clients_of_one_config_share_one_bucket(tmp_path, monkeypatch, stub):
     for client in clients:
         assert client.complete([{"role": "user", "content": "hi"}]) == ("ok", 3)
     assert sum(slept) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("section, call, reply", [
+    ("judge", lambda config: make_judge(config).is_api_page("GET /v1/x"), COMPLETION),
+    ("embedding", lambda config: make_embedding(config).embed(["x"]),
+     {"data": [{"embedding": [1.0, 0.0]}]}),
+])
+def test_tls_verify_reaches_model_calls(tmp_path, monkeypatch, section, call, reply):
+    (tmp_path / "m.json").write_text("[]")
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({
+        "corpus_manifest": "m.json", "output_dir": "out", "tls_verify": False,
+        "rate_limit_per_host": 0,
+        "backends": {section: {"kind": "remote", "endpoint_url": "https://model.test/v1",
+                               "model_name": "m"}},
+    }))
+    monkeypatch.setattr(netutil, "_ENV_SETTINGS", {})
+    seen = []
+
+    def send(adapter, request, **kwargs):
+        # stands in for the network: nothing leaves the process
+        seen.append(kwargs["verify"])
+        response = requests.Response()
+        response.status_code, response.raw = 200, io.BytesIO(json.dumps(reply).encode())
+        response.request, response.url = request, request.url
+        return response
+
+    monkeypatch.setattr(requests.adapters.HTTPAdapter, "send", send)
+    call(load_config(cfg))
+    assert seen == [False]
+
+
+class TestPolicyInOnePlace:
+    """Only netutil reads the transport settings; everything else passes an
+    HttpPolicy on whole."""
+
+    SETTINGS = {"offline", "rate_limiter", "tls_verify"}
+    EXEMPT = {
+        "apimill.toolgen.export_function_source",  # writes the flag into a script
+        "apimill.cli.ProjectConfig.__init__",  # the config keys the policy is built from
+    }
+
+    @staticmethod
+    def callables():
+        """Every function and method, constructors included, that apimill's
+        modules define."""
+        for info in pkgutil.iter_modules(apimill.__path__, "apimill."):
+            module = importlib.import_module(info.name)
+            for name, obj in vars(module).items():
+                if getattr(obj, "__module__", None) != info.name:
+                    continue
+                if inspect.isfunction(obj):
+                    yield f"{info.name}.{name}", obj
+                elif inspect.isclass(obj):
+                    for attr, member in vars(obj).items():
+                        if inspect.isfunction(member):
+                            yield f"{info.name}.{name}.{attr}", member
+
+    def test_only_netutil_declares_transport_settings(self):
+        found = [
+            (name, sorted(self.SETTINGS & set(inspect.signature(fn).parameters)))
+            for name, fn in self.callables()
+            if not name.startswith("apimill.netutil.") and name not in self.EXEMPT
+        ]
+        assert [hit for hit in found if hit[1]] == []
+        assert len(found) > 100  # the walk reached the package
 
 
 def test_mock_hits_equal_requests_sent(corpus, tmp_path, mock_api, monkeypatch):
@@ -308,7 +365,8 @@ class TestLazyHttpImport:
             def first():
                 start.wait()
                 response = netutil.http_request("GET", "{mock_api.base_url}/cards",
-                                                timeout=30, offline=True)
+                                                timeout=30,
+                                                http=netutil.HttpPolicy(offline=True))
                 statuses.append(response.status_code)
             threads = [threading.Thread(target=first) for _ in range(4)]
             for t in threads:

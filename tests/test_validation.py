@@ -19,7 +19,7 @@ from apimill.errors import (
 )
 from apimill.judges import HeuristicJudge
 from apimill.model import Endpoint, Parameter
-from apimill.netutil import HostRateLimiter
+from apimill.netutil import HostRateLimiter, HttpPolicy
 from apimill.toolgen import generate_tool
 from apimill.validate import (
     CAUSE_CATEGORIES,
@@ -150,7 +150,7 @@ class TestInvokeTool:
     def test_success(self, mock_api, judge):
         tool = make_tool(mock_api.base_url,
                          required=[Parameter(name="q", example_value="name:gardevoir")])
-        record = invoke_tool(tool, {"q": "name:gardevoir"}, rate_limiter=None)
+        record = invoke_tool(tool, {"q": "name:gardevoir"}, http=HttpPolicy(limiter=None))
         assert record.status_code == 200
         assert record.json_body["data"][0]["name"] == "Gardevoir"
         assert not record.retried_without_params
@@ -185,13 +185,13 @@ class TestInvokeTool:
 
     def test_offline_blocks_non_loopback(self):
         tool = make_tool("https://api.example", required=[Parameter(name="q", example_value="x")])
-        record = invoke_tool(tool, {"q": "x"}, offline=True)
+        record = invoke_tool(tool, {"q": "x"}, http=HttpPolicy(offline=True))
         assert record.transport_error is not None
         assert "offline" in record.transport_error
 
     def test_offline_allows_loopback(self, mock_api):
         tool = make_tool(mock_api.base_url)
-        record = invoke_tool(tool, {}, offline=True)
+        record = invoke_tool(tool, {}, http=HttpPolicy(offline=True))
         assert record.status_code == 200
 
     def test_one_session_per_thread(self, mock_api, monkeypatch):
@@ -288,7 +288,7 @@ class TestInvokeTool:
                 tool = make_tool(f"http://api.test:{port}")
                 requests.request("GET", f"http://api.test:{port}/cards", verify=tls_verify,
                                  timeout=tool.timeout_seconds, allow_redirects=True)
-                invoke_tool(tool, {}, tls_verify=tls_verify)
+                invoke_tool(tool, {}, http=HttpPolicy(tls_verify=tls_verify))
                 want += 2 * [{
                     "proxies": proxies if port in proxied else {},
                     "verify": ca if tls_verify else False,
@@ -391,7 +391,7 @@ class TestValidateTool:
     def test_structural_failure_skips_http(self, mock_api, judge):
         tool = make_tool(mock_api.base_url, required=[Parameter(name="q")])  # no value
         before = len(mock_api.hits)
-        report = validate_tool(tool, judge, offline=True)
+        report = validate_tool(tool, judge, http=HttpPolicy(offline=True))
         assert report.error_type is ErrorType.NO_PARAM_VALUE
         assert report.attempts == []
         assert len(mock_api.hits) == before
@@ -399,7 +399,7 @@ class TestValidateTool:
     def test_pass_with_judge_verdict(self, mock_api, judge):
         tool = make_tool(mock_api.base_url,
                          required=[Parameter(name="q", example_value="name:gardevoir")])
-        report = validate_tool(tool, judge, offline=True)
+        report = validate_tool(tool, judge, http=HttpPolicy(offline=True))
         assert report.passed and report.error_type is ErrorType.PASSED
         assert report.judge_verdict["passed"] is True
         assert report.args_used == {"q": "name:gardevoir"}
@@ -407,7 +407,7 @@ class TestValidateTool:
     def test_failed_validation_on_error_body(self, mock_api, judge):
         tool = make_tool(mock_api.base_url, path="/strict", name="Strict Search",
                          required=[Parameter(name="term", example_value="draw")])
-        report = validate_tool(tool, judge, offline=True)
+        report = validate_tool(tool, judge, http=HttpPolicy(offline=True))
         assert report.error_type is ErrorType.FAILED
         assert not report.passed
 
@@ -424,7 +424,8 @@ class TestValidateTool:
             make_tool(mock_api.base_url, required=[Parameter(name="q", example_value="x")]),
             make_tool(mock_api.base_url, path="/gone", name="Old Resource"),
         ]
-        reports = run_validation(tools, judge, width=2, offline=True, rate_limiter=None)
+        reports = run_validation(tools, judge, width=2,
+                                 http=HttpPolicy(offline=True, limiter=None))
         assert [r.tool_name for r in reports] == ["search_cards", "old_resource"]
         counts = counts_from_reports(reports)
         assert counts[ErrorType.PASSED] == 1
@@ -433,11 +434,12 @@ class TestValidateTool:
 
     def test_run_validation_none_limiter_never_waits(self, mock_api, judge, monkeypatch):
         def refuse(self, host):
-            raise AssertionError("rate_limiter=None must not throttle")
+            raise AssertionError("limiter=None must not throttle")
 
         monkeypatch.setattr(HostRateLimiter, "acquire", refuse)
         tools = [make_tool(mock_api.base_url, path="/gone", name=f"Old {i}") for i in range(3)]
-        reports = run_validation(tools, judge, width=1, offline=True, rate_limiter=None)
+        reports = run_validation(tools, judge, width=1,
+                                 http=HttpPolicy(offline=True, limiter=None))
         assert [r.error_type for r in reports] == [ErrorType.ABNORMAL] * 3
 
 
