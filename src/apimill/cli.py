@@ -361,16 +361,25 @@ def stage_evaluate(config: ProjectConfig, emb) -> None:
           f"valid ratio {report.valid_ratio:.2f}")
 
 
-def _write_tool(tools_dir: Path, tool: ToolDescriptor) -> None:
-    (tools_dir / f"{tool.tool_name}.tool.json").write_text(
+def _openapi_path(config: ProjectConfig, host: str) -> Path:
+    return config.output_dir / "exports" / f"{host.replace(':', '_')}.openapi.yaml"
+
+
+def _write_tool(config: ProjectConfig, tool: ToolDescriptor) -> None:
+    """The tool's descriptor and the Python function exported from it, into
+    tools/ and exports/, which the caller has made."""
+    (config.output_dir / "tools" / f"{tool.tool_name}.tool.json").write_text(
         json.dumps(tool.to_dict(), indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
+    )
+    (config.output_dir / "exports" / f"{tool.tool_name}.py").write_text(
+        export_function_source(tool, tls_verify=config.tls_verify), encoding="utf-8"
     )
 
 
 def stage_generate(config: ProjectConfig) -> None:
     results = _load_extraction_results(config, "generate")
     tools_dir = config.subdir("tools")
-    exports_dir = config.subdir("exports")
+    config.subdir("exports")
 
     all_tools: list = []
     unbuildable: list = []
@@ -394,17 +403,10 @@ def stage_generate(config: ProjectConfig) -> None:
             )
 
     for tool in all_tools:
-        _write_tool(tools_dir, tool)
-        (exports_dir / f"{tool.tool_name}.py").write_text(
-            export_function_source(tool, tls_verify=config.tls_verify), encoding="utf-8"
-        )
+        _write_tool(config, tool)
     _write_jsonl(tools_dir / "unbuildable.jsonl", unbuildable)
-
     for host, group in sorted(group_tools_by_host(all_tools).items()):
-        safe_host = host.replace(":", "_")
-        (exports_dir / f"{safe_host}.openapi.yaml").write_text(
-            export_openapi(group), encoding="utf-8"
-        )
+        _openapi_path(config, host).write_text(export_openapi(group), encoding="utf-8")
     print(f"generate: {len(all_tools)} tools, {len(unbuildable)} unbuildable endpoints")
 
 
@@ -451,6 +453,20 @@ def _reports_from_disk(config: ProjectConfig, stage: str) -> list:
     return [ValidationReport.from_dict(row) for row in _read_jsonl(path)]
 
 
+def _in_exported_order(path: Path, tools: list) -> list:
+    """The tools whose operations the OpenAPI file at `path` holds, in its
+    order, which is generate's; all of `tools` when there is no file.
+    Exporting them again changes only what their descriptors changed."""
+    if not path.exists():
+        return tools
+    by_name = {t.tool_name: t for t in tools}
+    # PyYAML's C loader, when it is built with one, reads it ten times faster
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    doc = yaml.load(path.read_text(encoding="utf-8"), Loader=loader)
+    names = [op["operationId"] for ops in doc["paths"].values() for op in ops.values()]
+    return [by_name[name] for name in names if name in by_name] or tools
+
+
 def stage_infer(config: ProjectConfig, judge, emb) -> None:
     tools = _load_tools(config, "infer")
     reports = _reports_from_disk(config, "infer")
@@ -459,8 +475,9 @@ def stage_infer(config: ProjectConfig, judge, emb) -> None:
     kb = build_kb(reports, tools, emb)
     kb_dir = config.subdir("kb")
     kb.save_jsonl(kb_dir / "kb.jsonl")
+    config.subdir("exports")
 
-    outcomes = []
+    outcomes, recovered = [], set()
     targets = [
         r for r in reports
         if r.error_type in (ErrorType.NO_PARAM_VALUE, ErrorType.WRONG_PARAM_VALUE)
@@ -474,8 +491,13 @@ def stage_infer(config: ProjectConfig, judge, emb) -> None:
             outcome = InferenceOutcome.failed(tool.tool_name, exc)
         outcomes.append(outcome)
         if outcome.success:
-            _write_tool(config.output_dir / "tools", tool)
+            _write_tool(config, tool)
+            recovered.add(tool.tool_name)
 
+    for host, group in sorted(group_tools_by_host(tools).items()):
+        if any(t.tool_name in recovered for t in group):
+            path = _openapi_path(config, host)
+            path.write_text(export_openapi(_in_exported_order(path, group)), encoding="utf-8")
     _write_jsonl(kb_dir / "inference.jsonl", [o.to_dict() for o in outcomes])
     fixed = sum(1 for o in outcomes if o.success)
     print(f"infer: {fixed}/{len(outcomes)} failing tools recovered; kb entries {len(kb)}")

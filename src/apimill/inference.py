@@ -12,12 +12,11 @@ import copy
 import heapq
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .embedding import distinct_texts
 from .errors import (
     BackendUnreachable,
     DimensionMismatch,
@@ -35,7 +34,6 @@ TOP_PER_CHANNEL = 5
 MAX_CANDIDATES = 10
 SIMILARITY_FLOOR = 0.5
 SIMILARITY_DECIMALS = 12
-TAIL_ROWS = 16
 MAX_COMBINATIONS = 20
 GUESS_ROUNDS = 10
 
@@ -50,32 +48,11 @@ class ParameterKbEntry:
     value: Scalar
     source_id: str
     description: Optional[str] = None
-    key_embedding: Optional[np.ndarray] = None
-    description_embedding: Optional[np.ndarray] = None
     provenance: str = "documentation"  # or "response_json"
-
-    def to_dict(self, encoded: tuple = (None, None)) -> dict:
-        """The KB row.  `encoded` may hold the key and the description
-        embedding already encoded as JSON text, to be written as they are."""
-        return {
-            "param_key": self.param_key,
-            "value": self.value,
-            "source_id": self.source_id,
-            "description": self.description,
-            "key_embedding": _embedding_field(self.key_embedding, encoded[0]),
-            "description_embedding": _embedding_field(self.description_embedding, encoded[1]),
-            "provenance": self.provenance,
-        }
 
 
 class _Json(str):
     """Text already encoded as JSON."""
-
-
-def _embedding_field(vec, text: Optional[str] = None):
-    if vec is None:
-        return None
-    return list(map(float, vec)) if text is None else _Json(text)
 
 
 # one encoder for every field: json.dumps(ensure_ascii=False) builds one per call
@@ -94,98 +71,58 @@ def _identity(entry: ParameterKbEntry) -> tuple:
     return (entry.param_key, str(entry.value), entry.source_id)
 
 
-def _row_norms(rows: np.ndarray) -> np.ndarray:
-    # einsum sums row by row, without the n x d temporary of rows * rows
-    return np.sqrt(np.einsum("ij,ij->i", rows, rows))
+class _Channel:
+    """One embedding channel: a row per distinct text, and per entry the
+    row of its text, -1 when the entry has none."""
 
+    def __init__(self):
+        self.slot: dict = {}  # text -> row
+        self.rows: Optional[np.ndarray] = None  # (distinct texts, d) float64
+        self.norms = np.empty(0)
+        self.row = np.empty(0, dtype=np.intp)  # parallel to the KB's entries
 
-@dataclass
-class _Block:
-    """Stacked embedding rows of one channel, with their norms, and the KB
-    entries they embed: member j is entry `index[j]`, embedded by row
-    `row[j]`.  Only the first `size` members are filled."""
+    def append(self, texts: list, unseen: list, vectors) -> None:
+        """Take the rows of the `unseen` texts, then one row index per text."""
+        if unseen:
+            for text in unseen:
+                self.slot[text] = len(self.slot)
+            self.rows = vectors if self.rows is None else np.concatenate((self.rows, vectors))
+            # einsum sums row by row, without the n x d temporary of rows * rows
+            norms = np.sqrt(np.einsum("ij,ij->i", vectors, vectors))
+            self.norms = np.concatenate((self.norms, norms))
+        row = [-1 if text is None else self.slot[text] for text in texts]
+        self.row = np.concatenate((self.row, np.asarray(row, dtype=np.intp)))
 
-    rows: np.ndarray  # (r, d) float64
-    norms: np.ndarray
-    index: np.ndarray
-    row: np.ndarray
-    size: int
-
-    @classmethod
-    def of(cls, rows, index, row) -> "_Block":
-        rows = np.asarray(rows, dtype=np.float64)
-        return cls(rows, _row_norms(rows), index, row, len(index))
-
-    @classmethod
-    def empty(cls, capacity: int, dim: int) -> "_Block":
-        """A block that `push` fills one member and one row at a time."""
-        return cls(np.zeros((capacity, dim)), np.zeros(capacity),
-                   np.zeros(capacity, dtype=np.intp), np.arange(capacity, dtype=np.intp), 0)
-
-    def push(self, vec: np.ndarray, entry_index: int) -> np.ndarray:
-        """Write the next member's row; return the view of it."""
-        i = self.size
-        self.rows[i] = vec
-        self.norms[i : i + 1] = _row_norms(self.rows[i : i + 1])
-        self.index[i] = entry_index
-        self.size += 1
-        return self.rows[i]
+    def encoded(self) -> list:
+        """Per entry, its vector as JSON text, None where it has none; each
+        row is encoded once however many entries share it."""
+        rows = [] if self.rows is None else [_Json(_encode(v)) for v in self.rows.tolist()]
+        return [rows[r] if r >= 0 else None for r in self.row.tolist()]
 
 
 class KnowledgeBase:
     """Append-only store of verified parameter values, deduplicated on
     (param_key, value, source_id).
 
-    The KB owns its embeddings.  Each channel ("key", "description") is a
-    list of stacked row blocks, and every entry's `key_embedding` and
-    `description_embedding` are row views into those blocks, never copies.
-    `extend` embeds each distinct text once, so entries that share a key or
-    a description share its row.  `add` writes its entry's vectors into a
-    tail block whose capacity doubles from TAIL_ROWS, so entries added one
-    at a time cost a few blocks, not one block each.
+    The KB owns the embeddings.  Each channel ("key", "description") holds
+    one float64 row per distinct text, embedded once however many entries
+    and `extend` calls share it, and maps every entry to its text's row.
+    Every row has the width of the first vectors the KB took.
     """
 
     def __init__(self):
         self.entries: list = []
         self._seen: set = set()
         self._source_ids: list = []  # parallel to entries
-        self._blocks: dict = {"key": [], "description": []}
-        self._tails: dict = {}  # channel -> the block `add` writes into
+        self._channels = {"key": _Channel(), "description": _Channel()}
+        self._width: Optional[int] = None  # of every vector; the first ones set it
 
     def __len__(self) -> int:
         return len(self.entries)
 
-    def _append(self, entries: list) -> int:
-        """Hold the entries; return the KB index of the first."""
-        start = len(self.entries)
-        for entry in entries:
-            self._seen.add(_identity(entry))
-            self.entries.append(entry)
-            self._source_ids.append(entry.source_id)
-        return start
-
-    def add(self, entry: ParameterKbEntry) -> bool:
-        """Add one entry with the embeddings it carries."""
-        if _identity(entry) in self._seen:
-            return False
-        index = self._append([entry])
-        for channel in self._blocks:
-            attr = f"{channel}_embedding"
-            vec = getattr(entry, attr)
-            if vec is None:
-                continue
-            vec = np.asarray(vec, dtype=np.float64).ravel()
-            tail = self._tails.get(channel)
-            if tail is None or tail.size == len(tail.index) or tail.rows.shape[1] != len(vec):
-                capacity = TAIL_ROWS if tail is None else 2 * len(tail.index)
-                tail = self._tails[channel] = _Block.empty(capacity, len(vec))
-                self._blocks[channel].append(tail)
-            setattr(entry, attr, tail.push(vec, index))
-        return True
-
     def extend(self, entries: list, emb) -> None:
         """Add the entries not yet held, first occurrence first, embedding
-        their keys and descriptions with `emb`; one block per channel."""
+        with `emb` the keys and descriptions that have no row yet."""
         fresh: dict = {}
         for entry in entries:
             identity = _identity(entry)
@@ -194,57 +131,48 @@ class KnowledgeBase:
         entries = list(fresh.values())
         if not entries:
             return
-        described = [j for j, e in enumerate(entries) if e.description]
-        channels = [("key", range(len(entries)), [e.param_key for e in entries])]
-        if described:
-            channels.append(
-                ("description", described, [entries[j].description for j in described])
-            )
         # embed everything before the KB changes, so a failure leaves it whole
-        embedded = []
-        for channel, members, texts in channels:
-            distinct, row = distinct_texts(texts)
-            embedded.append((channel, members, emb.embed(distinct), row))
-        first = self._append(entries)
+        pending, width = [], self._width
+        for name, texts in (("key", [e.param_key for e in entries]),
+                            ("description", [e.description or None for e in entries])):
+            channel = self._channels[name]
+            unseen = [t for t in dict.fromkeys(texts) if t is not None and t not in channel.slot]
+            vectors = None
+            if unseen:
+                vectors = np.asarray(emb.embed(unseen), dtype=np.float64)
+                width = vectors.shape[1] if width is None else width
+                if vectors.shape[1] != width:
+                    raise DimensionMismatch(got=vectors.shape[1], expected=width)
+            pending.append((channel, texts, unseen, vectors))
+        self._width = width
         for entry in entries:
-            if not entry.description:
-                # no block holds a vector for it, so `nearest` could never see one
-                entry.description_embedding = None
-        for channel, members, rows, row in embedded:
-            index = first + np.asarray(members, dtype=np.intp)
-            block = _Block.of(rows, index, row)
-            self._blocks[channel].append(block)
-            for j, r in zip(members, row.tolist()):
-                setattr(entries[j], f"{channel}_embedding", block.rows[r])
+            self._seen.add(_identity(entry))
+            self.entries.append(entry)
+            self._source_ids.append(entry.source_id)
+        for channel, texts, unseen, vectors in pending:
+            channel.append(texts, unseen, vectors)
 
     def nearest(self, channel: str, query, k: int, include=None) -> tuple:
         """The k entries of `channel` closest to `query` by cosine
         similarity, as (similarities, entry indices), best first.
 
+        One matrix-vector product scores the channel's distinct texts.
         Similarities are rounded to SIMILARITY_DECIMALS places before
         ranking, so that ties go to the earlier entry however the products
         were summed.  A zero vector has similarity 0.0.  `include` is a
-        boolean mask over entries; blocks it leaves empty are skipped.
+        boolean mask over entries.
         """
+        ch = self._channels[channel]
         q = np.asarray(query, dtype=np.float64).ravel()
-        q_norm = np.linalg.norm(q)
-        sims, indices = [], []
-        for block in self._blocks[channel]:
-            index = block.index[: block.size]
-            if include is not None and not include[index].any():
-                continue
-            if block.rows.shape[1] != q.shape[0]:
-                raise DimensionMismatch(got=block.rows.shape[1], expected=q.shape[0])
-            denom = block.norms * q_norm
-            row_sims = np.divide(block.rows @ q, denom, out=np.zeros_like(denom), where=denom > 0)
-            sims.append(np.round(row_sims, SIMILARITY_DECIMALS)[block.row[: block.size]])
-            indices.append(index)
-        if not sims:
+        if ch.rows is None:
             return np.empty(0), np.empty(0, dtype=np.intp)
-        sims, index = np.concatenate(sims), np.concatenate(indices)
-        if include is not None:
-            keep = include[index]
-            sims, index = sims[keep], index[keep]
+        if ch.rows.shape[1] != q.shape[0]:
+            raise DimensionMismatch(got=ch.rows.shape[1], expected=q.shape[0])
+        denom = ch.norms * np.linalg.norm(q)
+        row_sims = np.divide(ch.rows @ q, denom, out=np.zeros_like(denom), where=denom > 0)
+        held = ch.row >= 0
+        index = np.flatnonzero(held if include is None else held & include)
+        sims = np.round(row_sims, SIMILARITY_DECIMALS)[ch.row[index]]
         if len(sims) > k:
             kth = np.partition(sims, len(sims) - k)[len(sims) - k]
             keep = sims >= kth  # ties at the kth value are settled by lexsort
@@ -262,24 +190,20 @@ class KnowledgeBase:
             dtype=bool, count=len(self._source_ids),
         )
 
-    def _embedding_texts(self, channel: str) -> list:
-        """Per entry, the JSON text of its `channel` row, None where no block
-        holds one; each row is encoded once, however many entries share it."""
-        texts = [None] * len(self.entries)
-        for block in self._blocks[channel]:
-            encoded: dict = {}
-            for i, r in zip(block.index[: block.size].tolist(), block.row[: block.size].tolist()):
-                if r not in encoded:
-                    encoded[r] = json.dumps(_embedding_field(block.rows[r]))
-                texts[i] = encoded[r]
-        return texts
-
     def save_jsonl(self, path) -> None:
-        """One `to_dict` row per entry, as JSON."""
-        rows = zip(self._embedding_texts("key"), self._embedding_texts("description"))
+        """One JSON row per entry: its fields and its two vectors."""
+        vectors = zip(*(channel.encoded() for channel in self._channels.values()))
         with open(path, "w", encoding="utf-8") as fh:
-            for entry, encoded in zip(self.entries, rows):
-                fh.write(_json_line(entry.to_dict(encoded)) + "\n")
+            for entry, (key_vec, description_vec) in zip(self.entries, vectors):
+                fh.write(_json_line({
+                    "param_key": entry.param_key,
+                    "value": entry.value,
+                    "source_id": entry.source_id,
+                    "description": entry.description,
+                    "key_embedding": key_vec,
+                    "description_embedding": description_vec,
+                    "provenance": entry.provenance,
+                }) + "\n")
 
 
 def harvest_response_values(json_body) -> list:
@@ -511,21 +435,16 @@ def infer_parameters(
             by_name = {a.name: a for a in tool.args}
             for name, value in values.items():
                 by_name[name].example_value = value
-                kb.add(
-                    ParameterKbEntry(
-                        param_key=name,
-                        value=value,
-                        source_id=tool.source_id,
-                        description=by_name[name].description,
-                        key_embedding=emb.embed_one(name),
-                        description_embedding=(
-                            emb.embed_one(by_name[name].description)
-                            if by_name[name].description
-                            else None
-                        ),
-                        provenance="documentation",
-                    )
+            kb.extend([
+                ParameterKbEntry(
+                    param_key=name,
+                    value=value,
+                    source_id=tool.source_id,
+                    description=by_name[name].description,
+                    provenance="documentation",
                 )
+                for name, value in values.items()
+            ], emb)
             return InferenceOutcome(
                 tool.tool_name,
                 True,

@@ -7,6 +7,7 @@ import yaml
 
 from apimill.cli import load_config, main, make_judge
 from apimill.errors import BackendUnreachable, ConfigInvalid
+from apimill.toolgen import ToolDescriptor, export_function_source
 from apimill.validate import InvocationRecord, judge_response
 from conftest import DATA_DIR, make_config
 
@@ -173,6 +174,19 @@ class TestFullRun:
         (name_arg,) = [a for a in tool["args"] if a["name"] == "name"]
         assert name_arg["example_value"]  # written back and saved
         assert (out / "kb" / "kb.jsonl").read_text().strip()
+        # the exports follow the descriptors, the ones infer rewrote too
+        for path in (out / "tools").glob("*.tool.json"):
+            descriptor = ToolDescriptor.from_dict(json.loads(path.read_text()))
+            exported = (out / "exports" / f"{descriptor.tool_name}.py").read_text()
+            assert exported == export_function_source(descriptor)
+        client = (out / "exports" / "find_trainer.py").read_text()
+        assert "find_trainer(name='''Gardevoir''')" in client
+        (openapi,) = (out / "exports").glob("*.openapi.yaml")
+        paths = yaml.safe_load(openapi.read_text())["paths"]
+        (operation,) = [op for ops in paths.values() for op in ops.values()
+                        if op["operationId"] == "find_trainer"]
+        (name_param,) = [p for p in operation["parameters"] if p["name"] == "name"]
+        assert name_param["example"] == "Gardevoir"
 
     def test_report_rollup(self, full_run):
         _, out = full_run

@@ -21,7 +21,6 @@ from apimill.inference import (
     MAX_CANDIDATES,
     SIMILARITY_DECIMALS,
     SIMILARITY_FLOOR,
-    TAIL_ROWS,
     TOP_PER_CHANNEL,
     Candidate,
     InferenceOutcome,
@@ -67,40 +66,61 @@ class TestHarvest:
         assert harvest_response_values("just a string") == []
 
 
+def kb_vector(kb, channel, i):
+    """Entry i's `channel` vector as the KB holds it, None where it has none."""
+    ch = kb._channels[channel]
+    return None if ch.row[i] < 0 else ch.rows[ch.row[i]]
+
+
+class CountingEmbedding(LexicalEmbedding):
+    """Lexical embedding that records every text it is asked to embed."""
+
+    def __init__(self):
+        super().__init__()
+        self.texts = []
+
+    def embed_one(self, text):
+        self.texts.append(text)
+        return super().embed_one(text)
+
+
 class TestKnowledgeBase:
-    def test_dedupe_on_key_value_source(self):
+    def test_dedupe_on_key_value_source(self, emb):
         kb = KnowledgeBase()
-        e = ParameterKbEntry(param_key="q", value="x", source_id="s")
-        assert kb.add(e) is True
-        assert kb.add(ParameterKbEntry(param_key="q", value="x", source_id="s")) is False
-        assert kb.add(ParameterKbEntry(param_key="q", value="x", source_id="other")) is True
-        assert kb.add(ParameterKbEntry(param_key="q", value="y", source_id="s")) is True
+        kb.extend([ParameterKbEntry(param_key="q", value="x", source_id="s")], emb)
+        kb.extend([
+            ParameterKbEntry(param_key="q", value="x", source_id="s"),  # held already
+            ParameterKbEntry(param_key="q", value="x", source_id="other"),
+            ParameterKbEntry(param_key="q", value="y", source_id="s"),
+            ParameterKbEntry(param_key="q", value="y", source_id="s", description="a copy"),
+        ], emb)
+        assert [(e.value, e.source_id, e.description) for e in kb.entries] == [
+            ("x", "s", None), ("x", "other", None), ("y", "s", None),
+        ]
         assert len(kb) == 3
 
     def test_save_jsonl(self, tmp_path, emb):
         kb = KnowledgeBase()
-        kb.add(ParameterKbEntry(
-            param_key="q", value="x", source_id="s",
-            key_embedding=emb.embed_one("q"),
-        ))
+        kb.extend([ParameterKbEntry(param_key="q", value="x", source_id="s")], emb)
         path = tmp_path / "kb.jsonl"
         kb.save_jsonl(path)
         row = json.loads(path.read_text().splitlines()[0])
         assert row["param_key"] == "q"
-        assert isinstance(row["key_embedding"], list)
+        assert row["key_embedding"] == emb.embed_one("q").tolist()
         assert row["description_embedding"] is None
 
     def test_extend_drops_vector_of_missing_description(self, tmp_path, emb):
         kb = KnowledgeBase()
-        kb.extend([ParameterKbEntry(
-            param_key="q", value="x", source_id="s",
-            description_embedding=emb.embed_one("query text"),
-        )], emb)
-        assert kb._blocks["description"] == []
-        assert kb.entries[0].description_embedding is None
+        kb.extend([
+            ParameterKbEntry(param_key="q", value="x", source_id="s"),
+            ParameterKbEntry(param_key="q", value="y", source_id="s", description=""),
+        ], emb)
+        assert kb._channels["description"].rows is None
+        assert kb_vector(kb, "description", 0) is None and kb_vector(kb, "description", 1) is None
         path = tmp_path / "kb.jsonl"
         kb.save_jsonl(path)
-        assert json.loads(path.read_text())["description_embedding"] is None
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [r["description_embedding"] for r in rows] == [None, None]
 
     def test_save_jsonl_bytes_match_per_entry_encoding(self, tmp_path, emb):
         def batch(source):
@@ -119,22 +139,87 @@ class TestKnowledgeBase:
         kb = KnowledgeBase()
         kb.extend(batch("a"), emb)
         kb.extend(batch("b"), emb)
-        for i in range(TAIL_ROWS + 3):  # the adds outgrow the first tail block
+        for i in range(19):  # one entry per call, as inference adds them
             desc = f"added {i % 2}" if i % 3 else None
-            kb.add(ParameterKbEntry(
+            kb.extend([ParameterKbEntry(
                 param_key=f"k{i % 4}", value=i, source_id="c", description=desc,
-                key_embedding=emb.embed_one(f"k{i % 4}"),
-                description_embedding=emb.embed_one(desc) if desc else None,
-            ))
-        assert len(kb._blocks["key"]) == 4 and len(kb._blocks["description"]) == 3
+            )], emb)
         path = tmp_path / "kb.jsonl"
         kb.save_jsonl(path)
-        want = "".join(json.dumps(e.to_dict(), ensure_ascii=False) + "\n" for e in kb.entries)
+
+        def vector(text):
+            return list(map(float, emb.embed_one(text))) if text else None
+
+        want = "".join(
+            json.dumps({
+                "param_key": e.param_key, "value": e.value, "source_id": e.source_id,
+                "description": e.description, "key_embedding": vector(e.param_key),
+                "description_embedding": vector(e.description), "provenance": e.provenance,
+            }, ensure_ascii=False) + "\n"
+            for e in kb.entries
+        )
         assert path.read_bytes() == want.encode("utf-8")
-        for channel in ("key", "description"):  # every row, tail blocks too, came from a block
-            assert [t is None for t in kb._embedding_texts(channel)] == [
-                getattr(e, f"{channel}_embedding") is None for e in kb.entries
-            ]
+
+    def test_one_row_per_distinct_text_across_extends(self, emb):
+        kb = KnowledgeBase()
+        calls = [
+            [("id", 1, "the id"), ("id", 2, "the id"), ("name", "a", None)],
+            [("id", 3, "the id"), ("name", "b", "a name")],
+            [("name", "c", "a name")],
+            [("id", 4, None), ("page", 5, "the id")],
+        ]
+        for n, rows in enumerate(calls):
+            kb.extend([
+                ParameterKbEntry(param_key=key, value=value, source_id=f"s{n}", description=desc)
+                for key, value, desc in rows
+            ], emb)
+        for channel, texts in (("key", ["id", "name", "page"]),
+                               ("description", ["the id", "a name"])):
+            ch = kb._channels[channel]
+            assert list(ch.slot) == texts
+            assert ch.rows.shape == (len(texts), emb.dimension)
+            assert ch.norms.shape == (len(texts),)
+        for i, entry in enumerate(kb.entries):
+            assert np.array_equal(kb_vector(kb, "key", i), emb.embed_one(entry.param_key))
+            if entry.description:
+                assert np.array_equal(kb_vector(kb, "description", i),
+                                      emb.embed_one(entry.description))
+            else:
+                assert kb_vector(kb, "description", i) is None
+
+    def test_held_texts_are_not_embedded_again(self):
+        counting = CountingEmbedding()
+        kb = KnowledgeBase()
+        kb.extend([
+            ParameterKbEntry(param_key="id", value=1, source_id="a", description="the id"),
+            ParameterKbEntry(param_key="id", value=2, source_id="a", description="the id"),
+        ], counting)
+        assert counting.texts == ["id", "the id"]
+        kb.extend([
+            ParameterKbEntry(param_key="id", value=3, source_id="b", description="the id"),
+            ParameterKbEntry(param_key="name", value="x", source_id="b", description="the id"),
+        ], counting)
+        kb.extend([ParameterKbEntry(param_key="id", value=4, source_id="c")], counting)
+        assert counting.texts == ["id", "the id", "name"]
+        assert len(kb) == 5
+
+    def test_failed_embedding_leaves_kb_whole(self, emb):
+        class FailsOnDescriptions(LexicalEmbedding):
+            def embed(self, texts):
+                if "the id" in texts:
+                    raise BackendUnreachable("down")
+                return super().embed(texts)
+
+        kb = KnowledgeBase()
+        kb.extend([ParameterKbEntry(param_key="id", value=1, source_id="a")], emb)
+        with pytest.raises(BackendUnreachable):
+            kb.extend([ParameterKbEntry(param_key="name", value=2, source_id="a",
+                                        description="the id")], FailsOnDescriptions())
+        assert len(kb) == 1 and list(kb._channels["key"].slot) == ["id"]
+        assert len(kb._channels["key"].row) == 1
+        kb.extend([ParameterKbEntry(param_key="name", value=2, source_id="a",
+                                    description="the id")], emb)
+        assert len(kb) == 2 and list(kb._channels["key"].slot) == ["id", "name"]
 
 
 def scripted_report(tool, error_type, json_body=None):
@@ -171,10 +256,10 @@ class TestBuildKb:
         by_key = {(e.param_key, e.provenance) for e in kb.entries}
         assert ("q", "documentation") in by_key
         assert ("token", "response_json") in by_key
-        for entry in kb.entries:
-            assert entry.key_embedding is not None
-        doc_entry = next(e for e in kb.entries if e.provenance == "documentation")
-        assert doc_entry.description_embedding is not None
+        for i in range(len(kb)):
+            assert kb_vector(kb, "key", i) is not None
+        doc_index = next(i for i, e in enumerate(kb.entries) if e.provenance == "documentation")
+        assert kb_vector(kb, "description", doc_index) is not None
 
     def test_failing_tools_contribute_nothing(self, emb):
         tool = self.make_tool()
@@ -192,38 +277,32 @@ class TestBuildKb:
         assert [(e.param_key, e.value) for e in kb.entries] == [
             ("q", "hello"), ("token", "abc123"), ("token", "xyz"),
         ]
-        (key_block,) = kb._blocks["key"]
-        (desc_block,) = kb._blocks["description"]
-        assert len(key_block.rows) == 2  # one row per distinct key text
-        for entry in kb.entries:
-            assert np.shares_memory(entry.key_embedding, key_block.rows)
-            assert np.array_equal(entry.key_embedding, emb.embed_one(entry.param_key))
-        _, abc, xyz = kb.entries
-        assert np.shares_memory(abc.key_embedding, xyz.key_embedding)
-        doc_entry = next(e for e in kb.entries if e.description)
-        assert np.shares_memory(doc_entry.description_embedding, desc_block.rows)
+        keys, descriptions = kb._channels["key"], kb._channels["description"]
+        assert len(keys.rows) == 2  # one row per distinct key text
+        assert keys.row.tolist() == [0, 1, 1]  # both token entries share its row
+        assert descriptions.row.tolist() == [0, -1, -1]
+        for i, entry in enumerate(kb.entries):
+            assert np.array_equal(kb_vector(kb, "key", i), emb.embed_one(entry.param_key))
+        assert np.array_equal(kb_vector(kb, "description", 0), emb.embed_one("query text"))
 
         for i in range(3):
-            kb.add(ParameterKbEntry(
-                param_key="later", value=i, source_id="s",
-                key_embedding=emb.embed_one(f"later {i}"),
-            ))
-        assert len(kb._blocks["key"]) == 2  # one tail block takes every add
-        tail = kb._blocks["key"][-1]
-        for i, entry in enumerate(kb.entries[-3:]):
-            assert np.shares_memory(entry.key_embedding, tail.rows)
-            assert np.array_equal(entry.key_embedding, emb.embed_one(f"later {i}"))
+            kb.extend([ParameterKbEntry(param_key=f"later {i}", value=i, source_id="s")], emb)
+        kb.extend([ParameterKbEntry(param_key="token", value="new", source_id="s")], emb)
+        # one matrix takes every call's new texts; a held text keeps its row
+        assert list(keys.slot) == ["q", "token", "later 0", "later 1", "later 2"]
+        assert keys.rows.shape == (5, emb.dimension)
+        assert keys.row.tolist() == [0, 1, 1, 2, 3, 4, 1]
+        for i, entry in enumerate(kb.entries[3:], start=3):
+            assert np.array_equal(kb_vector(kb, "key", i), emb.embed_one(entry.param_key))
 
 
 class TestRetrieveCandidates:
     def kb_with(self, emb, rows):
         kb = KnowledgeBase()
         for key, value, source, desc in rows:
-            kb.add(ParameterKbEntry(
+            kb.extend([ParameterKbEntry(
                 param_key=key, value=value, source_id=source, description=desc,
-                key_embedding=emb.embed_one(key),
-                description_embedding=emb.embed_one(desc) if desc else None,
-            ))
+            )], emb)
         return kb
 
     def test_exact_key_match_tops(self, emb):
@@ -277,12 +356,14 @@ class TestRetrieveCandidates:
         assert retrieve_candidates(
             arg, kb, LexicalEmbedding(dimension=64), exclude_source="a"
         ) == []
-        kb.add(ParameterKbEntry(
-            param_key="q", value="y", source_id="b",
-            key_embedding=LexicalEmbedding(dimension=64).embed_one("q"),
-        ))
-        with pytest.raises(DimensionMismatch):
-            retrieve_candidates(arg, kb, emb)
+        # vectors of another width never enter the KB, in either channel
+        for entry in (ParameterKbEntry(param_key="q2", value="y", source_id="b"),
+                      ParameterKbEntry(param_key="q", value="y", source_id="b",
+                                       description="a new text")):
+            with pytest.raises(DimensionMismatch):
+                kb.extend([entry], LexicalEmbedding(dimension=64))
+        assert len(kb) == 1 and kb._channels["description"].rows is None
+        assert [c.entry.value for c in retrieve_candidates(arg, kb, emb)] == ["x"]
 
     def test_cap_ten(self, emb):
         rows = [(f"query_{i}", f"v{i}", "a", None) for i in range(30)]
@@ -380,7 +461,8 @@ class TestRankCombinations:
 
 def loop_retrieve(param, kb, emb, exclude_source=None):
     """The per-entry loop retrieve_candidates replaced, kept as the
-    reference, with the same rounding of similarities."""
+    reference, with the same rounding of similarities; each entry's vectors
+    are embedded from its own texts."""
     pool = [
         (i, e) for i, e in enumerate(kb.entries)
         if exclude_source is None or e.source_id != exclude_source
@@ -403,15 +485,12 @@ def loop_retrieve(param, kb, emb, exclude_source=None):
     if param.description:
         query = emb.embed_one(param.description)
         described = [
-            (sim(query, e.description_embedding), i, e)
-            for i, e in pool if e.description_embedding is not None
+            (sim(query, emb.embed_one(e.description)), i, e) for i, e in pool if e.description
         ]
         if described:
             consider(described)
     query = emb.embed_one(param.name)
-    keyed = [(sim(query, e.key_embedding), i, e) for i, e in pool if e.key_embedding is not None]
-    if keyed:
-        consider(keyed)
+    consider([(sim(query, emb.embed_one(e.param_key)), i, e) for i, e in pool])
     survivors = [
         Candidate(entry=entry, similarity=s)
         for s, idx, entry in sorted(best.values(), key=lambda t: (-t[0], t[1]))
@@ -447,8 +526,6 @@ kb_row = st.tuples(
     st.integers(0, 3),                          # value
     st.sampled_from(["a", "b", "c"]),           # source
     st.booleans(),                              # described
-    st.one_of(st.none(), vector),               # key embedding when added alone
-    vector,                                     # description embedding, likewise
 )
 
 
@@ -471,18 +548,14 @@ class TestRetrievalOracle:
                 param_key=key, value=value, source_id=source,
                 description=f"about {key}" if described else None,
             )
-            for key, value, source, described, _, _ in rows
+            for key, value, source, described in rows
         ]
         kb = KnowledgeBase()
-        # a leading share is embedded by text, as build_kb does; the rest
-        # arrive one at a time with vectors of their own, as inference adds
+        # a leading share in one call, as build_kb adds them; the rest one
+        # call each, as inference adds them
         kb.extend(entries[:extended], emb)
-        for entry, (_, _, _, described, key_vec, desc_vec_own) in list(
-            zip(entries, rows)
-        )[extended:]:
-            entry.key_embedding = None if key_vec is None else np.array(key_vec)
-            entry.description_embedding = np.array(desc_vec_own) if described else None
-            kb.add(entry)
+        for entry in entries[extended:]:
+            kb.extend([entry], emb)
 
         param = SimpleNamespace(name="target", description="target text" if desc_vec else None)
         got = retrieve_candidates(param, kb, emb, exclude_source=exclude)
@@ -533,11 +606,10 @@ class TestInferParameters:
 
     def test_exhausted_counts_attempts(self, mock_api, judge, emb):
         kb = KnowledgeBase()
-        for i, wrong in enumerate(["BAD1", "BAD2", "BAD3"]):
-            kb.add(ParameterKbEntry(
-                param_key="glytoucan_id", value=wrong, source_id=f"s{i}",
-                key_embedding=emb.embed_one("glytoucan_id"),
-            ))
+        kb.extend([
+            ParameterKbEntry(param_key="glytoucan_id", value=wrong, source_id=f"s{i}")
+            for i, wrong in enumerate(["BAD1", "BAD2", "BAD3"])
+        ], emb)
         tool = generate_tool(
             Endpoint(name="Get Glycan", method="GET", url=f"{mock_api.base_url}/glycan",
                      required_parameters=[Parameter(name="glytoucan_id")]),

@@ -4,7 +4,7 @@ import re
 import time
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from apimill.errors import EmptyDocument, FetchFailed, OfflineViolation
@@ -112,14 +112,15 @@ needs_oracle_parser = pytest.mark.skipif(
 
 
 def _unfinished_tag_read_differently(markup: str) -> bool:
-    """Some start tag's markup runs past the next `>`, or holds a NUL and
-    an entity with no `>` after it: where html.parser finds that tag
-    unfinished, dehtml's text runs to where the markup stops, and the two
-    may differ (conservative: any `<letter` counts)."""
+    """Some start tag's markup runs past the next `>`, or it holds or is
+    followed by a NUL and there is an entity and no `>` after it: where
+    html.parser finds that tag unfinished, dehtml's text runs to where the
+    markup stops, and the two may differ (conservative: any `<letter`
+    counts)."""
     for m in re.finditer("<[a-zA-Z]", markup):
         stop = html.parser.locatestarttagend_tolerant.match(markup, m.start()).end()
         gt = markup.find(">", m.start() + 1)
-        if 0 <= gt < stop - 1 or gt < 0 and "\x00" in markup[m.start():stop] and "&" in markup:
+        if 0 <= gt < stop - 1 or gt < 0 and "\x00" in markup[m.start():stop + 1] and "&" in markup:
             return True
     return False
 
@@ -237,6 +238,7 @@ class TestDehtml:
     @needs_oracle_parser
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
     @given(_MALFORMED)
+    @example("<<a&amp;<a\x00")  # the tag's match stops just before the NUL
     def test_matches_html_parser_on_broken_markup(self, markup):
         try:
             expected = oracle_dehtml(markup)
@@ -254,6 +256,7 @@ class TestDehtml:
         ('<a b="x><p>y" c', '<a b="x><p>y" c'),
         # html.parser: '<c&amp;' left as it is, before the NUL
         ("<a b <c&amp;\x00 d", "<a b <c&\x00 d"),
+        ("<<a&amp;<a\x00", "<<a&<a\x00"),
         # html.parser raises AssertionError on these
         ("a<![x]>b", "ab"),
         ("a<![ x]>b", "ab"),
