@@ -460,11 +460,9 @@ def _in_exported_order(path: Path, tools: list) -> list:
     if not path.exists():
         return tools
     by_name = {t.tool_name: t for t in tools}
-    # PyYAML's C loader, when it is built with one, reads it ten times faster
-    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-    doc = yaml.load(path.read_text(encoding="utf-8"), Loader=loader)
+    doc = yaml.safe_load(path.read_text(encoding="utf-8"))
     names = [op["operationId"] for ops in doc["paths"].values() for op in ops.values()]
-    return [by_name[name] for name in names if name in by_name] or tools
+    return [by_name[name] for name in names if name in by_name]
 
 
 def stage_infer(config: ProjectConfig, judge, emb) -> None:
