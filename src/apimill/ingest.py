@@ -221,9 +221,10 @@ def load_page(origin: str, timeout: float = 30.0, http: HttpPolicy = HttpPolicy(
     if origin.startswith(("http://", "https://")):
         try:
             resp = http_request("GET", origin, timeout=timeout, http=http)
-            resp.raise_for_status()
         except Exception as exc:  # noqa: BLE001 - every fetch failure maps the same way
             raise FetchFailed(origin, str(exc)) from exc
+        if resp.status_code >= 400:
+            raise FetchFailed(origin, f"HTTP status {resp.status_code}")
         raw, truncated = resp.text, resp.truncated
     else:
         try:

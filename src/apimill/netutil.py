@@ -1,25 +1,21 @@
 """Shared networking plumbing: politeness limits, thread pools, and the one
-outbound HTTP path, `http_request`.
-
-`requests` (and with it urllib3, ssl and charset_normalizer) loads on the
-first request, not with this module, so a run that sends none never pays
-for it.
-"""
+outbound HTTP path, `http_request`, over `http.client`; that, `ssl` and
+`urllib.request` load on the first request, so a run that sends none never pays."""
 
 from __future__ import annotations
 
 import ipaddress
+import json as _json
+import os
+import re
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
-from urllib.parse import urlsplit
+from typing import Callable, Optional, Sequence
+from urllib.parse import quote, urljoin, urlsplit
 
 from .errors import OfflineViolation, TransportFailed
-
-if TYPE_CHECKING:
-    import requests
 
 # The most bytes of a response body, or of a page file, ever read.  The
 # largest legitimate body is a remote embedding batch: 128 texts of 3,072
@@ -28,6 +24,9 @@ if TYPE_CHECKING:
 # body costs at most this much memory per in-flight request.
 MAX_BODY_BYTES = 16 * 1024 * 1024
 _CHUNK_BYTES = 64 * 1024
+# escape -> character, for the characters an escape never needs to hide
+_UNRESERVED = {f"%{ord(c):02X}": c
+               for c in "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789-._~"}
 
 
 class HostRateLimiter:
@@ -81,102 +80,141 @@ def is_loopback_url(url: str) -> bool:
 def run_pool(fn: Callable, items: Sequence, width: int = 4) -> list:
     """Map fn over items on a bounded thread pool, preserving input order."""
     items = list(items)
-    if not items:
-        return []
-    width = max(1, min(width, len(items)))
-    if width == 1:
+    width = min(width, len(items))
+    if width <= 1:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=width) as pool:
         return list(pool.map(fn, items))
 
 
-# (scheme, hostname, port, verify) -> the environment settings requests
-# merges into a request to that origin; filled once per origin per process
-_ENV_SETTINGS: dict = {}
+@dataclass(frozen=True)
+class HttpResponse:
+    """A status, at most MAX_BODY_BYTES of the body, and its charset."""
+
+    status_code: int
+    content: bytes
+    truncated: bool = False  # the server sent more than `content` holds
+    charset: Optional[str] = None
+
+    @property
+    def text(self) -> str:
+        try:  # with the charset named, else UTF-8; bad bytes become U+FFFD
+            return self.content.decode(self.charset or "utf-8", errors="replace")
+        except LookupError:  # no such codec, or not a text one
+            return self.content.decode("utf-8", errors="replace")
+
+
+def _requote(uri: str) -> str:
+    """`uri` as `requests.utils.requote_uri` quotes it, with escapes in upper case."""
+    if re.search(r"%(?![0-9A-Fa-f]{2})[^\W_]{2}", uri):  # not an escape: every % is literal
+        return quote(uri, safe="!#$&'()*+,/:;=?@[]~")
+    uri = re.sub(r"%[0-9A-Fa-f]{2}", lambda m: _UNRESERVED.get(m[0].upper(), m[0].upper()), uri)
+    return quote(uri, safe="!#$%&'()*+,/:;=?@[]~")
+
+
+class _Connections(dict):
+    """A thread's kept-alive connections, closed when the thread ends."""
+
+    def __del__(self):
+        for conn in self.values():
+            conn.close()
+
+
 _local = threading.local()
-_session_class_lock = threading.Lock()
 
 
-def _build_session_class() -> type:
-    import requests
-
-    class _Session(requests.Session):
-        """A Session that reads the proxy and CA-bundle environment once per
-        origin.  `http_request`, its only caller, passes no proxies or cert and
-        always streams, so the origin and `verify` decide the settings."""
-
-        def merge_environment_settings(self, url, proxies, stream, verify, cert):
-            parts = urlsplit(url)
-            key = (parts.scheme, parts.hostname, parts.port, verify)
-            settings = _ENV_SETTINGS.get(key)
-            if settings is None:
-                # two threads may both compute it; they compute the same value
-                settings = _ENV_SETTINGS.setdefault(
-                    key, super().merge_environment_settings(url, proxies, stream, verify, cert)
-                )
-            # every thread reads the memo: each request gets a proxies dict of its own
-            return {**settings, "proxies": dict(settings["proxies"])}
-
-    return _Session
-
-
-def _session_class() -> type:
-    """The module's `_Session`, built by the first caller.  It is then a plain
-    module global, so whatever replaces it there is what new sessions use."""
-    with _session_class_lock:
-        if "_Session" not in globals():
-            globals()["_Session"] = _build_session_class()
-        return globals()["_Session"]
-
-
-def __getattr__(name: str):
-    # PEP 562: `netutil._Session` before the first request builds it
-    if name == "_Session":
-        return _session_class()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def http_request(
-    method: str, url: str, *, json=None, headers=None, timeout=None,
-    http: HttpPolicy = HttpPolicy(),
-) -> requests.Response:
-    """Send one request under the policy `http`; every outbound request of
-    apimill comes here.
-
-    Offline, a non-loopback `url` raises OfflineViolation before any wait
-    or socket.  Otherwise the request waits for the policy limiter's token
-    for the URL's host, when there is a limiter, and goes out, TLS verified
-    or not as the policy says, on this thread's reused session with its
-    cookie jar cleared first, so no cookie crosses calls, as with the fresh
-    session `requests.request` makes; redirects and .netrc are requests'
-    own.  The body is read up to MAX_BODY_BYTES and the connection released
-    or closed.  The response's `content`, `text` and `json()` hold what was
-    read, and `truncated` says whether more was sent.  Any transport failure
-    raises TransportFailed.
-    """
-    if http.offline and not is_loopback_url(url):
-        raise OfflineViolation(f"offline mode forbids non-loopback target: {url}")
-    if http.limiter is not None:
-        http.limiter.acquire(urlsplit(url).hostname or "")
-    import requests  # loaded by the first request; see the module docstring
-
-    session = getattr(_local, "session", None)
-    if session is None:
-        session = _local.session = _session_class()()
-    session.cookies.clear()
+def _exchange(method, url, json, headers, timeout, tls_verify) -> tuple:
+    """(response, Location header) of one request on this thread's connection
+    for `url`, to its origin or to the proxy the environment names for it."""
+    import http.client
+    import select
+    import ssl
+    import urllib.request
+    conns, key = _local.__dict__.setdefault("conns", _Connections()), None
     try:
-        with session.request(method, url, json=json, headers=headers, timeout=timeout,
-                             verify=http.tls_verify, stream=True) as response:
-            chunks, size = [], 0
-            for chunk in response.iter_content(_CHUNK_BYTES):
-                chunks.append(chunk)
-                size += len(chunk)
-                if size > MAX_BODY_BYTES:  # keep the first MAX_BODY_BYTES
-                    chunks[-1] = chunk[: len(chunk) - (size - MAX_BODY_BYTES)]
-                    break
-    except requests.RequestException as exc:
+        body = None if json is None else _json.dumps(json, allow_nan=False).encode("utf-8")
+        parts = urlsplit(_requote(url))
+        hostport = parts.netloc.rpartition("@")[2].lower()
+        proxies = {} if urllib.request.proxy_bypass(hostport) else urllib.request.getproxies()
+        proxy = proxies.get(parts.scheme) or proxies.get("all")
+        cafile = os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("SSL_CERT_FILE")
+        key = (parts.scheme, hostport, proxy, tls_verify, cafile if tls_verify else None)
+        conn = conns.get(key)
+        if conn is None:
+            if parts.scheme not in ("http", "https") or not parts.hostname:
+                raise ValueError(f"not an http(s) URL: {url}")
+            via = urlsplit(proxy if "://" in proxy else f"http://{proxy}") if proxy else parts
+            if parts.scheme == "http":
+                conn = http.client.HTTPConnection(via.hostname, via.port)
+            else:
+                context = ssl.create_default_context(cafile=key[-1])
+                if not tls_verify:
+                    context.check_hostname, context.verify_mode = False, ssl.CERT_NONE
+                conn = http.client.HTTPSConnection(via.hostname, via.port or 443, context=context)
+                if proxy:
+                    conn.set_tunnel(parts.hostname, parts.port)
+            conns[key] = conn
+        elif conn.sock is not None and select.select([conn.sock], [], [], 0)[0]:
+            conn.close()  # the server closed it while idle; the request reopens it
+        conn.timeout = timeout
+        if conn.sock is not None:
+            conn.sock.settimeout(timeout)
+        target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+        if proxy and parts.scheme == "http":  # absolute form, for the proxy
+            target = f"http://{hostport}{target}"
+        conn.putrequest(method, target, skip_host="host" in map(str.lower, headers),
+                        skip_accept_encoding=True)
+        for name, value in headers.items():
+            conn.putheader(name, value)
+        if body is not None or method not in ("GET", "HEAD"):
+            conn.putheader("Content-Length", str(len(body or b"")))
+        conn.endheaders(body)
+        with conn.getresponse() as response:
+            content = bytearray()
+            while len(content) <= MAX_BODY_BYTES and (chunk := response.read(_CHUNK_BYTES)):
+                content += chunk
+            truncated = len(content) > MAX_BODY_BYTES
+            if truncated or response.will_close:
+                conns.pop(key).close()
+    except (OSError, http.client.HTTPException, ValueError) as exc:
+        if key in conns:
+            conns.pop(key).close()
         raise TransportFailed(str(exc) or exc.__class__.__name__) from exc
-    # filled as requests fills it, so text and json() decode as they always did
-    response._content = b"".join(chunks)
-    response.truncated = size > MAX_BODY_BYTES
-    return response
+    content = bytes(memoryview(content)[:MAX_BODY_BYTES])
+    charset, location = response.headers.get_content_charset(), response.headers.get("Location")
+    return HttpResponse(response.status, content, truncated, charset), location
+
+
+def http_request(method: str, url: str, *, json=None, headers=None, timeout=None,
+                 http: HttpPolicy = HttpPolicy()) -> HttpResponse:
+    """Send one request under the policy `http`; every outbound request of apimill
+    comes here.  Each hop, redirects included, is checked first: offline, a
+    non-loopback URL raises OfflineViolation before any wait or socket; then it
+    waits for the limiter's token for its host.  `json` goes as a UTF-8 body on
+    this thread's kept-alive connection to the origin, without cookies or
+    Accept-Encoding; redirects follow requests' rules.  Failures raise TransportFailed."""
+    headers = dict(headers or {})
+    given = {name.lower() for name in headers}
+    if "user-agent" not in given:
+        headers["User-Agent"] = "apimill"
+    if json is not None and "content-type" not in given:
+        headers["Content-Type"] = "application/json"
+    for _ in range(31):  # the request and at most 30 redirects, as requests
+        if http.offline and not is_loopback_url(url):
+            raise OfflineViolation(f"offline mode forbids non-loopback target: {url}")
+        if http.limiter is not None:
+            http.limiter.acquire(urlsplit(url).hostname or "")
+        response, location = _exchange(method, url, json, headers, timeout, http.tls_verify)
+        if location is None or response.status_code not in (301, 302, 303, 307, 308):
+            return response
+        status, old, new = response.status_code, urlsplit(url), urlsplit(urljoin(url, location))
+        if status in (302, 303) and method != "HEAD" or status == 301 and method == "POST":
+            method = "GET"
+        dropped = {"cookie"}
+        if status not in (307, 308):  # only these two resend the body
+            json, dropped = None, {"cookie", "content-length", "content-type", "transfer-encoding"}
+        if old.netloc != new.netloc or (old.scheme, new.scheme) == ("https", "http"):
+            dropped.add("authorization")
+        headers = {name: value for name, value in headers.items() if name.lower() not in dropped}
+        url = new.geturl()
+    raise TransportFailed(f"exceeded 30 redirects: {url}")

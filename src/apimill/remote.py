@@ -35,7 +35,7 @@ def post_json(url: str, body: dict, *, api_key_env: Optional[str], timeout: floa
     if resp.status_code != 200:
         raise error(f"status {resp.status_code}: {resp.text[:200]}")
     try:
-        return resp.json()
+        return json.loads(resp.text)
     except ValueError as exc:
         raise error(f"malformed response: {exc}") from exc
 

@@ -195,9 +195,7 @@ def invoke_tool(
     record.text = response.text
     record.truncated = response.truncated
     try:
-        # with a known encoding, json() would parse this same text after
-        # decoding the body again; without one it guesses a UTF from the bytes
-        record.json_body = json.loads(record.text) if response.encoding else response.json()
+        record.json_body = json.loads(record.text)
     except ValueError:
         record.json_body = None
     record.elapsed = time.monotonic() - started

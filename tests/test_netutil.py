@@ -1,9 +1,10 @@
-"""The one outbound HTTP path: body cap, offline guard, shared limiter, and
-request accounting."""
+"""The one outbound HTTP path: body cap, offline guard, shared limiter,
+request accounting, redirects, TLS and the wire format."""
 
+import gc
+import http.client
 import importlib
 import inspect
-import io
 import json
 import os
 import pkgutil
@@ -11,28 +12,29 @@ import subprocess
 import sys
 import textwrap
 import threading
+import time
 import tracemalloc
 import types
+import warnings
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
-import requests
 
 import apimill
 from apimill import ingest, netutil
 from apimill.cli import (load_config, main, make_embedding, make_extraction_backend,
                          make_judge)
 from apimill.embedding import RemoteEmbedding, RemoteEmbeddingConfig
-from apimill.errors import FetchFailed, OfflineViolation
+from apimill.errors import ApimillError, FetchFailed, OfflineViolation, TransportFailed
 from apimill.ingest import clean_text, load_page
 from apimill.model import Endpoint, Parameter
-from apimill.netutil import MAX_BODY_BYTES, HttpPolicy
+from apimill.netutil import MAX_BODY_BYTES, HttpPolicy, http_request
 from apimill.remote import ChatClient, RemoteConfig
 from apimill.toolgen import generate_tool
 from apimill.validate import invoke_tool
 
-from conftest import make_config
+from conftest import DATA_DIR, make_config, serving
 
 STREAMED_BYTES = 64 * 1024 * 1024
 COMPLETION = {"choices": [{"message": {"content": "ok"}}], "usage": {"total_tokens": 3}}
@@ -122,16 +124,28 @@ class TestBodyCap:
         record = invoke_tool(make_tool(mock_api.base_url), {})
         assert record.status_code == 200 and record.truncated is False
 
-    def test_every_response_is_closed(self, stub, mock_api, monkeypatch):
-        # urllib3 closes a dropped response when it is collected, without a
-        # ResourceWarning, so count the closes that release or drop a connection
-        closed = []
-        close = requests.Response.close
-        monkeypatch.setattr(requests.Response, "close",
-                            lambda self: closed.append(self.status_code) or close(self))
-        assert invoke_tool(make_tool(stub, path="/big", name="Big"), {}).truncated
-        assert not invoke_tool(make_tool(mock_api.base_url), {}).truncated
-        assert closed == [200, 200]
+    def test_every_response_is_closed(self, monkeypatch):
+        # an HTTP/1.1 server leaves each connection open for the client to
+        # close, and a connection dropped unclosed warns when it is collected
+        monkeypatch.setattr(netutil, "MAX_BODY_BYTES", 10)
+        answer = lambda handler: (200, {}, b"x" * (100 if handler.path == "/big" else 5))  # noqa: E731
+        records = []
+
+        def work(base):
+            # a thread of its own: its kept-alive connection closes when it ends
+            for tool in (make_tool(base, path="/big", name="Big"), make_tool(base)):
+                records.append(invoke_tool(tool, {}))
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with serving(answer, protocol="HTTP/1.1") as (base, seen):
+                thread = threading.Thread(target=work, args=(base,))
+                thread.start()
+                thread.join(timeout=30)
+            gc.collect()
+        assert [(r.status_code, r.truncated) for r in records] == [(200, True), (200, False)]
+        assert len({request.client for request in seen}) == 2
+        assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
 
     def test_file_page_capped_in_text_mode(self, tmp_path, monkeypatch):
         page = tmp_path / "crlf.txt"
@@ -231,28 +245,56 @@ def test_clients_of_one_config_share_one_bucket(tmp_path, monkeypatch, stub):
      {"data": [{"embedding": [1.0, 0.0]}]}),
 ])
 def test_tls_verify_reaches_model_calls(tmp_path, monkeypatch, section, call, reply):
+    # the server's certificate is self-signed: only an unverified call gets through
+    for name in ("REQUESTS_CA_BUNDLE", "SSL_CERT_FILE"):
+        monkeypatch.delenv(name, raising=False)
     (tmp_path / "m.json").write_text("[]")
-    cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({
-        "corpus_manifest": "m.json", "output_dir": "out", "tls_verify": False,
-        "rate_limit_per_host": 0,
-        "backends": {section: {"kind": "remote", "endpoint_url": "https://model.test/v1",
-                               "model_name": "m"}},
-    }))
-    monkeypatch.setattr(netutil, "_ENV_SETTINGS", {})
-    seen = []
+    answer = lambda handler: (200, {"Content-Type": "application/json"},  # noqa: E731
+                              json.dumps(reply).encode())
+    with serving(answer, tls=True) as (base, seen):
+        configs = {}
+        for tls_verify in (False, True):
+            configs[tls_verify] = cfg = tmp_path / f"{tls_verify}.json"
+            cfg.write_text(json.dumps({
+                "corpus_manifest": "m.json", "output_dir": "out", "tls_verify": tls_verify,
+                "rate_limit_per_host": 0,
+                "backends": {section: {"kind": "remote", "endpoint_url": f"{base}/v1",
+                                       "model_name": "m"}},
+            }))
+        call(load_config(configs[False]))
+        with pytest.raises(ApimillError, match="CERTIFICATE_VERIFY_FAILED"):
+            call(load_config(configs[True]))
+    assert [request.line for request in seen] == ["POST /v1 HTTP/1.1"]
 
-    def send(adapter, request, **kwargs):
-        # stands in for the network: nothing leaves the process
-        seen.append(kwargs["verify"])
-        response = requests.Response()
-        response.status_code, response.raw = 200, io.BytesIO(json.dumps(reply).encode())
-        response.request, response.url = request, request.url
-        return response
 
-    monkeypatch.setattr(requests.adapters.HTTPAdapter, "send", send)
-    call(load_config(cfg))
-    assert seen == [False]
+class TestTls:
+    """Against a server with the self-signed certificate in tests/data."""
+
+    @pytest.fixture
+    def tls_stub(self, monkeypatch):
+        for name in ("REQUESTS_CA_BUNDLE", "SSL_CERT_FILE"):
+            monkeypatch.delenv(name, raising=False)
+        with serving(tls=True) as (base, seen):
+            yield base, seen
+
+    def test_unverified_gets_through(self, tls_stub):
+        base, seen = tls_stub
+        assert http_request("GET", f"{base}/x", http=HttpPolicy(tls_verify=False)).status_code == 200
+        assert [request.line for request in seen] == ["GET /x HTTP/1.1"]
+
+    def test_verified_fails(self, tls_stub):
+        base, seen = tls_stub
+        with pytest.raises(TransportFailed, match="CERTIFICATE_VERIFY_FAILED"):
+            http_request("GET", f"{base}/x", http=HttpPolicy(tls_verify=True))
+        assert seen == []
+
+    @pytest.mark.parametrize("variable", ["REQUESTS_CA_BUNDLE", "SSL_CERT_FILE"])
+    def test_ca_bundle_variable_trusts_the_cert(self, tls_stub, monkeypatch, variable):
+        base, seen = tls_stub
+        monkeypatch.setenv(variable, str(DATA_DIR / "loopback.pem"))
+        for url in (f"{base}/x", f"{base}/x".replace("127.0.0.1", "localhost")):
+            assert http_request("GET", url, http=HttpPolicy(tls_verify=True)).status_code == 200
+        assert len(seen) == 2
 
 
 class TestPolicyInOnePlace:
@@ -297,20 +339,21 @@ def test_mock_hits_equal_requests_sent(corpus, tmp_path, mock_api, monkeypatch):
     assert main(["run", "--config", str(cfg),
                  "--stage-filter", "ingest,extract,generate"]) == 0
     sent = []
-    request = netutil._Session.request
+    putrequest = http.client.HTTPConnection.putrequest
 
-    def counting(self, method, url, **kwargs):
+    def counting(self, method, url, *args, **kwargs):
         sent.append(url)
-        return request(self, method, url, **kwargs)
+        return putrequest(self, method, url, *args, **kwargs)
 
-    monkeypatch.setattr(netutil._Session, "request", counting)
+    monkeypatch.setattr(http.client.HTTPConnection, "putrequest", counting)
     before = len(mock_api.hits)
     assert main(["run", "--config", str(cfg), "--stage-filter", "validate,infer"]) == 0
     assert len(sent) > 0
     assert len(mock_api.hits) - before == len(sent)
 
 
-HTTP_MODULES = ("requests", "urllib3", "ssl", "charset_normalizer")
+HTTP_MODULES = ("http.client", "ssl", "urllib.request")
+THIRD_PARTY = ("requests", "urllib3", "charset_normalizer")
 
 
 def _in_fresh_python(script: str) -> dict:
@@ -324,7 +367,8 @@ def _in_fresh_python(script: str) -> dict:
 
 
 class TestLazyHttpImport:
-    """`requests` and what it brings load on the first request, not before."""
+    """The stdlib HTTP client loads on the first request, not before; no
+    third-party HTTP library loads at all."""
 
     @staticmethod
     def pipeline(argv) -> dict:
@@ -332,7 +376,7 @@ class TestLazyHttpImport:
             import json, sys
             from apimill.cli import main
             code = main({argv!r})
-            loaded = [m for m in {HTTP_MODULES!r} if m in sys.modules]
+            loaded = [m for m in {HTTP_MODULES + THIRD_PARTY!r} if m in sys.modules]
             print(json.dumps({{"code": code, "loaded": loaded}}))
         """))
 
@@ -348,19 +392,16 @@ class TestLazyHttpImport:
         manifest, corpus_dir, _ = corpus
         cfg = make_config(tmp_path, manifest, corpus_dir)
         assert main(["run", "--config", str(cfg), "--stage-filter", "ingest,extract,generate"]) == 0
-        out = self.pipeline(["validate", "--config", str(cfg)])
-        assert out == {"code": 0, "loaded": list(HTTP_MODULES)}
+        for command in ("validate", "infer"):
+            out = self.pipeline([command, "--config", str(cfg)])
+            assert out == {"code": 0, "loaded": list(HTTP_MODULES)}, command
+        assert (tmp_path / "out" / "kb" / "kb.jsonl").exists()
 
-    def test_simultaneous_first_requests_build_one_session_class(self, mock_api):
+    def test_simultaneous_first_requests_all_succeed(self, mock_api):
         out = _in_fresh_python(textwrap.dedent(f"""
-            import json, sys, threading, time
+            import json, sys, threading
             from apimill import netutil
-            assert not [m for m in {HTTP_MODULES!r} if m in sys.modules]
-            build = netutil._build_session_class
-            def slow_build():
-                time.sleep(0.05)  # time for a second builder to enter, if one could
-                return build()
-            netutil._build_session_class = slow_build
+            assert not [m for m in {HTTP_MODULES + THIRD_PARTY!r} if m in sys.modules]
             start, statuses = threading.Barrier(4), []
             def first():
                 start.wait()
@@ -374,9 +415,239 @@ class TestLazyHttpImport:
             for t in threads:
                 t.join(timeout=30)
             assert not any(t.is_alive() for t in threads)
-            import requests
-            built = [c for c in requests.Session.__subclasses__()
-                     if c.__module__ == "apimill.netutil"]
-            print(json.dumps({{"statuses": statuses, "classes": len(built)}}))
+            loaded = [m for m in {THIRD_PARTY!r} if m in sys.modules]
+            print(json.dumps({{"statuses": statuses, "loaded": loaded}}))
         """))
-        assert out == {"statuses": [200] * 4, "classes": 1}
+        assert out == {"statuses": [200] * 4, "loaded": []}
+
+
+def _redirect(status, location):
+    return lambda handler: (status, {"Location": location.format(path=handler.path)}, b"")
+
+
+class TestRedirects:
+    """Redirects are followed as requests follows them, each hop under the
+    policy."""
+
+    def test_offline_refuses_a_redirect_off_loopback(self, no_network):
+        limiter = _NeverWait()
+        with serving(_redirect(302, "http://public.example/x")) as (base, seen):
+            with pytest.raises(OfflineViolation, match="public.example"):
+                http_request("GET", f"{base}/start",
+                             http=HttpPolicy(offline=True, limiter=limiter))
+        assert len(seen) == 1 and limiter.hosts == ["127.0.0.1"]
+        assert [args for args in no_network if "public.example" in repr(args)] == []
+
+    def test_limiter_waits_on_every_hop(self):
+        limiter = _NeverWait()
+        with serving() as (target, seen):
+            with serving(_redirect(307, f"{target}/end")) as (base, _):
+                response = http_request("GET", f"{base}/start", http=HttpPolicy(limiter=limiter))
+        assert response.status_code == 200 and [r.line for r in seen] == ["GET /end HTTP/1.1"]
+        assert limiter.hosts == ["127.0.0.1", "127.0.0.1"]
+
+    @staticmethod
+    def _countdown(handler):
+        hops = int(handler.path.rsplit("/", 1)[1])
+        if hops == 0:
+            return 200, {}, b"done"
+        return 302, {"Location": f"/hop/{hops - 1}"}, b"moved"
+
+    def test_at_most_thirty(self):
+        with serving(self._countdown) as (base, seen):
+            assert http_request("GET", f"{base}/hop/30").text == "done"
+            assert len(seen) == 31
+            with pytest.raises(TransportFailed, match="exceeded 30 redirects"):
+                http_request("GET", f"{base}/hop/31")
+            assert len(seen) == 31 + 31
+
+    @pytest.mark.parametrize("status, method, then, keeps_body", [
+        (301, "POST", "GET", False),
+        (301, "PUT", "PUT", False),
+        (302, "POST", "GET", False),
+        (302, "HEAD", "HEAD", False),
+        (303, "PUT", "GET", False),
+        (303, "HEAD", "HEAD", False),
+        (307, "POST", "POST", True),
+        (308, "PUT", "PUT", True),
+    ])
+    def test_method_and_body(self, status, method, then, keeps_body):
+        def answer(handler):
+            if handler.path == "/start":
+                return status, {"Location": "/next"}, b""
+            return 200, {}, b""
+
+        body = {"name": "café"} if method != "HEAD" else None
+        with serving(answer) as (base, seen):
+            assert http_request(method, f"{base}/start", json=body).status_code == 200
+        assert [r.line for r in seen] == [f"{method} /start HTTP/1.1", f"{then} /next HTTP/1.1"]
+        if keeps_body:
+            assert seen[1].body == seen[0].body == b'{"name": "caf\\u00e9"}'
+            assert seen[1].headers["Content-Type"] == "application/json"
+        else:
+            assert seen[1].body == b"" and "Content-Type" not in seen[1].headers
+
+    def test_authorization_stays_with_its_host(self, api_test_is_loopback):
+        with serving() as (other, at_other):
+            port = other.rsplit(":", 1)[1]
+
+            def answer(handler):
+                if handler.path == "/start":
+                    return 302, {"Location": "/same"}, b""
+                return 302, {"Location": f"http://api.test:{port}/other"}, b""
+
+            with serving(answer) as (base, at_base):
+                http_request("GET", f"{base}/start", headers={"Authorization": "Bearer k"})
+        assert [r.headers.get("Authorization") for r in at_base] == ["Bearer k", "Bearer k"]
+        assert [r.line for r in at_other] == ["GET /other HTTP/1.1"]
+        assert "Authorization" not in at_other[0].headers
+
+
+# tools whose values need escaping, and the request lines and bodies the
+# requests-based client sent for them
+WIRE_VALUES = ["a b", "café ü漢", "100%", "50%off", "x&y=z+w", "[a]:b@c/d?e#f", "~tilde.-_",
+               "semi;colon,comma'quote\"!*()$"]
+WIRE = [
+    ["GET /items/a%20b?q=a%20b HTTP/1.1", None],
+    ["POST /items HTTP/1.1", "{\"name\": \"a b\"}"],
+    ["GET /items/caf%C3%A9%20%C3%BC%E6%BC%A2?q=caf%C3%A9%20%C3%BC%E6%BC%A2 HTTP/1.1", None],
+    ["POST /items HTTP/1.1", "{\"name\": \"caf\\u00e9 \\u00fc\\u6f22\"}"],
+    ["GET /items/100%25?q=100%25 HTTP/1.1", None],
+    ["POST /items HTTP/1.1", "{\"name\": \"100%\"}"],
+    ["GET /items/50%25off?q=50%25off HTTP/1.1", None],
+    ["POST /items HTTP/1.1", "{\"name\": \"50%off\"}"],
+    ["GET /items/x%26y%3Dz%2Bw?q=x%26y%3Dz%2Bw HTTP/1.1", None],
+    ["POST /items HTTP/1.1", "{\"name\": \"x&y=z+w\"}"],
+    ["GET /items/%5Ba%5D%3Ab%40c%2Fd%3Fe%23f?q=%5Ba%5D%3Ab%40c%2Fd%3Fe%23f HTTP/1.1", None],
+    ["POST /items HTTP/1.1", "{\"name\": \"[a]:b@c/d?e#f\"}"],
+    ["GET /items/~tilde.-_?q=~tilde.-_ HTTP/1.1", None],
+    ["POST /items HTTP/1.1", "{\"name\": \"~tilde.-_\"}"],
+    ["GET /items/semi%3Bcolon%2Ccomma%27quote%22%21%2A%28%29%24"
+     "?q=semi%3Bcolon%2Ccomma%27quote%22%21%2A%28%29%24 HTTP/1.1", None],
+    ["POST /items HTTP/1.1", "{\"name\": \"semi;colon,comma'quote\\\"!*()$\"}"],
+]
+
+
+class TestWire:
+    def test_tool_requests_as_requests_sent_them(self):
+        with serving() as (base, seen):
+            for i, value in enumerate(WIRE_VALUES):
+                get = generate_tool(Endpoint(
+                    name=f"Get Item {i}", method="GET", url=base + "/items/{key}",
+                    description="d", required_parameters=[Parameter(name="key")],
+                    optional_parameters=[Parameter(name="q")]), source_id="wire")
+                post = generate_tool(Endpoint(
+                    name=f"Post Item {i}", method="POST", url=base + "/items",
+                    description="d", required_parameters=[Parameter(name="name")]),
+                    source_id="wire")
+                assert invoke_tool(get, {"key": value, "q": value}).status_code == 200
+                assert invoke_tool(post, {"name": value}).status_code == 200
+        assert [[r.line, r.body.decode() or None] for r in seen] == WIRE
+        for request in seen:
+            assert "Accept-Encoding" not in request.headers and "Cookie" not in request.headers
+            if request.body:
+                assert request.headers["Content-Type"] == "application/json"
+
+    @pytest.mark.parametrize("raw, line", [
+        # what requests sent for each URL
+        ("/caf é/x?q=a b", "GET /caf%20%C3%A9/x?q=a%20b HTTP/1.1"),
+        ("/a%7eb/%2f%41?t=%7E", "GET /a~b/%2FA?t=~ HTTP/1.1"),
+        ("/p?s=%zz", "GET /p?s=%25zz HTTP/1.1"),
+        ("/ü?ä=ö#frag", "GET /%C3%BC?%C3%A4=%C3%B6 HTTP/1.1"),
+        ("/p/%E6%bc%A2", "GET /p/%E6%BC%A2 HTTP/1.1"),
+        ("", "GET / HTTP/1.1"),
+        ("?x=1", "GET /?x=1 HTTP/1.1"),
+        ("/p?b={2}|^`\\", "GET /p?b=%7B2%7D%7C%5E%60%5C HTTP/1.1"),
+        # requests.utils.requote_uri keeps a lone % that ends the URL; the
+        # urllib3 layer under requests escaped it to %25
+        ("/p?s=100%", "GET /p?s=100% HTTP/1.1"),
+    ])
+    def test_url_requoted(self, raw, line):
+        with serving() as (base, seen):
+            http_request("GET", base + raw)
+        assert [r.line for r in seen] == [line]
+
+    @pytest.mark.parametrize("content_type, text", [
+        ("text/html", "Pokémon"),  # requests decoded this as ISO-8859-1
+        ("text/html; charset=ISO-8859-1", "PokÃ©mon"),
+        ("text/plain; charset=no-such-codec", "Pokémon"),
+        ("text/plain; charset=base64", "Pokémon"),  # a codec, but not a text one
+        ("application/json", "Pokémon"),
+    ])
+    def test_text_charset(self, content_type, text):
+        answer = lambda handler: (200, {"Content-Type": content_type},  # noqa: E731
+                                  "Pokémon".encode("utf-8"))
+        with serving(answer) as (base, _):
+            assert http_request("GET", f"{base}/page").text == text
+
+    def test_bad_utf8_replaced(self):
+        answer = lambda handler: (200, {"Content-Type": "text/plain"}, b"ok \xff")  # noqa: E731
+        with serving(answer) as (base, _):
+            assert http_request("GET", f"{base}/page").text == "ok �"
+
+    def test_nan_body_is_a_transport_failure(self, no_network):
+        with pytest.raises(TransportFailed, match="JSON"):
+            http_request("POST", "http://127.0.0.1:9/x", json={"x": float("nan")})
+        assert no_network == []
+
+
+class TestConnections:
+    """One kept-alive connection per thread and origin, dropped and closed
+    when the server closes it, when the body is cut, or on any error."""
+
+    @staticmethod
+    def answer(handler):
+        if handler.path == "/close":
+            return 200, {"Connection": "close"}, b"bye"
+        if handler.path == "/big":
+            return 200, {}, b"x" * 100
+        if handler.path == "/garbage":
+            handler.wfile.write(b"NOT HTTP\r\n")
+            return None
+        return 200, {}, b"ok"
+
+    def test_dropped_when_closed_cut_or_failed(self, monkeypatch):
+        monkeypatch.setattr(netutil, "MAX_BODY_BYTES", 10)
+        outcomes, pooled = [], []
+
+        def work(base):
+            # on a thread of its own, whose connections close when it ends
+            for path in ("/a", "/b", "/close", "/c", "/big", "/d", "/garbage", "/e"):
+                try:
+                    response = http_request("GET", base + path, timeout=10)
+                    outcomes.append((response.content, response.truncated))
+                except TransportFailed:
+                    outcomes.append("failed")
+                pooled.append(len(netutil._local.conns))
+
+        with serving(self.answer, protocol="HTTP/1.1") as (base, seen):
+            thread = threading.Thread(target=work, args=(base,))
+            thread.start()
+            thread.join(timeout=30)
+        assert outcomes == [(b"ok", False), (b"ok", False), (b"bye", False), (b"ok", False),
+                            (b"x" * 10, True), (b"ok", False), "failed", (b"ok", False)]
+        assert pooled == [1, 1, 0, 1, 0, 1, 0, 1]
+        sockets = [r.client for r in seen]
+        # /a /b /close share one; /c /big the next; /d /garbage the next; /e its own
+        assert sockets[0] == sockets[1] == sockets[2] != sockets[3] == sockets[4]
+        assert sockets[4] != sockets[5] == sockets[6] != sockets[7]
+        assert len(set(sockets)) == 4
+
+    def test_reopened_after_the_server_closes_an_idle_one(self):
+        def answer(handler):
+            handler.close_connection = handler.path == "/last"  # closed, unannounced
+            return 200, {}, b"ok"
+
+        outcomes = []
+
+        def work(base):
+            for path in ("/last", "/again"):
+                outcomes.append(http_request("GET", base + path, timeout=10).content)
+                time.sleep(0.2)  # the server's close arrives first
+
+        with serving(answer, protocol="HTTP/1.1") as (base, seen):
+            thread = threading.Thread(target=work, args=(base,))
+            thread.start()
+            thread.join(timeout=30)
+        assert outcomes == [b"ok", b"ok"]
+        assert len({r.client for r in seen}) == 2

@@ -1,4 +1,3 @@
-import io
 import json
 import os
 import sys
@@ -6,11 +5,9 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
-import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apimill import netutil
 from apimill.errors import (
     JudgeUnavailable,
     MissingRequiredParameter,
@@ -42,8 +39,7 @@ from apimill.validate import (
     validate_tool,
 )
 
-
-PROXY = "http://proxy.test:3128"
+from conftest import DATA_DIR, serving
 
 
 def make_tool(base_url, path="/cards", name="Search Cards", method="GET",
@@ -194,34 +190,33 @@ class TestInvokeTool:
         record = invoke_tool(tool, {}, http=HttpPolicy(offline=True))
         assert record.status_code == 200
 
-    def test_one_session_per_thread(self, mock_api, monkeypatch):
-        made, statuses = [], []
+    def test_one_connection_per_thread_and_origin(self):
+        # HTTP/1.1 servers keep each connection open: a client socket per
+        # thread and origin, reused by every later call
+        statuses = []
+        with serving(protocol="HTTP/1.1") as (first, seen_first), \
+                serving(protocol="HTTP/1.1") as (second, seen_second):
+            tools = [make_tool(first), make_tool(second)]
 
-        class Counting(netutil._Session):
-            def __init__(self):
-                super().__init__()
-                made.append(self)
+            def work():
+                for _ in range(5):
+                    statuses.extend(invoke_tool(tool, {}).status_code for tool in tools)
 
-        monkeypatch.setattr(netutil, "_Session", Counting)
-        tool = make_tool(mock_api.base_url)
-
-        def work():
-            for _ in range(5):
-                statuses.append(invoke_tool(tool, {}).status_code)
-
-        threads = [threading.Thread(target=work) for _ in range(4)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)  # threads interleave inside each call
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=30)
-                assert not t.is_alive()
-        finally:
-            sys.setswitchinterval(interval)
-        assert statuses == [200] * 20
-        assert len(made) == 4
+            threads = [threading.Thread(target=work) for _ in range(4)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)  # threads interleave inside each call
+            try:
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                    assert not t.is_alive()
+            finally:
+                sys.setswitchinterval(interval)
+        assert statuses == [200] * 40
+        for seen in (seen_first, seen_second):
+            assert len(seen) == 20
+            assert len({request.client for request in seen}) == 4
 
     def test_no_cookie_crosses_calls(self):
         class SetsCookie(BaseHTTPRequestHandler):
@@ -256,45 +251,38 @@ class TestInvokeTool:
         assert server.cookies == [None, None, None]
 
     @pytest.mark.parametrize("env, proxied, ca", [
-        ({"HTTP_PROXY": PROXY}, {8080, 9090}, True),
-        ({"HTTP_PROXY": PROXY, "NO_PROXY": "api.test:8080"}, {9090}, True),
-        ({"HTTP_PROXY": PROXY, "NO_PROXY": "api.test"}, set(), True),
-        ({"REQUESTS_CA_BUNDLE": "/etc/ssl/bundle.pem"}, set(), "/etc/ssl/bundle.pem"),
+        ({"HTTP_PROXY": "{proxy}"}, {"a", "b"}, None),
+        ({"HTTP_PROXY": "{proxy}", "NO_PROXY": "api.test:{a}"}, {"b"}, None),
+        ({"HTTP_PROXY": "{proxy}", "NO_PROXY": "api.test"}, set(), None),
+        ({"REQUESTS_CA_BUNDLE": "{cert}"}, set(), "loopback.pem"),
     ])
-    def test_environment_reaches_adapter_as_with_requests(self, monkeypatch, env, proxied, ca):
+    def test_environment_reaches_adapter_as_with_requests(self, monkeypatch, api_test_is_loopback,
+                                                          env, proxied, ca):
         for name in list(os.environ):
-            if name.lower().endswith("_proxy") or name in ("REQUESTS_CA_BUNDLE", "CURL_CA_BUNDLE"):
+            if name.lower().endswith("_proxy") or name in ("REQUESTS_CA_BUNDLE", "SSL_CERT_FILE"):
                 monkeypatch.delenv(name)
-        for name, value in env.items():
-            monkeypatch.setenv(name, value)
-        monkeypatch.setattr(netutil, "_ENV_SETTINGS", {})
-        seen = []
-
-        def send(adapter, request, **kwargs):
-            # stands in for the network: nothing leaves the process
-            seen.append({key: kwargs[key] for key in ("proxies", "verify", "cert")})
-            response = requests.Response()
-            response.status_code, response.raw = 200, io.BytesIO(b"{}")
-            response.request, response.url = request, request.url
-            return response
-
-        monkeypatch.setattr(requests.adapters.HTTPAdapter, "send", send)
-        # urllib's getproxies() reports NO_PROXY under "no"
-        proxies = {"http": PROXY, "no": env["NO_PROXY"]} if "NO_PROXY" in env else {"http": PROXY}
-        want = []
-        # the second True per origin is served from the memo
-        for tls_verify in (True, False, True):
-            for port in (8080, 9090):
-                tool = make_tool(f"http://api.test:{port}")
-                requests.request("GET", f"http://api.test:{port}/cards", verify=tls_verify,
-                                 timeout=tool.timeout_seconds, allow_redirects=True)
-                invoke_tool(tool, {}, http=HttpPolicy(tls_verify=tls_verify))
-                want += 2 * [{
-                    "proxies": proxies if port in proxied else {},
-                    "verify": ca if tls_verify else False,
-                    "cert": None,
-                }]
-        assert seen == want
+        with serving() as (proxy, at_proxy), serving() as (a, at_a), \
+                serving() as (b, at_b), serving(tls=True) as (tls, at_tls):
+            ports = {"a": a.rsplit(":", 1)[1], "b": b.rsplit(":", 1)[1]}
+            values = dict(ports, proxy=proxy, cert=DATA_DIR / "loopback.pem")
+            for name, value in env.items():
+                monkeypatch.setenv(name, value.format(**values))
+            tls_passed = []
+            for tls_verify in (True, False, True):
+                policy = HttpPolicy(tls_verify=tls_verify)
+                for origin in ("a", "b"):
+                    tool = make_tool(f"http://api.test:{ports[origin]}")
+                    assert invoke_tool(tool, {}, http=policy).status_code == 200
+                # no HTTPS_PROXY: https goes straight to the origin
+                tls_passed.append(invoke_tool(make_tool(tls), {}, http=policy).status_code == 200)
+        # a proxy is sent the absolute URL; an origin, the path
+        assert [r.line for r in at_proxy] == 3 * [
+            f"GET http://api.test:{ports[o]}/cards HTTP/1.1" for o in ("a", "b") if o in proxied]
+        for origin, seen in (("a", at_a), ("b", at_b)):
+            want = [] if origin in proxied else 3 * ["GET /cards HTTP/1.1"]
+            assert [r.line for r in seen] == want
+        assert tls_passed == [ca is not None, True, ca is not None]
+        assert len(at_tls) == tls_passed.count(True)
 
 
 class TestJudgeResponse:
