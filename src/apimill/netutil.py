@@ -1,40 +1,34 @@
-"""Shared networking plumbing: politeness limits, thread pools, and the one
-outbound HTTP path, `http_request`, over `http.client`; that, `ssl` and
-`urllib.request` load on the first request, so a run that sends none never pays."""
+"""Politeness limits, thread pools, and the one outbound HTTP path, `http_request`, over
+`http.client`; it, `ssl` and `urllib.request` load on the first request, not before."""
 
 from __future__ import annotations
 
+import base64
 import ipaddress
 import json as _json
 import os
 import re
+import string
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
-from urllib.parse import quote, urljoin, urlsplit
+from urllib.parse import quote, unquote, urljoin, urlsplit
 
 from .errors import OfflineViolation, TransportFailed
 
-# The most bytes of a response body, or of a page file, ever read.  The
-# largest legitimate body is a remote embedding batch: 128 texts of 3,072
-# pretty-printed floats is about 12 MB.  Pages and model replies are far
-# smaller (ingest keeps 512 KiB of cleaned text), so a hostile or runaway
-# body costs at most this much memory per in-flight request.
+# The most bytes of a response body, or of a page file, ever read; the largest
+# legitimate body, a remote embedding batch of 128 x 3,072 floats, is about 12 MB.
 MAX_BODY_BYTES = 16 * 1024 * 1024
 _CHUNK_BYTES = 64 * 1024
-# escape -> character, for the characters an escape never needs to hide
-_UNRESERVED = {f"%{ord(c):02X}": c
-               for c in "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789-._~"}
+_MAX_ORIGINS = 10  # kept-alive connections per thread, as requests' pool_connections
+_UNRESERVED = {f"%{ord(c):02X}": c for c in string.ascii_letters + string.digits + "-._~"}
 
 
 class HostRateLimiter:
-    """Token-bucket politeness limiter, one bucket of one token per host.
-
-    acquire() blocks until the host's bucket has a token; thread-safe.
-    rate <= 0 disables limiting.
-    """
+    """Token-bucket politeness limiter, one bucket of one token per host: acquire()
+    blocks until the host's bucket has a token; thread-safe.  rate <= 0 disables it."""
 
     def __init__(self, rate_per_sec: float = 1.0):
         self.rate = rate_per_sec
@@ -59,10 +53,8 @@ class HostRateLimiter:
 
 @dataclass(frozen=True)
 class HttpPolicy:
-    """The rules every outbound request of a run follows: offline, refuse
-    non-loopback targets; verify TLS certificates or not; wait for `limiter`'s
-    token for the target host, when one is given.  Only `http_request` reads
-    them; every other function passes the policy on whole."""
+    """The rules of every outbound request of a run: offline refuses non-loopback
+    targets; verify TLS or not; wait for `limiter`'s token for the host, when given."""
 
     offline: bool = False
     tls_verify: bool = True
@@ -113,7 +105,7 @@ def _requote(uri: str) -> str:
 
 
 class _Connections(dict):
-    """A thread's kept-alive connections, closed when the thread ends."""
+    """A thread's kept-alive connections, least recently used first; closed with it."""
 
     def __del__(self):
         for conn in self.values():
@@ -124,38 +116,48 @@ _local = threading.local()
 
 
 def _exchange(method, url, json, headers, timeout, tls_verify) -> tuple:
-    """(response, Location header) of one request on this thread's connection
-    for `url`, to its origin or to the proxy the environment names for it."""
+    """(response, Location) of one request on this thread's connection for `url`."""
     import http.client
     import select
     import ssl
     import urllib.request
-    conns, key = _local.__dict__.setdefault("conns", _Connections()), None
+    conns, key, conn = _local.__dict__.setdefault("conns", _Connections()), None, None
     try:
         body = None if json is None else _json.dumps(json, allow_nan=False).encode("utf-8")
+        hostport = urlsplit(url).netloc.rpartition("@")[2]
+        if not hostport.isascii():  # a host name is sent IDNA-encoded, as requests does
+            url = url.replace(hostport, hostport.encode("idna").decode("ascii"), 1)
         parts = urlsplit(_requote(url))
         hostport = parts.netloc.rpartition("@")[2].lower()
         proxies = {} if urllib.request.proxy_bypass(hostport) else urllib.request.getproxies()
         proxy = proxies.get(parts.scheme) or proxies.get("all")
         cafile = os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("SSL_CERT_FILE")
         key = (parts.scheme, hostport, proxy, tls_verify, cafile if tls_verify else None)
-        conn = conns.get(key)
+        conn = conns.pop(key, None)  # put back last, as the most recently used
         if conn is None:
             if parts.scheme not in ("http", "https") or not parts.hostname:
                 raise ValueError(f"not an http(s) URL: {url}")
             via = urlsplit(proxy if "://" in proxy else f"http://{proxy}") if proxy else parts
+            if proxy and via.scheme != "http":
+                raise ValueError(f"only http:// proxies are supported: {proxy}")
             if parts.scheme == "http":
                 conn = http.client.HTTPConnection(via.hostname, via.port)
             else:
                 context = ssl.create_default_context(cafile=key[-1])
                 if not tls_verify:
                     context.check_hostname, context.verify_mode = False, ssl.CERT_NONE
-                conn = http.client.HTTPSConnection(via.hostname, via.port or 443, context=context)
+                port = via.port or (80 if proxy else 443)
+                conn = http.client.HTTPSConnection(via.hostname, port, context=context)
                 if proxy:
                     conn.set_tunnel(parts.hostname, parts.port)
-            conns[key] = conn
-        elif conn.sock is not None and select.select([conn.sock], [], [], 0)[0]:
-            conn.close()  # the server closed it while idle; the request reopens it
+        elif conn.sock is not None:
+            idle = select.poll()  # poll, unlike select, takes any descriptor number
+            idle.register(conn.sock, select.POLLIN)
+            if idle.poll(0):
+                conn.close()  # the server closed it while idle; the request reopens it
+        if len(conns) >= _MAX_ORIGINS:
+            conns.pop(next(iter(conns))).close()
+        conns[key] = conn
         conn.timeout = timeout
         if conn.sock is not None:
             conn.sock.settimeout(timeout)
@@ -173,12 +175,11 @@ def _exchange(method, url, json, headers, timeout, tls_verify) -> tuple:
             content = bytearray()
             while len(content) <= MAX_BODY_BYTES and (chunk := response.read(_CHUNK_BYTES)):
                 content += chunk
-            truncated = len(content) > MAX_BODY_BYTES
-            if truncated or response.will_close:
+            if (truncated := len(content) > MAX_BODY_BYTES) or response.will_close:
                 conns.pop(key).close()
     except (OSError, http.client.HTTPException, ValueError) as exc:
-        if key in conns:
-            conns.pop(key).close()
+        if conn is not None:
+            conns.pop(key, conn).close()
         raise TransportFailed(str(exc) or exc.__class__.__name__) from exc
     content = bytes(memoryview(content)[:MAX_BODY_BYTES])
     charset, location = response.headers.get_content_charset(), response.headers.get("Location")
@@ -187,18 +188,17 @@ def _exchange(method, url, json, headers, timeout, tls_verify) -> tuple:
 
 def http_request(method: str, url: str, *, json=None, headers=None, timeout=None,
                  http: HttpPolicy = HttpPolicy()) -> HttpResponse:
-    """Send one request under the policy `http`; every outbound request of apimill
-    comes here.  Each hop, redirects included, is checked first: offline, a
-    non-loopback URL raises OfflineViolation before any wait or socket; then it
-    waits for the limiter's token for its host.  `json` goes as a UTF-8 body on
-    this thread's kept-alive connection to the origin, without cookies or
-    Accept-Encoding; redirects follow requests' rules.  Failures raise TransportFailed."""
-    headers = dict(headers or {})
+    """Send one request, as every outbound one of apimill, under the policy `http` on each
+    hop; redirects follow requests' rules; every failure raises TransportFailed."""
+    headers, parts = dict(headers or {}), urlsplit(url)
     given = {name.lower() for name in headers}
     if "user-agent" not in given:
         headers["User-Agent"] = "apimill"
     if json is not None and "content-type" not in given:
         headers["Content-Type"] = "application/json"
+    if parts.password is not None and (parts.username or parts.password):  # as requests
+        pair = f"{unquote(parts.username)}:{unquote(parts.password)}".encode("latin-1", "replace")
+        headers["Authorization"] = "Basic " + base64.b64encode(pair).decode("ascii")
     for _ in range(31):  # the request and at most 30 redirects, as requests
         if http.offline and not is_loopback_url(url):
             raise OfflineViolation(f"offline mode forbids non-loopback target: {url}")

@@ -24,7 +24,7 @@ def post_json(url: str, body: dict, *, api_key_env: Optional[str], timeout: floa
     key comes from the environment variable `api_key_env`, when set.  A
     transport failure, a status other than 200 or a reply that is not JSON
     raises `error`; offline mode's OfflineViolation propagates."""
-    headers = {"Content-Type": "application/json"}
+    headers = {}
     key = os.environ.get(api_key_env) if api_key_env else None
     if key:
         headers["Authorization"] = f"Bearer {key}"

@@ -8,6 +8,7 @@ import inspect
 import json
 import os
 import pkgutil
+import socket
 import subprocess
 import sys
 import textwrap
@@ -16,6 +17,7 @@ import time
 import tracemalloc
 import types
 import warnings
+from contextlib import ExitStack
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -95,6 +97,14 @@ def _peak_bytes(fn):
         return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@pytest.fixture
+def direct(monkeypatch):
+    """No proxy variable is set."""
+    for name in list(os.environ):
+        if name.lower().endswith("_proxy"):
+            monkeypatch.delenv(name)
 
 
 class TestBodyCap:
@@ -573,10 +583,11 @@ class TestWire:
         ("text/plain; charset=no-such-codec", "Pokémon"),
         ("text/plain; charset=base64", "Pokémon"),  # a codec, but not a text one
         ("application/json", "Pokémon"),
+        (None, "Pokémon"),  # requests guessed the charset with charset_normalizer
     ])
     def test_text_charset(self, content_type, text):
-        answer = lambda handler: (200, {"Content-Type": content_type},  # noqa: E731
-                                  "Pokémon".encode("utf-8"))
+        headers = {"Content-Type": content_type} if content_type else {}
+        answer = lambda handler: (200, headers, "Pokémon".encode("utf-8"))  # noqa: E731
         with serving(answer) as (base, _):
             assert http_request("GET", f"{base}/page").text == text
 
@@ -584,6 +595,48 @@ class TestWire:
         answer = lambda handler: (200, {"Content-Type": "text/plain"}, b"ok \xff")  # noqa: E731
         with serving(answer) as (base, _):
             assert http_request("GET", f"{base}/page").text == "ok �"
+
+    def test_no_json_encoding_guessed(self):
+        # requests' .json() found UTF-16 in a body with no Content-Type; the
+        # text is UTF-8 here, as for every body without a charset
+        body = '{"name": "Pokémon"}'.encode("utf-16")
+        answer = lambda handler: (200, {}, body)  # noqa: E731
+        with serving(answer) as (base, _):
+            text = http_request("GET", f"{base}/page").text
+        assert text == body.decode("utf-8", errors="replace")
+        with pytest.raises(ValueError):
+            json.loads(text)
+
+    def test_host_sent_idna_encoded(self, monkeypatch, direct):
+        looked_up, lookup = [], socket.getaddrinfo
+
+        def resolve(host, *args, **kwargs):
+            looked_up.append(host)
+            if host != "xn--bcher-kva.test":
+                raise OSError("network refused by the test")
+            return lookup("127.0.0.1", *args, **kwargs)
+
+        monkeypatch.setattr(socket, "getaddrinfo", resolve)
+        with serving() as (base, seen):
+            port = base.rsplit(":", 1)[1]
+            assert http_request("GET", f"http://Bücher.test:{port}/ä").status_code == 200
+        # what requests sent for the same URL
+        assert looked_up == ["xn--bcher-kva.test"]
+        assert seen[0].line == "GET /%C3%A4 HTTP/1.1"
+        assert seen[0].headers["Host"] == f"xn--bcher-kva.test:{port}"
+
+    def test_credentials_in_the_url_sent_as_basic_auth(self):
+        def answer(handler):
+            return (302, {"Location": "/next"}, b"") if handler.path == "/start" else (200, {}, b"")
+
+        with serving(answer) as (base, seen):
+            url = base.replace("http://", "http://us%20er:p%40ss@") + "/start"
+            http_request("GET", url, headers={"Authorization": "Bearer k"})
+        # what requests sent for the same URL: Basic auth in place of the
+        # given header, kept on a redirect to the same host
+        assert [r.line for r in seen] == ["GET /start HTTP/1.1", "GET /next HTTP/1.1"]
+        assert [r.headers["Authorization"] for r in seen] == 2 * ["Basic dXMgZXI6cEBzcw=="]
+        assert seen[0].headers["Host"] == base.split("//")[1]
 
     def test_nan_body_is_a_transport_failure(self, no_network):
         with pytest.raises(TransportFailed, match="JSON"):
@@ -651,3 +704,89 @@ class TestConnections:
             thread.join(timeout=30)
         assert outcomes == [b"ok", b"ok"]
         assert len({r.client for r in seen}) == 2
+
+    def test_at_most_ten_per_thread_the_oldest_closed(self, monkeypatch, direct):
+        opened, connect = [], socket.create_connection
+
+        def recording(*args, **kwargs):
+            opened.append(connect(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(socket, "create_connection", recording)
+        # 0 is used again, so 10 and 11 close 1 and 2, the least recently used;
+        # 0 is still open, and 1 reopens
+        order = [*range(10), 0, 10, 11, 0, 1]
+        open_after, errors = [], []
+
+        def work(bases):
+            for origin in order:
+                try:
+                    http_request("GET", f"{bases[origin]}/{origin}", timeout=10)
+                except TransportFailed as exc:
+                    errors.append(exc)
+                open_after.append(sum(sock.fileno() != -1 for sock in opened))
+
+        with ExitStack() as servers:
+            served = [servers.enter_context(serving(protocol="HTTP/1.1")) for _ in range(12)]
+            thread = threading.Thread(target=work, args=([base for base, _ in served],))
+            thread.start()
+            thread.join(timeout=60)
+        assert errors == [] and len(opened) == 13
+        assert open_after == [*range(1, 11), 10, 10, 10, 10, 10]
+        assert all(sock.fileno() == -1 for sock in opened)  # closed with the thread
+        for origin, (_, seen) in enumerate(served):
+            assert len({r.client for r in seen}) == (2 if origin == 1 else 1)
+
+    def test_idle_check_takes_any_descriptor_number(self, direct):
+        import resource
+        if resource.getrlimit(resource.RLIMIT_NOFILE)[0] < 1100:
+            pytest.skip("the process may not open 1,100 files")
+        fds, outcomes = [], []
+
+        def work(base):
+            for path in ("/a", "/b"):  # the second checks the kept connection
+                outcomes.append(http_request("GET", base + path, timeout=10).status_code)
+
+        try:
+            while not fds or fds[-1] < 1024:  # past select's FD_SETSIZE
+                fds.append(os.open(os.devnull, os.O_RDONLY))
+            with serving(protocol="HTTP/1.1") as (base, seen):
+                thread = threading.Thread(target=work, args=(base,))
+                thread.start()
+                thread.join(timeout=30)
+        finally:
+            for fd in fds:
+                os.close(fd)
+        assert outcomes == [200, 200] and len({r.client for r in seen}) == 1
+
+
+class TestProxyAddress:
+    """A proxy URL without a port is reached on port 80, where requests
+    reached it; an https:// proxy is refused before any connect."""
+
+    @pytest.fixture
+    def connects(self, monkeypatch, direct):
+        tried = []
+
+        def refuse(address, *args, **kwargs):
+            tried.append(address)
+            raise OSError("network refused by the test")
+
+        monkeypatch.setattr(socket, "create_connection", refuse)
+        return tried
+
+    @pytest.mark.parametrize("variable, url", [("HTTP_PROXY", "http://api.test/x"),
+                                               ("HTTPS_PROXY", "https://api.test/x")])
+    def test_no_port_is_port_80(self, connects, monkeypatch, variable, url):
+        monkeypatch.setenv(variable, "http://proxy.test")
+        with pytest.raises(TransportFailed, match="refused by the test"):
+            http_request("GET", url)
+        assert connects == [("proxy.test", 80)]
+
+    @pytest.mark.parametrize("variable, url", [("HTTP_PROXY", "http://api.test/x"),
+                                               ("HTTPS_PROXY", "https://api.test/x")])
+    def test_https_proxy_refused(self, connects, monkeypatch, variable, url):
+        monkeypatch.setenv(variable, "https://proxy.test:3128")
+        with pytest.raises(TransportFailed, match="only http:// proxies"):
+            http_request("GET", url)
+        assert connects == []
