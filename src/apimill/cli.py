@@ -50,6 +50,7 @@ from .model import validate_spec
 from .netutil import HostRateLimiter, HttpPolicy
 from .remote import ChatClient, RemoteConfig
 from .toolgen import (
+    YAML_LOADER,
     ToolDescriptor,
     export_function_source,
     export_openapi,
@@ -279,20 +280,22 @@ def stage_ingest(config: ProjectConfig, judge) -> None:
         if not origin.startswith(("http://", "https://")) and not Path(origin).is_absolute():
             entry["origin"] = str(manifest_dir / origin)
 
-    documents, decisions, failures = ingest_corpus(
-        entries, judge, width=config.concurrency, http=config.http
-    )
     docs_dir = config.subdir("docs")
-    for doc in documents:
+
+    def keep(doc: ApiDocument) -> None:
         # a fetched page is kept as fetched; a file origin is already on disk
         if doc.origin.startswith(("http://", "https://")):
             (docs_dir / f"{doc.source_id}.html").write_text(doc.raw, encoding="utf-8")
         (docs_dir / f"{doc.source_id}.txt").write_text(doc.text, encoding="utf-8")
+
+    decisions, failures = ingest_corpus(
+        entries, judge, keep, width=config.concurrency, http=config.http
+    )
     (docs_dir / "index.json").write_text(
         json.dumps({"documents": decisions, "failures": failures}, indent=2) + "\n",
         encoding="utf-8",
     )
-    print(f"ingest: {len(documents)} documents cleaned, {len(failures)} failed")
+    print(f"ingest: {len(decisions)} documents cleaned, {len(failures)} failed")
 
 
 def _load_docs_index(config: ProjectConfig) -> dict:
@@ -305,27 +308,28 @@ def _load_docs_index(config: ProjectConfig) -> dict:
 def stage_extract(config: ProjectConfig, backend) -> None:
     index = _load_docs_index(config)
     docs_dir = config.output_dir / "docs"
-    docs = []
-    skipped = 0
-    for info in index["documents"]:
-        if not info.get("is_api_page", True):
-            skipped += 1
-            continue
-        source_id = info["source_id"]
-        text = (docs_dir / f"{source_id}.txt").read_text(encoding="utf-8")
-        docs.append(ApiDocument(source_id=source_id, origin="", raw="", text=text))
-
-    results = run_extraction(docs, backend, width=config.concurrency)
+    source_ids = [info["source_id"] for info in index["documents"]
+                  if info.get("is_api_page", True)]
+    skipped = len(index["documents"]) - len(source_ids)
     specs_dir = config.subdir("specs")
-    _write_jsonl(specs_dir / "results.jsonl", [r.to_dict() for r in results])
-    for result in results:
+
+    def read(source_id: str) -> str:
+        return (docs_dir / f"{source_id}.txt").read_text(encoding="utf-8")
+
+    def keep(result: ExtractionResult) -> None:
+        results.write(json.dumps(result.to_dict(), ensure_ascii=False) + "\n")
         if result.valid and result.spec is not None:
             (specs_dir / f"{result.source_id}.spec.json").write_text(
                 result.spec.to_json() + "\n", encoding="utf-8"
             )
-    valid = sum(1 for r in results if r.valid)
+
+    # written whole under another name, so a killed run leaves no short results.jsonl
+    partial = specs_dir / "results.jsonl.partial"
+    with open(partial, "w", encoding="utf-8") as results:
+        valid = run_extraction(source_ids, read, backend, keep, width=config.concurrency)
+    partial.replace(specs_dir / "results.jsonl")
     print(
-        f"extract: {valid}/{len(results)} valid specs"
+        f"extract: {valid}/{len(source_ids)} valid specs"
         + (f" ({skipped} non-API pages skipped)" if skipped else "")
     )
 
@@ -460,7 +464,7 @@ def _in_exported_order(path: Path, tools: list) -> list:
     if not path.exists():
         return tools
     by_name = {t.tool_name: t for t in tools}
-    doc = yaml.safe_load(path.read_text(encoding="utf-8"))
+    doc = yaml.load(path.read_text(encoding="utf-8"), Loader=YAML_LOADER)
     names = [op["operationId"] for ops in doc["paths"].values() for op in ops.values()]
     return [by_name[name] for name in names if name in by_name]
 

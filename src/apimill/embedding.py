@@ -69,11 +69,13 @@ class LexicalEmbedding:
         return v
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
-        """One row per text; each distinct text is embedded once."""
-        if not texts:
-            return np.zeros((0, self.dimension))
-        distinct, inverse = distinct_texts(texts)
-        return np.stack([self.embed_one(t) for t in distinct])[inverse]
+        """One row per text, filled in place; each distinct text is embedded once."""
+        out = np.empty((len(texts), self.dimension))
+        first: dict = {}
+        for row, text in enumerate(texts):
+            seen = first.setdefault(text, row)
+            out[row] = self.embed_one(text) if seen == row else out[seen]
+        return out
 
 
 @dataclass
@@ -128,7 +130,7 @@ class RemoteEmbedding:
             self.dimension = out.shape[1]
         elif out.shape[1] != self.dimension:
             raise DimensionMismatch(got=out.shape[1], expected=self.dimension)
-        return out[inverse]
+        return out if len(distinct) == len(texts) else out[inverse]
 
     def embed_one(self, text: str) -> np.ndarray:
         return self.embed([text])[0]

@@ -12,7 +12,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Tuple
+from typing import Callable, Iterable, Optional, Tuple
 
 from .errors import BackendUnreachable, RepairFailure
 from .ingest import ApiDocument
@@ -390,5 +390,17 @@ def extract_spec(doc: ApiDocument, backend) -> ExtractionResult:
     )
 
 
-def run_extraction(docs: list, backend, width: int = 4) -> list:
-    return run_pool(lambda d: extract_spec(d, backend), docs, width)
+def run_extraction(source_ids: Iterable, read: Callable, backend, keep: Callable,
+                   width: int = 4) -> int:
+    """Extract a spec from each source's text, `read(source_id)`, on `width`
+    threads, and hand each result to `keep` in input order; no more than
+    about `width` texts are held at once.  Returns how many are valid."""
+
+    def extract(source_id: str) -> ExtractionResult:
+        return extract_spec(ApiDocument(source_id, origin="", raw="", text=read(source_id)), backend)
+
+    valid = 0
+    for result in run_pool(extract, source_ids, width):
+        keep(result)
+        valid += result.valid
+    return valid

@@ -9,7 +9,7 @@ import re
 from dataclasses import dataclass
 from html import unescape
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Iterable, Optional
 
 from .errors import EmptyDocument, FetchFailed
 from .judges import judge_with_fallback
@@ -35,8 +35,6 @@ class ApiDocument:
     origin: str
     raw: str
     text: str
-    category: Optional[str] = None
-    analysis: Optional[str] = None
 
 
 # html.parser's patterns (Python 3.11), copied so that the text does not
@@ -247,25 +245,6 @@ def clean_text(raw: str) -> str:
     return dehtml(raw) if _looks_like_html(raw) else _collapse_lines(raw)
 
 
-def _document(
-    origin: str, source_id: Optional[str], raw: str, text: str, max_text_bytes: int
-) -> ApiDocument:
-    """The cleaned page as a document; EmptyDocument when no text is left,
-    and the text cut to `max_text_bytes` of UTF-8."""
-    if not text.strip():
-        raise EmptyDocument(origin)
-    encoded = text.encode("utf-8")
-    if len(encoded) > max_text_bytes:
-        text = encoded[:max_text_bytes].decode("utf-8", errors="ignore")
-        logger.warning("truncated %s to %d bytes of text", origin, max_text_bytes)
-    return ApiDocument(
-        source_id=source_id or _source_id_from_origin(origin),
-        origin=origin,
-        raw=raw,
-        text=text,
-    )
-
-
 def load_and_clean(
     origin: str,
     source_id: Optional[str] = None,
@@ -273,9 +252,19 @@ def load_and_clean(
     max_text_bytes: int = DEFAULT_TEXT_CAP,
     http: HttpPolicy = HttpPolicy(),
 ) -> ApiDocument:
-    """Read a page from a file or URL and clean it to plain text."""
+    """Read a page from a file or URL and clean it to plain text, cut to
+    `max_text_bytes` of UTF-8; EmptyDocument when no text is left."""
     raw = load_page(origin, timeout=timeout, http=http)
-    return _document(origin, source_id, raw, clean_text(raw), max_text_bytes)
+    text = clean_text(raw)
+    if not text.strip():
+        raise EmptyDocument(origin)
+    encoded = text.encode("utf-8")
+    if len(encoded) > max_text_bytes:
+        text = encoded[:max_text_bytes].decode("utf-8", errors="ignore")
+        logger.warning("truncated %s to %d bytes of text", origin, max_text_bytes)
+    return ApiDocument(
+        source_id=source_id or _source_id_from_origin(origin), origin=origin, raw=raw, text=text
+    )
 
 
 def load_corpus_manifest(path) -> list:
@@ -304,52 +293,41 @@ def load_corpus_manifest(path) -> list:
 
 
 def ingest_corpus(
-    manifest_entries: list,
+    manifest_entries: Iterable,
     judge,
+    keep: Callable,
     width: int = 4,
     http: HttpPolicy = HttpPolicy(),
 ):
-    """Load, clean, filter, and classify a corpus concurrently.
+    """Load, clean, filter and classify a corpus on `width` threads.
 
-    Pages load on `width` threads, HTTP fetches under the policy `http`.
-    They are cleaned here, one after another, then judged on `width`
-    threads.
+    Each page is read (an HTTP fetch under the policy `http`), cleaned and
+    judged on a pool thread, which then hands the document to `keep`; no
+    more than about `width` pages are held at once.
 
-    Returns (documents, decisions, failures): decisions carry the per-doc
-    api-page verdict and classification; failures record load errors without
-    aborting the run.  A judge that is unavailable degrades to its fallback,
-    and the decision records that as judge_degraded.
+    Returns (decisions, failures), in manifest order: decisions carry the
+    per-doc api-page verdict and classification; failures record load errors
+    without aborting the run.  A judge that is unavailable degrades to its
+    fallback, and the decision records that as judge_degraded.
     """
 
-    def load(entry):
+    def ingest(entry) -> dict:
         try:
-            return load_page(entry["origin"], http=http)
-        except FetchFailed as exc:
-            return exc
-
-    pages = run_pool(load, manifest_entries, width)
-    documents, failures = [], []
-    for entry, raw in zip(manifest_entries, pages):
-        try:
-            if isinstance(raw, FetchFailed):
-                raise raw
-            documents.append(
-                _document(entry["origin"], entry["source_id"], raw, clean_text(raw), DEFAULT_TEXT_CAP)
-            )
+            doc = load_and_clean(entry["origin"], entry["source_id"], http=http)
         except (FetchFailed, EmptyDocument) as exc:
-            failures.append({"source_id": entry["source_id"], "error": str(exc)})
-
-    def judge_doc(doc):
+            return {"source_id": entry["source_id"], "error": str(exc)}
         is_api, failure = judge_with_fallback("is_api_page", judge, doc.text)
         (category, analysis), failure2 = judge_with_fallback("classify_doc", judge, doc.text)
-        doc.category, doc.analysis = category, analysis[:300]
+        keep(doc)
         return {
             "source_id": doc.source_id,
             "is_api_page": bool(is_api),
             "category": category,
-            "analysis": doc.analysis,
+            "analysis": analysis[:300],
             "judge_degraded": failure is not None or failure2 is not None,
         }
 
-    decisions = run_pool(judge_doc, documents, width)
-    return documents, decisions, failures
+    decisions, failures = [], []
+    for row in run_pool(ingest, manifest_entries, width):
+        (failures if "error" in row else decisions).append(row)
+    return decisions, failures

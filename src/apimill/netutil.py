@@ -11,9 +11,11 @@ import re
 import string
 import threading
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Optional
 from urllib.parse import quote, unquote, urljoin, urlsplit
 
 from .errors import OfflineViolation, TransportFailed
@@ -69,14 +71,24 @@ def is_loopback_url(url: str) -> bool:
         return False
 
 
-def run_pool(fn: Callable, items: Sequence, width: int = 4) -> list:
-    """Map fn over items on a bounded thread pool, preserving input order."""
-    items = list(items)
-    width = min(width, len(items))
+def run_pool(fn: Callable, items: Iterable, width: int = 4) -> Iterator:
+    """fn of each item, in input order, from `width` threads.  Items are taken
+    lazily, and no more than `width` calls start ahead of the result the
+    consumer reads; fn's exception is raised at its item's place.  When the
+    consumer stops, calls not started are cancelled, and the threads end."""
     if width <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=width) as pool:
-        return list(pool.map(fn, items))
+        yield from map(fn, items)
+        return
+    items = iter(items)
+    pool = ThreadPoolExecutor(max_workers=width)
+    try:
+        pending = deque(pool.submit(fn, item) for item in islice(items, width))
+        while pending:
+            result = pending.popleft().result()
+            pending.extend(pool.submit(fn, item) for item in islice(items, 1))
+            yield result
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 @dataclass(frozen=True)
@@ -115,12 +127,27 @@ class _Connections(dict):
 _local = threading.local()
 
 
+def _proxy_for(scheme: str, hostport: str) -> Optional[str]:
+    """The proxy a request to `hostport` goes through, as requests picks it, or None.
+    Where the lookup reads only the environment, it is read once, and not at all
+    when no variable name ends in `_proxy`, in any case: then there is no proxy."""
+    import urllib.request
+    from_environment = urllib.request.getproxies is urllib.request.getproxies_environment
+    if from_environment and not any(name[-6:].lower() == "_proxy" for name in os.environ):
+        return None
+    proxies = urllib.request.getproxies()
+    proxy = proxies.get(scheme) or proxies.get("all")
+    if proxy and (urllib.request.proxy_bypass_environment(hostport, proxies) if from_environment
+                  else urllib.request.proxy_bypass(hostport)):
+        return None
+    return proxy
+
+
 def _exchange(method, url, json, headers, timeout, tls_verify) -> tuple:
     """(response, Location) of one request on this thread's connection for `url`."""
     import http.client
     import select
     import ssl
-    import urllib.request
     conns, key, conn = _local.__dict__.setdefault("conns", _Connections()), None, None
     try:
         body = None if json is None else _json.dumps(json, allow_nan=False).encode("utf-8")
@@ -129,8 +156,7 @@ def _exchange(method, url, json, headers, timeout, tls_verify) -> tuple:
             url = url.replace(hostport, hostport.encode("idna").decode("ascii"), 1)
         parts = urlsplit(_requote(url))
         hostport = parts.netloc.rpartition("@")[2].lower()
-        proxies = {} if urllib.request.proxy_bypass(hostport) else urllib.request.getproxies()
-        proxy = proxies.get(parts.scheme) or proxies.get("all")
+        proxy = _proxy_for(parts.scheme, hostport)
         cafile = os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("SSL_CERT_FILE")
         key = (parts.scheme, hostport, proxy, tls_verify, cafile if tls_verify else None)
         conn = conns.pop(key, None)  # put back last, as the most recently used

@@ -331,7 +331,7 @@ def run_validation(
 ) -> list:
     """Validate every tool on a pool of `width` workers, reports in tool
     order.  A policy without a limiter means no politeness limit."""
-    return run_pool(lambda t: validate_tool(t, judge, http=http), tools, width)
+    return list(run_pool(lambda t: validate_tool(t, judge, http=http), tools, width))
 
 
 # ---------------------------------------------------------------------------

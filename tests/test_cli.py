@@ -1,5 +1,6 @@
 import json
 import shutil
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -433,3 +434,31 @@ def test_bad_manifest_ids_stop_ingest(tmp_path, entries, lost):
     cfg = make_config(tmp_path, tmp_path / "manifest.json", tmp_path)
     assert main(["ingest", "--config", str(cfg)]) == 1
     assert not (tmp_path / lost).exists()
+
+
+def test_ingest_and_extract_hold_only_pages_in_flight(tmp_path):
+    """At concurrency 2, the traced peak of either stage stays under a bound
+    that an eighth of the corpus already exceeds."""
+    pages, page_bytes, bound = 128, 64 * 1024, 1024 * 1024
+    filler = ("abcdefghij" * 10 + " ") * 16 + "\n"  # long words: few allocations to trace
+    manifest = []
+    for i in range(pages):
+        head = f"## Item {i}\nGET https://h.example/v1/items/{i}\n"
+        body = filler * -(-(page_bytes - len(head)) // len(filler))
+        (tmp_path / f"p{i}.txt").write_text(head + body, encoding="utf-8")
+        manifest.append({"source_id": f"p{i}", "origin": f"p{i}.txt"})
+    assert sum(p.stat().st_size for p in tmp_path.glob("p*.txt")) >= 8 * bound
+    (tmp_path / "m.json").write_text(json.dumps(manifest))
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"corpus_manifest": "m.json", "output_dir": "out", "concurrency": 2}))
+    for stage in ("ingest", "extract"):
+        tracemalloc.start()
+        try:
+            assert main([stage, "--config", str(cfg)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, f"{stage} peaked at {peak} bytes"
+    rows = (tmp_path / "out" / "specs" / "results.jsonl").read_text().splitlines()
+    assert [json.loads(row)["source_id"] for row in rows] == [f"p{i}" for i in range(pages)]
+    assert not list((tmp_path / "out" / "specs").glob("*.partial"))

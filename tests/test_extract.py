@@ -208,7 +208,10 @@ def test_extraction_result_dict_round_trip(pokemon_html):
 
 
 def test_run_extraction_preserves_order():
-    docs = [doc(f"## E{i}\nGET https://h.example/{i}\n", f"s{i}") for i in range(6)]
-    results = run_extraction(docs, HeuristicBackend(), width=3)
-    assert [r.source_id for r in results] == [f"s{i}" for i in range(6)]
-    assert all(r.valid for r in results)
+    texts = {f"s{i}": f"## E{i}\nGET https://h.example/{i}\n" for i in range(6)}
+    results = []
+    valid = run_extraction(list(texts), texts.__getitem__, HeuristicBackend(), results.append,
+                           width=3)
+    assert [r.source_id for r in results] == list(texts)
+    assert all(r.valid for r in results) and valid == 6
+    assert results[2].spec.endpoints[0].url == "https://h.example/2"

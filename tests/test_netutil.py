@@ -790,3 +790,94 @@ class TestProxyAddress:
         with pytest.raises(TransportFailed, match="only http:// proxies"):
             http_request("GET", url)
         assert connects == []
+
+
+class TestProxyLookup:
+    """Where proxies come from the environment alone, as on Linux, a request
+    reads the environment at most once, and not at all when no variable
+    name ends in `_proxy`."""
+
+    @pytest.mark.parametrize("env, scans", [
+        ({}, 0),
+        ({"NO_PROXY": "example.invalid"}, 1),
+        ({"HTTP_PROXY": "http://proxy.test:3128", "NO_PROXY": "127.0.0.1"}, 1),
+    ])
+    def test_environment_scans_per_request(self, monkeypatch, direct, stub, env, scans):
+        import urllib.request
+        scan, calls = urllib.request.getproxies_environment, []
+
+        def counting():
+            calls.append(1)
+            return scan()
+
+        monkeypatch.setattr(urllib.request, "getproxies_environment", counting)
+        monkeypatch.setattr(urllib.request, "getproxies", counting)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        for _ in range(3):  # NO_PROXY sends the proxied case straight to the stub
+            assert http_request("POST", f"{stub}/chat", json={}).status_code == 200
+        assert len(calls) == 3 * scans
+
+
+class TestRunPool:
+    """An ordered map over a lazy input, on `width` threads, with no more
+    than `width` calls started ahead of the consumer."""
+
+    @pytest.mark.parametrize("width", [1, 4])
+    def test_results_in_input_order(self, width):
+        def square_late(x):
+            time.sleep(0.002 * (10 - x))  # the earlier an item, the later it ends
+            return x * x
+
+        assert list(netutil.run_pool(square_late, range(10), width)) == [x * x for x in range(10)]
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_no_more_than_width_started_ahead(self, width):
+        taken, started = [], []
+
+        def items():
+            for i in range(12):
+                taken.append(i)
+                yield i
+
+        results = netutil.run_pool(lambda x: started.append(x) or x, items(), width)
+        assert taken == started == []  # nothing runs before the first read
+        for read, result in enumerate(results, 1):
+            time.sleep(0.01)  # time for the threads to run ahead, as far as they may
+            assert result == read - 1
+            assert len(started) <= len(taken) <= read + width
+        assert sorted(started) == list(range(12))
+
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_exception_reaches_consumer_at_its_item(self, width):
+        def fn(x):
+            if x == 3:
+                raise ValueError(x)
+            return x
+
+        seen = []
+        with pytest.raises(ValueError, match="3"):
+            for x in netutil.run_pool(fn, range(10), width):
+                seen.append(x)
+        assert seen == [0, 1, 2]
+
+    @pytest.mark.parametrize("stop", ["raise", "close"])
+    def test_no_thread_outlives_its_consumer(self, stop):
+        before, started = set(threading.enumerate()), []
+
+        def slow(x):
+            started.append(x)
+            time.sleep(0.01)
+            return x
+
+        if stop == "raise":
+            with pytest.raises(KeyError):
+                for x in netutil.run_pool(slow, range(100), 4):
+                    if x == 2:
+                        raise KeyError(x)
+        else:
+            results = netutil.run_pool(slow, range(100), 4)
+            next(results), next(results)
+            results.close()
+        assert not set(threading.enumerate()) - before
+        assert len(started) <= 3 + 4  # the calls not started were cancelled

@@ -5,6 +5,7 @@ import yaml
 from hypothesis import given
 from hypothesis import strategies as st
 
+from apimill import toolgen
 from apimill.errors import MalformedUrl, MixedHosts, UnboundPathParam
 from apimill.model import Endpoint, Parameter
 from apimill.toolgen import (
@@ -19,6 +20,7 @@ from apimill.toolgen import (
     split_base_and_path,
 )
 from apimill.model import ApiSpec
+from apimill.synthetic import build_corpus
 
 
 class TestUrlTemplate:
@@ -308,6 +310,17 @@ class TestOpenApiExport:
         assert set(groups) == {"api.example", "elsewhere.example:444"}
         for host, group in groups.items():
             yaml.safe_load(export_openapi(group))  # each group exports cleanly
+
+    @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML is built without libyaml")
+    def test_libyaml_export_is_the_pure_python_one(self, monkeypatch):
+        used, tools = set(), []
+        for source_id, spec, _ in build_corpus("http://127.0.0.1:8080"):
+            tools += generate_tools_for_spec(spec, source_id, used)[0]
+        (group,) = group_tools_by_host(tools).values()
+        fast = export_openapi(group)
+        monkeypatch.setattr(toolgen, "YAML_DUMPER", yaml.SafeDumper)
+        assert export_openapi(group) == fast
+        assert yaml.load(fast, Loader=toolgen.YAML_LOADER) == yaml.safe_load(fast)
 
     def test_split_base_and_path(self):
         t = parse_url_template("https://h.example/a/{b}?x=1")
