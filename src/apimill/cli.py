@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -50,7 +52,6 @@ from .model import validate_spec
 from .netutil import HostRateLimiter, HttpPolicy
 from .remote import ChatClient, RemoteConfig
 from .toolgen import (
-    YAML_LOADER,
     ToolDescriptor,
     export_function_source,
     export_openapi,
@@ -256,20 +257,47 @@ def make_embedding(config: ProjectConfig):
 # ---------------------------------------------------------------------------
 # stages
 
-def _write_jsonl(path: Path, rows: list) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+@contextmanager
+def _commit(path: Path):
+    """A text file to write `path` through: it is written as `<name>.partial`
+    and moved into place only when the block ends, so a stage that raises or
+    is killed leaves the previous file, never a short one."""
+    partial = path.with_name(path.name + ".partial")
+    try:
+        with open(partial, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+
+
+def _write(path: Path, text: str) -> None:
+    with _commit(path) as fh:
+        fh.write(text)
+
+
+def _write_json(path: Path, obj) -> None:
+    _write(path, json.dumps(obj, indent=2) + "\n")
+
+
+def _write_jsonl(path: Path, rows) -> None:
+    with _commit(path) as fh:
         for row in rows:
             fh.write(json.dumps(row, ensure_ascii=False) + "\n")
 
 
+def _input(config: ProjectConfig, stage: str, name: str, producer: str) -> Path:
+    """The artifact `name` under output_dir, which stage `producer` writes."""
+    path = config.output_dir / name
+    if not path.exists():
+        raise MissingStageInput(stage, f"run {producer} first ({name} missing)")
+    return path
+
+
 def _read_jsonl(path: Path) -> list:
-    rows = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append(json.loads(line))
-    return rows
+        return [json.loads(line) for line in fh if line.strip()]
 
 
 def stage_ingest(config: ProjectConfig, judge) -> None:
@@ -291,22 +319,13 @@ def stage_ingest(config: ProjectConfig, judge) -> None:
     decisions, failures = ingest_corpus(
         entries, judge, keep, width=config.concurrency, http=config.http
     )
-    (docs_dir / "index.json").write_text(
-        json.dumps({"documents": decisions, "failures": failures}, indent=2) + "\n",
-        encoding="utf-8",
-    )
+    _write_json(docs_dir / "index.json", {"documents": decisions, "failures": failures})
     print(f"ingest: {len(decisions)} documents cleaned, {len(failures)} failed")
 
 
-def _load_docs_index(config: ProjectConfig) -> dict:
-    index_path = config.output_dir / "docs" / "index.json"
-    if not index_path.exists():
-        raise MissingStageInput("extract", "run ingest first (docs/index.json missing)")
-    return json.loads(index_path.read_text(encoding="utf-8"))
-
-
 def stage_extract(config: ProjectConfig, backend) -> None:
-    index = _load_docs_index(config)
+    index_path = _input(config, "extract", "docs/index.json", "ingest")
+    index = json.loads(index_path.read_text(encoding="utf-8"))
     docs_dir = config.output_dir / "docs"
     source_ids = [info["source_id"] for info in index["documents"]
                   if info.get("is_api_page", True)]
@@ -323,11 +342,8 @@ def stage_extract(config: ProjectConfig, backend) -> None:
                 result.spec.to_json() + "\n", encoding="utf-8"
             )
 
-    # written whole under another name, so a killed run leaves no short results.jsonl
-    partial = specs_dir / "results.jsonl.partial"
-    with open(partial, "w", encoding="utf-8") as results:
+    with _commit(specs_dir / "results.jsonl") as results:
         valid = run_extraction(source_ids, read, backend, keep, width=config.concurrency)
-    partial.replace(specs_dir / "results.jsonl")
     print(
         f"extract: {valid}/{len(source_ids)} valid specs"
         + (f" ({skipped} non-API pages skipped)" if skipped else "")
@@ -335,9 +351,7 @@ def stage_extract(config: ProjectConfig, backend) -> None:
 
 
 def _load_extraction_results(config: ProjectConfig, stage: str) -> list:
-    results_path = config.output_dir / "specs" / "results.jsonl"
-    if not results_path.exists():
-        raise MissingStageInput(stage, "run extract first (specs/results.jsonl missing)")
+    results_path = _input(config, stage, "specs/results.jsonl", "extract")
     return [ExtractionResult.from_dict(row) for row in _read_jsonl(results_path)]
 
 
@@ -357,33 +371,34 @@ def stage_evaluate(config: ProjectConfig, emb) -> None:
     except EmptyCorpus:
         raise MissingStageInput("evaluate", "no extraction results to score") from None
     metrics_dir = config.subdir("metrics")
-    (metrics_dir / "metrics.json").write_text(
-        json.dumps(report.to_dict(), indent=2) + "\n", encoding="utf-8"
-    )
-    (metrics_dir / "metrics.txt").write_text(report.to_text_table() + "\n", encoding="utf-8")
+    _write_json(metrics_dir / "metrics.json", report.to_dict())
+    _write(metrics_dir / "metrics.txt", report.to_text_table() + "\n")
     print(f"evaluate: matched {report.matched_endpoints} endpoints; "
           f"valid ratio {report.valid_ratio:.2f}")
 
 
-def _openapi_path(config: ProjectConfig, host: str) -> Path:
-    return config.output_dir / "exports" / f"{host.replace(':', '_')}.openapi.yaml"
-
-
-def _write_tool(config: ProjectConfig, tool: ToolDescriptor) -> None:
-    """The tool's descriptor and the Python function exported from it, into
-    tools/ and exports/, which the caller has made."""
-    (config.output_dir / "tools" / f"{tool.tool_name}.tool.json").write_text(
-        json.dumps(tool.to_dict(), indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
-    )
-    (config.output_dir / "exports" / f"{tool.tool_name}.py").write_text(
-        export_function_source(tool, tls_verify=config.tls_verify), encoding="utf-8"
-    )
+def _export(config: ProjectConfig, tools: list, changed: list) -> None:
+    """The descriptor and exported function of each changed tool, and the
+    OpenAPI file of each host a changed tool is on, with that host's tools
+    in tool-name order, the order `_load_tools` returns."""
+    tools_dir, exports_dir = config.subdir("tools"), config.subdir("exports")
+    # one file per tool, written in place: a rename each would double the file operations
+    for tool in changed:
+        (tools_dir / f"{tool.tool_name}.tool.json").write_text(
+            json.dumps(tool.to_dict(), indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
+        )
+        (exports_dir / f"{tool.tool_name}.py").write_text(
+            export_function_source(tool, tls_verify=config.tls_verify), encoding="utf-8"
+        )
+    names = {tool.tool_name for tool in changed}
+    for host, group in group_tools_by_host(tools).items():
+        if any(tool.tool_name in names for tool in group):
+            group.sort(key=lambda tool: tool.tool_name)
+            _write(exports_dir / f"{host.replace(':', '_')}.openapi.yaml", export_openapi(group))
 
 
 def stage_generate(config: ProjectConfig) -> None:
     results = _load_extraction_results(config, "generate")
-    tools_dir = config.subdir("tools")
-    config.subdir("exports")
 
     all_tools: list = []
     unbuildable: list = []
@@ -406,29 +421,22 @@ def stage_generate(config: ProjectConfig) -> None:
                 }
             )
 
-    for tool in all_tools:
-        _write_tool(config, tool)
-    _write_jsonl(tools_dir / "unbuildable.jsonl", unbuildable)
-    for host, group in sorted(group_tools_by_host(all_tools).items()):
-        _openapi_path(config, host).write_text(export_openapi(group), encoding="utf-8")
+    _export(config, all_tools, all_tools)
+    _write_jsonl(config.subdir("tools") / "unbuildable.jsonl", unbuildable)
     print(f"generate: {len(all_tools)} tools, {len(unbuildable)} unbuildable endpoints")
 
 
 def _load_tools(config: ProjectConfig, stage: str) -> list:
-    tools_dir = config.output_dir / "tools"
-    if not tools_dir.exists():
-        raise MissingStageInput(stage, "run generate first (tools/ missing)")
-    tools = []
-    for path in sorted(tools_dir.glob("*.tool.json")):
-        tools.append(ToolDescriptor.from_dict(json.loads(path.read_text(encoding="utf-8"))))
-    return tools
+    tools_dir = _input(config, stage, "tools/", "generate")
+    return [ToolDescriptor.from_dict(json.loads(path.read_text(encoding="utf-8")))
+            for path in sorted(tools_dir.glob("*.tool.json"))]
 
 
 def stage_validate(config: ProjectConfig, judge) -> None:
     tools = _load_tools(config, "validate")
     reports = run_validation(tools, judge, width=config.concurrency, http=config.http)
     validation_dir = config.subdir("validation")
-    _write_jsonl(validation_dir / "reports.jsonl", [r.to_dict() for r in reports])
+    _write_jsonl(validation_dir / "reports.jsonl", (r.to_dict() for r in reports))
 
     unbuildable_path = config.output_dir / "tools" / "unbuildable.jsonl"
     unbuildable = len(_read_jsonl(unbuildable_path)) if unbuildable_path.exists() else 0
@@ -442,44 +450,24 @@ def stage_validate(config: ProjectConfig, judge) -> None:
         "counts": {t.value: counts[t] for t in ErrorType},
         "causes": estimate.to_dict(),
     }
-    (validation_dir / "summary.json").write_text(
-        json.dumps(summary, indent=2) + "\n", encoding="utf-8"
-    )
+    _write_json(validation_dir / "summary.json", summary)
     tables = render_error_tables(counts, estimate)
-    (config.subdir("reports") / "error_tables.txt").write_text(tables + "\n", encoding="utf-8")
+    _write(config.subdir("reports") / "error_tables.txt", tables + "\n")
     print(f"validate: {counts[ErrorType.PASSED]}/{len(reports)} tools passed")
-
-
-def _reports_from_disk(config: ProjectConfig, stage: str) -> list:
-    path = config.output_dir / "validation" / "reports.jsonl"
-    if not path.exists():
-        raise MissingStageInput(stage, "run validate first (validation/reports.jsonl missing)")
-    return [ValidationReport.from_dict(row) for row in _read_jsonl(path)]
-
-
-def _in_exported_order(path: Path, tools: list) -> list:
-    """The tools whose operations the OpenAPI file at `path` holds, in its
-    order, which is generate's; all of `tools` when there is no file.
-    Exporting them again changes only what their descriptors changed."""
-    if not path.exists():
-        return tools
-    by_name = {t.tool_name: t for t in tools}
-    doc = yaml.load(path.read_text(encoding="utf-8"), Loader=YAML_LOADER)
-    names = [op["operationId"] for ops in doc["paths"].values() for op in ops.values()]
-    return [by_name[name] for name in names if name in by_name]
 
 
 def stage_infer(config: ProjectConfig, judge, emb) -> None:
     tools = _load_tools(config, "infer")
-    reports = _reports_from_disk(config, "infer")
+    reports_path = _input(config, "infer", "validation/reports.jsonl", "validate")
+    reports = [ValidationReport.from_dict(row) for row in _read_jsonl(reports_path)]
     by_name = {t.tool_name: t for t in tools}
 
     kb = build_kb(reports, tools, emb)
     kb_dir = config.subdir("kb")
-    kb.save_jsonl(kb_dir / "kb.jsonl")
-    config.subdir("exports")
+    with _commit(kb_dir / "kb.jsonl") as fh:
+        kb.write_jsonl(fh)
 
-    outcomes, recovered = [], set()
+    outcomes, recovered = [], []
     targets = [
         r for r in reports
         if r.error_type in (ErrorType.NO_PARAM_VALUE, ErrorType.WRONG_PARAM_VALUE)
@@ -493,16 +481,11 @@ def stage_infer(config: ProjectConfig, judge, emb) -> None:
             outcome = InferenceOutcome.failed(tool.tool_name, exc)
         outcomes.append(outcome)
         if outcome.success:
-            _write_tool(config, tool)
-            recovered.add(tool.tool_name)
+            recovered.append(tool)
 
-    for host, group in sorted(group_tools_by_host(tools).items()):
-        if any(t.tool_name in recovered for t in group):
-            path = _openapi_path(config, host)
-            path.write_text(export_openapi(_in_exported_order(path, group)), encoding="utf-8")
-    _write_jsonl(kb_dir / "inference.jsonl", [o.to_dict() for o in outcomes])
-    fixed = sum(1 for o in outcomes if o.success)
-    print(f"infer: {fixed}/{len(outcomes)} failing tools recovered; kb entries {len(kb)}")
+    _export(config, tools, recovered)
+    _write_jsonl(kb_dir / "inference.jsonl", (o.to_dict() for o in outcomes))
+    print(f"infer: {len(recovered)}/{len(outcomes)} failing tools recovered; kb entries {len(kb)}")
 
 
 def stage_report(config: ProjectConfig) -> None:
@@ -523,7 +506,7 @@ def stage_report(config: ProjectConfig) -> None:
     if not sections:
         raise MissingStageInput("report", "no metrics or validation artifacts to report")
     text = ("\n\n".join(sections)).strip() + "\n"
-    (config.subdir("reports") / "report.txt").write_text(text, encoding="utf-8")
+    _write(config.subdir("reports") / "report.txt", text)
     print(text, end="")
 
 

@@ -190,20 +190,20 @@ class KnowledgeBase:
             dtype=bool, count=len(self._source_ids),
         )
 
-    def save_jsonl(self, path) -> None:
-        """One JSON row per entry: its fields and its two vectors."""
+    def write_jsonl(self, fh) -> None:
+        """One JSON row per entry into the text file `fh`: its fields and its
+        two vectors."""
         vectors = zip(*(channel.encoded() for channel in self._channels.values()))
-        with open(path, "w", encoding="utf-8") as fh:
-            for entry, (key_vec, description_vec) in zip(self.entries, vectors):
-                fh.write(_json_line({
-                    "param_key": entry.param_key,
-                    "value": entry.value,
-                    "source_id": entry.source_id,
-                    "description": entry.description,
-                    "key_embedding": key_vec,
-                    "description_embedding": description_vec,
-                    "provenance": entry.provenance,
-                }) + "\n")
+        for entry, (key_vec, description_vec) in zip(self.entries, vectors):
+            fh.write(_json_line({
+                "param_key": entry.param_key,
+                "value": entry.value,
+                "source_id": entry.source_id,
+                "description": entry.description,
+                "key_embedding": key_vec,
+                "description_embedding": description_vec,
+                "provenance": entry.provenance,
+            }) + "\n")
 
 
 def harvest_response_values(json_body) -> list:

@@ -177,8 +177,9 @@ def dehtml(markup: str) -> str:
     return _collapse_lines("".join(parts))
 
 
-# horizontal whitespace only: a run never spans a line break
-_HSPACE = re.compile("[ \t\r\f\v\xa0]+")
+# runs of horizontal whitespace that are not already one space: a run never
+# spans a line break, and a lone space is left alone rather than rewritten
+_HSPACE = re.compile(" [ \t\r\f\v\xa0]+|[\t\r\f\v\xa0][ \t\r\f\v\xa0]*")
 
 
 def _collapse_lines(text: str) -> str:

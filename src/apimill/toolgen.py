@@ -20,9 +20,8 @@ from .model import Endpoint, Parameter, canonical_type, render_scalar, resolve_u
 
 DEFAULT_TIMEOUT_SECONDS = 50
 
-# PyYAML's libyaml classes, where it is built with them: the same documents and
-# text as the pure-Python ones, several times faster
-YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+# PyYAML's libyaml dumper, where it is built with it: the same text as the
+# pure-Python one, several times faster
 YAML_DUMPER = yaml.CSafeDumper if yaml.__with_libyaml__ else yaml.SafeDumper
 
 
@@ -397,23 +396,11 @@ def export_openapi(tools: list) -> str:
             schema_type = canonical_type(arg.type_hint)
             if schema_type not in _OPENAPI_TYPES:
                 schema_type = "string"
-            if arg.location == "path":
+            if arg.location == "path" or is_get_like:
                 entry = {
                     "name": arg.name,
-                    "in": "path",
-                    "required": True,
-                    "schema": {"type": schema_type},
-                }
-                if arg.description:
-                    entry["description"] = arg.description
-                if arg.example_value is not None:
-                    entry["example"] = arg.example_value
-                parameters.append(entry)
-            elif is_get_like:
-                entry = {
-                    "name": arg.name,
-                    "in": "query",
-                    "required": bool(arg.required),
+                    "in": arg.location,
+                    "required": arg.location == "path" or bool(arg.required),
                     "schema": {"type": schema_type},
                 }
                 if arg.description:

@@ -141,12 +141,11 @@ def build_request(tool: ToolDescriptor, args: dict) -> ConcreteRequest:
             path_bindings[arg.name] = render_scalar(value)
     url = tool.template.render(path_bindings, encode=True)
 
-    declared = {a.name for a in tool.args}
+    query_names = {a.name for a in tool.args if a.location == "query"}
     sendable = {
         name: render_scalar(value)
         for name, value in args.items()
-        if name in declared and value is not None
-        and any(a.name == name and a.location == "query" for a in tool.args)
+        if name in query_names and value is not None
     }
     if tool.method.upper() == "GET":
         query, body = sendable, None

@@ -1,4 +1,5 @@
 import json
+import re
 import shutil
 import tracemalloc
 from pathlib import Path
@@ -8,8 +9,13 @@ import yaml
 
 from apimill.cli import load_config, main, make_judge
 from apimill.errors import BackendUnreachable, ConfigInvalid
-from apimill.toolgen import ToolDescriptor, export_function_source
-from apimill.validate import InvocationRecord, judge_response
+from apimill.toolgen import (
+    ToolDescriptor,
+    export_function_source,
+    export_openapi,
+    group_tools_by_host,
+)
+from apimill.validate import InvocationRecord, ValidationReport, judge_response
 from conftest import DATA_DIR, make_config
 
 
@@ -188,6 +194,18 @@ class TestFullRun:
                         if op["operationId"] == "find_trainer"]
         (name_param,) = [p for p in operation["parameters"] if p["name"] == "name"]
         assert name_param["example"] == "Gardevoir"
+
+    def test_openapi_follows_the_descriptors_after_infer(self, full_run):
+        _, out = full_run
+        tools = [ToolDescriptor.from_dict(json.loads(p.read_text()))
+                 for p in (out / "tools").glob("*.tool.json")]
+        groups = group_tools_by_host(tools)
+        files = {p.name for p in (out / "exports").glob("*.openapi.yaml")}
+        assert files == {f"{host.replace(':', '_')}.openapi.yaml" for host in groups}
+        for host, group in groups.items():
+            group.sort(key=lambda tool: tool.tool_name)
+            path = out / "exports" / f"{host.replace(':', '_')}.openapi.yaml"
+            assert path.read_text() == export_openapi(group)
 
     def test_report_rollup(self, full_run):
         _, out = full_run
@@ -462,3 +480,41 @@ def test_ingest_and_extract_hold_only_pages_in_flight(tmp_path):
     rows = (tmp_path / "out" / "specs" / "results.jsonl").read_text().splitlines()
     assert [json.loads(row)["source_id"] for row in rows] == [f"p{i}" for i in range(pages)]
     assert not list((tmp_path / "out" / "specs").glob("*.partial"))
+
+
+def test_stage_that_raises_keeps_the_previous_artifact(corpus, tmp_path, monkeypatch):
+    manifest, corpus_dir, _ = corpus
+    cfg = make_config(tmp_path, manifest, corpus_dir)
+    stages = "ingest,extract,generate,validate"
+    assert main(["run", "--config", str(cfg), "--stage-filter", stages]) == 0
+    validation = tmp_path / "out" / "validation"
+    before = (validation / "reports.jsonl").read_bytes()
+    assert before.count(b"\n") > 3
+
+    to_dict, rows = ValidationReport.to_dict, []
+
+    def third_row_unwritable(report):
+        rows.append(report)
+        return {"unwritable": object()} if len(rows) == 3 else to_dict(report)
+
+    monkeypatch.setattr(ValidationReport, "to_dict", third_row_unwritable)
+    with pytest.raises(TypeError):
+        main(["validate", "--config", str(cfg)])
+    assert (validation / "reports.jsonl").read_bytes() == before
+    assert sorted(p.name for p in validation.iterdir()) == ["reports.jsonl", "summary.json"]
+
+
+def test_artifacts_do_not_depend_on_concurrency(corpus, tmp_path):
+    manifest, corpus_dir, _ = corpus
+    trees = []
+    for width in (1, 4):
+        (tmp_path / f"c{width}").mkdir()
+        cfg = make_config(tmp_path / f"c{width}", manifest, corpus_dir, concurrency=width)
+        assert main(["run", "--config", str(cfg)]) == 0
+        out = tmp_path / f"c{width}" / "out"
+        trees.append({
+            str(path.relative_to(out)): re.sub(rb'"elapsed": [-+.e0-9]+', b'"elapsed": 0',
+                                               path.read_bytes())
+            for path in out.rglob("*") if path.is_file()
+        })
+    assert trees[0] == trees[1]

@@ -103,7 +103,8 @@ class TestKnowledgeBase:
         kb = KnowledgeBase()
         kb.extend([ParameterKbEntry(param_key="q", value="x", source_id="s")], emb)
         path = tmp_path / "kb.jsonl"
-        kb.save_jsonl(path)
+        with open(path, "w", encoding="utf-8") as fh:
+            kb.write_jsonl(fh)
         row = json.loads(path.read_text().splitlines()[0])
         assert row["param_key"] == "q"
         assert row["key_embedding"] == emb.embed_one("q").tolist()
@@ -118,7 +119,8 @@ class TestKnowledgeBase:
         assert kb._channels["description"].rows is None
         assert kb_vector(kb, "description", 0) is None and kb_vector(kb, "description", 1) is None
         path = tmp_path / "kb.jsonl"
-        kb.save_jsonl(path)
+        with open(path, "w", encoding="utf-8") as fh:
+            kb.write_jsonl(fh)
         rows = [json.loads(line) for line in path.read_text().splitlines()]
         assert [r["description_embedding"] for r in rows] == [None, None]
 
@@ -145,7 +147,8 @@ class TestKnowledgeBase:
                 param_key=f"k{i % 4}", value=i, source_id="c", description=desc,
             )], emb)
         path = tmp_path / "kb.jsonl"
-        kb.save_jsonl(path)
+        with open(path, "w", encoding="utf-8") as fh:
+            kb.write_jsonl(fh)
 
         def vector(text):
             return list(map(float, emb.embed_one(text))) if text else None

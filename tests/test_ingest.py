@@ -13,6 +13,7 @@ from apimill.ingest import (
     _BLOCK,
     _SKIPPED,
     DEFAULT_TEXT_CAP,
+    _HSPACE,
     _collapse_lines,
     clean_text,
     dehtml,
@@ -231,6 +232,11 @@ class TestDehtml:
             if line:
                 lines.append(line)
         assert _collapse_lines(text) == "\n".join(lines)
+
+    @given(st.text(alphabet=" \t\r\n\f\v\xa0\u2003ab"))
+    def test_hspace_rewrites_as_the_plain_run_pattern(self, text):
+        # the pattern that rewrote every run, single spaces included
+        assert _HSPACE.sub(" ", text) == re.sub("[ \t\r\f\v\xa0]+", " ", text)
 
     def test_pokemon_page(self, pokemon_html):
         text = dehtml(pokemon_html)
