@@ -4,7 +4,7 @@ Every stage reads its predecessor's persisted artifacts and writes only
 under output_dir, so stages are idempotent and individually rerunnable:
 
   docs/        cleaned pages + classification index
-  specs/       extraction results and valid specs
+  specs/       extraction results, each valid one with its spec
   metrics/     extraction quality scores
   tools/       tool descriptors (+ endpoints that could not be built)
   exports/     function source and OpenAPI documents
@@ -27,7 +27,7 @@ from typing import Optional
 
 import yaml
 
-from .embedding import LexicalEmbedding, RemoteEmbedding, RemoteEmbeddingConfig
+from .embedding import LexicalEmbedding, RemoteEmbedding
 from .errors import (
     ApimillError,
     ConfigInvalid,
@@ -81,7 +81,7 @@ class ProjectConfig:
     rate_limit_per_host: float = 1.0
     concurrency: int = 4
     error_phrases: list = field(default_factory=list)
-    backends: dict = field(default_factory=dict)
+    backends: dict = field(default_factory=dict)  # section -> its checked settings
 
     @cached_property
     def http(self) -> HttpPolicy:
@@ -101,7 +101,18 @@ class ProjectConfig:
         return path
 
 
-def load_config(path) -> ProjectConfig:
+# each section's backend kinds, its default first
+BACKEND_KINDS = {
+    "extraction": ("heuristic", "replay", "remote_chat", "remote_structured"),
+    "judge": ("heuristic", "remote"),
+    "embedding": ("lexical", "remote"),
+}
+
+
+def load_config(path, extraction_kind: Optional[str] = None) -> ProjectConfig:
+    """The checked config at `path`, every setting of each backend section's
+    active kind included, so a bad one stops a command before any stage runs.
+    `extraction_kind`, when given, stands in for backends.extraction.kind."""
     path = Path(path)
     if not path.exists():
         raise ConfigInvalid(f"config file not found: {path}")
@@ -116,58 +127,51 @@ def load_config(path) -> ProjectConfig:
         if required not in raw:
             raise ConfigInvalid(f"config is missing {required!r}")
 
-    base = path.parent
-
-    def respath(key: str) -> Path:
-        value = raw[key]
+    def resolve(key: str, value) -> Path:
         if not isinstance(value, str):
             raise ConfigInvalid(f"{key} must be a path, got {value!r}")
         p = Path(value)
-        return p if p.is_absolute() else (base / p)
+        return p if p.is_absolute() else (path.parent / p)
 
-    manifest = respath("corpus_manifest")
+    manifest = resolve("corpus_manifest", raw["corpus_manifest"])
     if not manifest.exists():
         raise ConfigInvalid(f"corpus_manifest does not exist: {manifest}")
-    truth_dir = respath("truth_dir") if raw.get("truth_dir") else None
+    truth_dir = resolve("truth_dir", raw["truth_dir"]) if raw.get("truth_dir") else None
     if truth_dir is not None and not truth_dir.exists():
         raise ConfigInvalid(f"truth_dir does not exist: {truth_dir}")
-
-    backends = raw.get("backends") or {}
-    if not isinstance(backends, dict):
-        raise ConfigInvalid("backends must be a mapping")
-    for section, allowed in (
-        ("extraction", {"heuristic", "replay", "remote_chat", "remote_structured"}),
-        ("judge", {"heuristic", "remote"}),
-        ("embedding", {"lexical", "remote"}),
-    ):
-        entry = backends.get(section)
-        if entry is None:
-            continue
-        if not isinstance(entry, dict):
-            raise ConfigInvalid(f"backends.{section} must be a mapping, got {entry!r}")
-        kind = entry.get("kind")
-        if kind not in (None, *allowed):
-            raise ConfigInvalid(
-                f"backends.{section}.kind must be one of {sorted(allowed)}, got {kind!r}"
-            )
 
     for key in ("tls_verify", "offline"):
         if not isinstance(raw.get(key, False), bool):
             raise ConfigInvalid(f"{key} must be true or false, got {raw[key]!r}")
     # a YAML true/false loads as a bool, which Python counts as an int
     rate = raw.get("rate_limit_per_host", 1.0)
-    if isinstance(rate, bool) or not isinstance(rate, (int, float)):
-        raise ConfigInvalid(f"rate_limit_per_host must be a number, got {rate!r}")
+    if isinstance(rate, bool) or not isinstance(rate, (int, float)) or not rate >= 0:
+        raise ConfigInvalid(f"rate_limit_per_host must be a number of at least 0, got {rate!r}")
     concurrency = raw.get("concurrency", 4)
-    if isinstance(concurrency, bool) or not isinstance(concurrency, int) or concurrency < 1:
+    if not _is_count(concurrency):
         raise ConfigInvalid(f"concurrency must be an integer of at least 1, got {concurrency!r}")
     error_phrases = raw.get("error_phrases", [])
     if not isinstance(error_phrases, list) or not all(isinstance(p, str) for p in error_phrases):
         raise ConfigInvalid(f"error_phrases must be a list of strings, got {error_phrases!r}")
 
+    sections = raw.get("backends") or {}
+    if not isinstance(sections, dict):
+        raise ConfigInvalid("backends must be a mapping")
+    backends = {}
+    for name, kinds in BACKEND_KINDS.items():
+        entry = {} if sections.get(name) is None else sections[name]
+        if not isinstance(entry, dict):
+            raise ConfigInvalid(f"backends.{name} must be a mapping, got {entry!r}")
+        if name == "extraction" and extraction_kind is not None:
+            entry = {**entry, "kind": extraction_kind}
+        kind = kinds[0] if entry.get("kind") is None else entry["kind"]
+        if kind not in kinds:
+            raise ConfigInvalid(f"backends.{name}.kind must be one of {sorted(kinds)}, got {kind!r}")
+        backends[name] = _backend_settings(name, kind, entry, resolve)
+
     return ProjectConfig(
         corpus_manifest=manifest,
-        output_dir=respath("output_dir"),
+        output_dir=resolve("output_dir", raw["output_dir"]),
         truth_dir=truth_dir,
         tls_verify=raw.get("tls_verify", True),
         offline=raw.get("offline", False),
@@ -178,80 +182,81 @@ def load_config(path) -> ProjectConfig:
     )
 
 
+def _is_count(value) -> bool:
+    """An int of at least 1, and not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
+def _backend_settings(name: str, kind: str, entry: dict, resolve) -> dict:
+    """The checked settings of the backend `kind` from `entry`, the config's
+    backends.<name> section; keys that kind does not use are ignored."""
+    section = f"backends.{name}"
+    settings: dict = {"kind": kind}
+    if kind.startswith("remote"):
+        keys = ("endpoint_url", "model_name", "api_key_env")  # the last one optional
+        for key in keys:
+            value = entry.get(key)
+            if not (isinstance(value, str) and value or value is None and key == "api_key_env"):
+                raise ConfigInvalid(f"{section}.{key} must be a non-empty string, got {value!r}")
+        settings["remote"] = RemoteConfig(*(entry.get(key) for key in keys))
+    if kind == "replay":
+        store = resolve(f"{section}.replay_store", entry.get("replay_store"))
+        if not store.is_dir():
+            raise ConfigInvalid(f"{section}.replay_store is not a directory: {store}")
+        settings["replay_store"] = store
+    if kind in ("remote_chat", "remote_structured"):
+        one_shot = entry.get("one_shot")
+        if one_shot is not None:
+            if not isinstance(one_shot, dict):
+                raise ConfigInvalid(f"{section}.one_shot must map document and spec, "
+                                    f"got {one_shot!r}")
+            texts = []
+            for part in ("document", "spec"):
+                key = f"{section}.one_shot.{part}"
+                try:
+                    texts.append(resolve(key, one_shot.get(part)).read_text(encoding="utf-8"))
+                except (OSError, UnicodeDecodeError) as exc:
+                    raise ConfigInvalid(f"{key} cannot be read: {exc}") from exc
+            one_shot = tuple(texts)
+        settings["one_shot"] = one_shot
+    if name == "embedding":
+        dimension = entry.get("dimension")
+        if dimension is None and kind == "lexical":
+            dimension = 256
+        if dimension is not None and not _is_count(dimension):
+            raise ConfigInvalid(f"{section}.dimension must be an integer of at least 1, "
+                                f"got {dimension!r}")
+        settings["dimension"] = dimension
+    return settings
+
+
 # ---------------------------------------------------------------------------
-# backend factories
+# backend factories: load_config has checked every setting they read
 
-def _chat_client(section: dict, config: ProjectConfig) -> ChatClient:
-    for key in ("endpoint_url", "model_name"):
-        if not section.get(key):
-            raise ConfigInvalid(f"remote backend needs {key!r}")
-    return ChatClient(
-        RemoteConfig(
-            endpoint_url=section["endpoint_url"],
-            model_name=section["model_name"],
-            api_key_env=section.get("api_key_env"),
-        ),
-        http=config.http,
-    )
-
-
-def make_extraction_backend(config: ProjectConfig, override_kind: Optional[str] = None):
-    section = dict(config.backends.get("extraction") or {})
-    kind = override_kind or section.get("kind") or "heuristic"
+def make_extraction_backend(config: ProjectConfig):
+    settings = config.backends["extraction"]
+    kind = settings["kind"]
     if kind == "heuristic":
         return HeuristicBackend()
     if kind == "replay":
-        store = section.get("replay_store")
-        if not store:
-            raise ConfigInvalid("replay backend needs replay_store")
-        store_path = Path(store)
-        if not store_path.is_absolute():
-            store_path = config.corpus_manifest.parent / store_path
-        return ReplayBackend(store_path)
-    if kind in ("remote_chat", "remote_structured"):
-        client = _chat_client(section, config)
-        one_shot = None
-        shot = section.get("one_shot")
-        if shot:
-            one_shot = (
-                Path(shot["document"]).read_text(encoding="utf-8"),
-                Path(shot["spec"]).read_text(encoding="utf-8"),
-            )
-        cls = RemoteChatBackend if kind == "remote_chat" else RemoteStructuredBackend
-        return cls(client, one_shot_example=one_shot)
-    raise ConfigInvalid(f"unknown extraction backend kind {kind!r}")
+        return ReplayBackend(settings["replay_store"])
+    cls = RemoteChatBackend if kind == "remote_chat" else RemoteStructuredBackend
+    return cls(ChatClient(settings["remote"], http=config.http), settings["one_shot"])
 
 
 def make_judge(config: ProjectConfig):
-    section = dict(config.backends.get("judge") or {})
-    kind = section.get("kind") or "heuristic"
+    settings = config.backends["judge"]
     heuristic = HeuristicJudge(error_phrases=(*DEFAULT_ERROR_PHRASES, *config.error_phrases))
-    if kind == "heuristic":
+    if settings["kind"] == "heuristic":
         return heuristic
-    if kind == "remote":
-        return RemoteJudge(_chat_client(section, config), fallback=heuristic)
-    raise ConfigInvalid(f"unknown judge kind {kind!r}")
+    return RemoteJudge(ChatClient(settings["remote"], http=config.http), fallback=heuristic)
 
 
 def make_embedding(config: ProjectConfig):
-    section = dict(config.backends.get("embedding") or {})
-    kind = section.get("kind") or "lexical"
-    if kind == "lexical":
-        return LexicalEmbedding(dimension=int(section.get("dimension", 256)))
-    if kind == "remote":
-        for key in ("endpoint_url", "model_name"):
-            if not section.get(key):
-                raise ConfigInvalid(f"remote embedding needs {key!r}")
-        return RemoteEmbedding(
-            RemoteEmbeddingConfig(
-                endpoint_url=section["endpoint_url"],
-                model_name=section["model_name"],
-                api_key_env=section.get("api_key_env"),
-            ),
-            dimension=section.get("dimension"),
-            http=config.http,
-        )
-    raise ConfigInvalid(f"unknown embedding kind {kind!r}")
+    settings = config.backends["embedding"]
+    if settings["kind"] == "lexical":
+        return LexicalEmbedding(dimension=settings["dimension"])
+    return RemoteEmbedding(settings["remote"], dimension=settings["dimension"], http=config.http)
 
 
 # ---------------------------------------------------------------------------
@@ -330,19 +335,14 @@ def stage_extract(config: ProjectConfig, backend) -> None:
     source_ids = [info["source_id"] for info in index["documents"]
                   if info.get("is_api_page", True)]
     skipped = len(index["documents"]) - len(source_ids)
-    specs_dir = config.subdir("specs")
 
     def read(source_id: str) -> str:
         return (docs_dir / f"{source_id}.txt").read_text(encoding="utf-8")
 
     def keep(result: ExtractionResult) -> None:
         results.write(json.dumps(result.to_dict(), ensure_ascii=False) + "\n")
-        if result.valid and result.spec is not None:
-            (specs_dir / f"{result.source_id}.spec.json").write_text(
-                result.spec.to_json() + "\n", encoding="utf-8"
-            )
 
-    with _commit(specs_dir / "results.jsonl") as results:
+    with _commit(config.subdir("specs") / "results.jsonl") as results:
         valid = run_extraction(source_ids, read, backend, keep, width=config.concurrency)
     print(
         f"extract: {valid}/{len(source_ids)} valid specs"
@@ -361,7 +361,11 @@ def stage_evaluate(config: ProjectConfig, emb) -> None:
     results = _load_extraction_results(config, "evaluate")
     truth = {}
     for path in sorted(config.truth_dir.glob("*.json")):
-        spec, violations = validate_spec(json.loads(path.read_text(encoding="utf-8")))
+        try:
+            candidate = json.loads(path.read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise ConfigInvalid(f"truth spec {path.name} is not JSON: {exc}") from exc
+        spec, violations = validate_spec(candidate)
         if spec is None:
             raise ConfigInvalid(f"truth spec {path.name} is invalid: {violations[:3]}")
         truth[path.stem] = spec
@@ -404,7 +408,7 @@ def stage_generate(config: ProjectConfig) -> None:
     unbuildable: list = []
     used_names: set = set()  # tool and export files are keyed by tool name
     for result in results:
-        if not result.valid or result.spec is None:
+        if not result.valid:
             continue
         tools, schemeless = generate_tools_for_spec(
             result.spec, result.source_id, used_names
@@ -510,15 +514,13 @@ def stage_report(config: ProjectConfig) -> None:
     print(text, end="")
 
 
-def run_pipeline(stages, config: ProjectConfig, override_backend: Optional[str] = None) -> int:
+def run_pipeline(stages, config: ProjectConfig) -> int:
     judge = make_judge(config)
     emb = make_embedding(config)
     # built here, not at import, so each stage function is looked up when it runs
     table = {
         "ingest": lambda: stage_ingest(config, judge),
-        "extract": lambda: stage_extract(
-            config, make_extraction_backend(config, override_backend)
-        ),
+        "extract": lambda: stage_extract(config, make_extraction_backend(config)),
         "evaluate": lambda: stage_evaluate(config, emb),
         "generate": lambda: stage_generate(config),
         "validate": lambda: stage_validate(config, judge),
@@ -526,8 +528,6 @@ def run_pipeline(stages, config: ProjectConfig, override_backend: Optional[str] 
         "report": lambda: stage_report(config),
     }
     for stage in stages:
-        if stage not in table:
-            raise ConfigInvalid(f"unknown stage {stage!r}")
         if stage == "evaluate" and config.truth_dir is None and len(stages) > 1:
             print("evaluate: skipped (no truth_dir configured)")
             continue
@@ -544,7 +544,8 @@ def main(argv=None) -> int:
     for name in (*ALL_STAGES, "run"):
         p = sub.add_parser(name, help=f"run the {name} stage" if name != "run" else "run all stages")
         p.add_argument("--config", required=True, help="project config (YAML or JSON)")
-        p.add_argument("--backend", help="override the extraction backend kind")
+        p.add_argument("--backend", choices=BACKEND_KINDS["extraction"],
+                       help="override the extraction backend kind")
         p.add_argument("--offline", action="store_true",
                        help="forbid all non-loopback network traffic")
         if name == "run":
@@ -555,7 +556,7 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        config = load_config(args.config)
+        config = load_config(args.config, extraction_kind=args.backend)
         if args.offline:
             config.offline = True
         config.output_dir.mkdir(parents=True, exist_ok=True)
@@ -570,7 +571,7 @@ def main(argv=None) -> int:
                 stages = [s for s in ALL_STAGES if s in wanted]
         else:
             stages = [args.command]
-        return run_pipeline(stages, config, override_backend=args.backend)
+        return run_pipeline(stages, config)
     except (ConfigInvalid, MissingStageInput) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -8,14 +8,16 @@ Evaluation and parameter inference both consume this interface.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatch, EmbeddingUnavailable
 from .netutil import HttpPolicy
-from .remote import post_json
+from .remote import RemoteConfig, post_json
+
+TIMEOUT_S = 60.0
+BATCH_SIZE = 128  # texts per request
 
 
 def cosine_similarity(a, b) -> float:
@@ -49,8 +51,6 @@ class LexicalEmbedding:
     kind = "lexical"
 
     def __init__(self, dimension: int = 256):
-        if dimension <= 0:
-            raise ValueError("dimension must be positive")
         self.dimension = dimension
 
     def _grams(self, text: str):
@@ -78,15 +78,6 @@ class LexicalEmbedding:
         return out
 
 
-@dataclass
-class RemoteEmbeddingConfig:
-    endpoint_url: str
-    model_name: str
-    api_key_env: Optional[str] = None
-    timeout: float = 60.0
-    batch_size: int = 128
-
-
 class RemoteEmbedding:
     """Embedding served over HTTP: POST {model, input: [texts]} →
     {data: [{embedding: [...]}, ...]}.  Credentials come from the
@@ -96,7 +87,7 @@ class RemoteEmbedding:
 
     kind = "remote"
 
-    def __init__(self, config: RemoteEmbeddingConfig, dimension: Optional[int] = None,
+    def __init__(self, config: RemoteConfig, dimension: Optional[int] = None,
                  http: HttpPolicy = HttpPolicy()):
         self.config = config
         self.dimension = dimension  # learned from the first response when unset
@@ -105,7 +96,7 @@ class RemoteEmbedding:
     def _post_batch(self, batch: Sequence[str]) -> list:
         payload = post_json(
             self.config.endpoint_url, {"model": self.config.model_name, "input": list(batch)},
-            api_key_env=self.config.api_key_env, timeout=self.config.timeout,
+            api_key_env=self.config.api_key_env, timeout=TIMEOUT_S,
             error=EmbeddingUnavailable, http=self._http,
         )
         try:
@@ -117,8 +108,8 @@ class RemoteEmbedding:
         """One row per text; each distinct text is sent once."""
         distinct, inverse = distinct_texts(texts)
         vectors: list = []
-        for start in range(0, len(distinct), self.config.batch_size):
-            vectors.extend(self._post_batch(distinct[start : start + self.config.batch_size]))
+        for start in range(0, len(distinct), BATCH_SIZE):
+            vectors.extend(self._post_batch(distinct[start : start + BATCH_SIZE]))
         if not vectors:
             return np.zeros((0, self.dimension or 0))
         out = np.asarray(vectors, dtype=np.float64)

@@ -137,7 +137,7 @@ def compute_metrics(results: list, truth: dict, emb) -> MetricsReport:
     per_endpoint: list = []
 
     for result in sorted(results, key=lambda r: r.source_id):
-        if not result.valid or result.spec is None:
+        if not result.valid:
             continue
         truth_spec = truth.get(result.source_id)
         if truth_spec is None:

@@ -274,7 +274,10 @@ def load_corpus_manifest(path) -> list:
     Each source_id names the source's files under the output directory, so
     it must be unique, non-empty, and free of `/`, `\\` and `..`.
     """
-    entries = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        entries = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise FetchFailed(str(path), f"manifest is not JSON: {exc}") from exc
     if not isinstance(entries, list):
         raise FetchFailed(str(path), "manifest must be a JSON list")
     out, seen = [], set()

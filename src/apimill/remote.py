@@ -17,6 +17,8 @@ from typing import Optional
 from .errors import BackendUnreachable, TransportFailed
 from .netutil import HttpPolicy, http_request
 
+CHAT_TIMEOUT_S = 120.0
+
 
 def post_json(url: str, body: dict, *, api_key_env: Optional[str], timeout: float,
               error: type, http: HttpPolicy = HttpPolicy()):
@@ -42,10 +44,10 @@ def post_json(url: str, body: dict, *, api_key_env: Optional[str], timeout: floa
 
 @dataclass
 class RemoteConfig:
+    """A served chat or embedding model; its key is in env var `api_key_env`."""
     endpoint_url: str
     model_name: str
     api_key_env: Optional[str] = None
-    timeout: float = 120.0
 
 
 class ChatClient:
@@ -64,7 +66,7 @@ class ChatClient:
             }
         payload = post_json(
             self.config.endpoint_url, body, api_key_env=self.config.api_key_env,
-            timeout=self.config.timeout, error=BackendUnreachable, http=self._http,
+            timeout=CHAT_TIMEOUT_S, error=BackendUnreachable, http=self._http,
         )
         try:
             content = payload["choices"][0]["message"]["content"]

@@ -9,6 +9,7 @@ import yaml
 
 from apimill.cli import load_config, main, make_judge
 from apimill.errors import BackendUnreachable, ConfigInvalid
+from apimill.model import validate_spec
 from apimill.toolgen import (
     ToolDescriptor,
     export_function_source,
@@ -103,8 +104,9 @@ class TestLoadConfig:
         ("error_phrases: quota exceeded", "error_phrases must be a list of strings"),
         ('offline: "false"', "offline must be true or false"),
         ("output_dir: 5", "output_dir must be a path"),
+        ("rate_limit_per_host: -1", "rate_limit_per_host must be a number of at least 0"),
     ], ids=["null-rate", "word-concurrency", "zero-concurrency", "string-error-phrases",
-            "string-offline", "number-output-dir"])
+            "string-offline", "number-output-dir", "negative-rate"])
     def test_wrong_typed_key(self, tmp_path, capsys, line, message):
         (tmp_path / "m.json").write_text("[]")
         cfg = tmp_path / "c.yaml"
@@ -112,6 +114,62 @@ class TestLoadConfig:
         cfg.write_text(f"corpus_manifest: m.json\noutput_dir: out\n{line}\n")
         assert main(["report", "--config", str(cfg)]) == 2
         assert message in capsys.readouterr().err
+
+    REMOTE = {"endpoint_url": "http://127.0.0.1:9/v1", "model_name": "m"}
+
+    @pytest.mark.parametrize("backends, flags, message", [
+        ({"embedding": {"dimension": "abc"}}, [], "backends.embedding.dimension must be"),
+        ({"embedding": {"dimension": 0}}, [], "backends.embedding.dimension must be"),
+        ({"embedding": {"dimension": True}}, [], "backends.embedding.dimension must be"),
+        ({"extraction": {"kind": "remote_chat", **REMOTE, "one_shot": {"spec": "shot.json"}}},
+         [], "backends.extraction.one_shot.document must be a path"),
+        ({"extraction": {"kind": "remote_structured", **REMOTE,
+                         "one_shot": {"document": "gone.txt", "spec": "shot.json"}}},
+         [], "backends.extraction.one_shot.document cannot be read"),
+        ({"extraction": {"kind": "replay"}}, [], "backends.extraction.replay_store must be a path"),
+        ({}, ["--backend", "replay"], "backends.extraction.replay_store must be a path"),
+        ({"extraction": {"kind": "replay", "replay_store": "gone"}}, [],
+         "backends.extraction.replay_store is not a directory"),
+        ({"judge": {"kind": "remote", "model_name": "m"}}, [],
+         "backends.judge.endpoint_url must be a non-empty string"),
+        ({"embedding": {"kind": "remote", "endpoint_url": "http://127.0.0.1:9/v1"}}, [],
+         "backends.embedding.model_name must be a non-empty string"),
+        ({}, ["--backend", "quantum"], "argument --backend: invalid choice"),
+    ], ids=["word-dimension", "zero-dimension", "bool-dimension", "one-shot-without-document",
+            "one-shot-missing-file", "replay-without-store", "replay-flag-without-store",
+            "missing-replay-store", "remote-without-endpoint", "remote-without-model",
+            "unknown-backend-flag"])
+    def test_bad_backend_setting_stops_before_ingest(self, tmp_path, capsys, backends, flags,
+                                                    message):
+        (tmp_path / "a.txt").write_text("GET https://h.example/v1/a")
+        (tmp_path / "shot.json").write_text('{"endpoints": []}')
+        (tmp_path / "m.json").write_text(json.dumps([{"source_id": "a", "origin": "a.txt"}]))
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"corpus_manifest": "m.json", "output_dir": "out",
+                                   "offline": True, "backends": backends}))
+        try:
+            code = main(["run", "--config", str(cfg), *flags])
+        except SystemExit as exc:  # argparse refuses a --backend outside its choices
+            code = exc.code
+        assert code == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "docs" / "index.json").exists()
+
+    def test_readme_config_block_loads(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        (block,) = re.findall(r"```yaml\n(.*?)```", readme, re.S)
+        for name in ("corpus/manifest.json", "examples/pokemon.txt", "examples/pokemon.json"):
+            (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / name).write_text(f"text of {name}")
+        (tmp_path / "corpus" / "truth").mkdir()
+        (tmp_path / "config.yaml").write_text(block)
+        backends = load_config(tmp_path / "config.yaml").backends
+        extraction = backends["extraction"]
+        assert extraction["kind"] == "remote_structured"
+        assert extraction["one_shot"] == ("text of examples/pokemon.txt",
+                                          "text of examples/pokemon.json")
+        assert backends["judge"]["kind"] == "heuristic"
+        assert backends["embedding"] == {"kind": "lexical", "dimension": 256}
 
 
 class TestFullRun:
@@ -133,8 +191,9 @@ class TestFullRun:
         _, out = full_run
         rows = [json.loads(l) for l in (out / "specs" / "results.jsonl").read_text().splitlines()]
         assert len(rows) == 4 and all(r["valid"] for r in rows)
+        assert not list((out / "specs").glob("*.spec.json"))
         for row in rows:
-            assert (out / "specs" / f"{row['source_id']}.spec.json").exists()
+            assert validate_spec(row["spec"])[1] == []
 
     def test_metrics_perfect_on_round_trip(self, full_run):
         _, out = full_run
@@ -238,6 +297,16 @@ class TestStageGating:
         main(["extract", "--config", str(cfg)])
         assert main(["evaluate", "--config", str(cfg)]) == 2
 
+    def test_truth_spec_not_json(self, corpus, tmp_path, capsys):
+        manifest, corpus_dir, _ = corpus
+        truth = tmp_path / "truth"
+        truth.mkdir()
+        (truth / "broken.json").write_text('{"endpoints": [')
+        cfg = make_config(tmp_path, manifest, corpus_dir, truth_dir=str(truth))
+        rc = main(["run", "--config", str(cfg), "--stage-filter", "ingest,extract,evaluate"])
+        assert rc == 2
+        assert "error: truth spec broken.json is not JSON" in capsys.readouterr().err
+
     def test_run_skips_evaluate_without_truth_dir(self, corpus, tmp_path, capsys):
         manifest, corpus_dir, _ = corpus
         cfg = make_config(tmp_path, manifest, corpus_dir, truth_dir=None)
@@ -284,7 +353,7 @@ def pokemon_project(tmp_path):
         "output_dir": str(tmp_path / "out"),
         "offline": True,
         "rate_limit_per_host": 0,
-        "backends": {"extraction": {"kind": "replay", "replay_store": "recorded"}},
+        "backends": {"extraction": {"kind": "replay", "replay_store": "corpus/recorded"}},
     }))
     return cfg, tmp_path / "out"
 
@@ -293,12 +362,10 @@ class TestReplayProject:
     def test_replay_extraction(self, pokemon_project, pokemon_spec_dict):
         cfg, out = pokemon_project
         assert main(["run", "--config", str(cfg), "--stage-filter", "ingest,extract,generate"]) == 0
-        from apimill.model import validate_spec
-
-        written = json.loads((out / "specs" / "pokemon.spec.json").read_text())
+        (row,) = [json.loads(l) for l in (out / "specs" / "results.jsonl").read_text().splitlines()]
         canonical, violations = validate_spec(pokemon_spec_dict)
         assert violations == []
-        assert written == canonical.to_dict()  # null default normalized away
+        assert row["spec"] == canonical.to_dict()  # null default normalized away
         src = (out / "exports" / "search_cards.py").read_text()
         assert "Missing required parameter: q" in src
         assert "timeout=50" in src

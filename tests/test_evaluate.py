@@ -7,13 +7,8 @@ import yaml
 from hypothesis import given
 from hypothesis import strategies as st
 
-from apimill import evaluate
-from apimill.embedding import (
-    LexicalEmbedding,
-    RemoteEmbedding,
-    RemoteEmbeddingConfig,
-    cosine_similarity,
-)
+from apimill import embedding, evaluate
+from apimill.embedding import LexicalEmbedding, RemoteEmbedding, cosine_similarity
 from apimill.errors import DimensionMismatch, EmbeddingUnavailable, EmptyCorpus
 from apimill.evaluate import (
     MetricsReport,
@@ -23,6 +18,7 @@ from apimill.evaluate import (
 )
 from apimill.extract import ExtractionResult
 from apimill.model import ApiSpec, Endpoint, Parameter
+from apimill.remote import RemoteConfig
 from apimill.toolgen import export_openapi, generate_tool
 
 
@@ -100,11 +96,8 @@ class TestLexicalEmbedding:
 
 class TestRemoteEmbedding:
     def make(self, monkeypatch, reply):
-        emb = RemoteEmbedding(
-            RemoteEmbeddingConfig(
-                endpoint_url="http://127.0.0.1:9/v1", model_name="m", batch_size=2,
-            )
-        )
+        monkeypatch.setattr(embedding, "BATCH_SIZE", 2)
+        emb = RemoteEmbedding(RemoteConfig(endpoint_url="http://127.0.0.1:9/v1", model_name="m"))
         posted = []
         monkeypatch.setattr(emb, "_post_batch", lambda batch: posted.append(batch) or reply(batch))
         return emb, posted

@@ -382,6 +382,9 @@ class TestCorpus:
         bad.write_text(json.dumps([{"source_id": "x"}]))
         with pytest.raises(FetchFailed):
             load_corpus_manifest(bad)
+        bad.write_text('[{"origin": "a.txt"')
+        with pytest.raises(FetchFailed, match="not JSON"):
+            load_corpus_manifest(bad)
 
     def test_ingest_corpus_collects_failures(self, tmp_path, judge):
         good = tmp_path / "good.txt"

@@ -27,7 +27,7 @@ import apimill
 from apimill import ingest, netutil
 from apimill.cli import (load_config, main, make_embedding, make_extraction_backend,
                          make_judge)
-from apimill.embedding import RemoteEmbedding, RemoteEmbeddingConfig
+from apimill.embedding import RemoteEmbedding
 from apimill.errors import ApimillError, FetchFailed, OfflineViolation, TransportFailed
 from apimill.ingest import clean_text, load_page
 from apimill.model import Endpoint, Parameter
@@ -216,7 +216,7 @@ class TestOfflineGuard:
 
     def test_remote_embedding(self, no_network):
         limiter = _NeverWait()
-        emb = RemoteEmbedding(RemoteEmbeddingConfig(self.URL, "m"),
+        emb = RemoteEmbedding(RemoteConfig(self.URL, "m"),
                               http=HttpPolicy(offline=True, limiter=limiter))
         with pytest.raises(OfflineViolation):
             emb.embed(["x"])
