@@ -367,7 +367,8 @@ def stage_evaluate(config: ProjectConfig, emb) -> None:
             raise ConfigInvalid(f"truth spec {path.name} is not JSON: {exc}") from exc
         spec, violations = validate_spec(candidate)
         if spec is None:
-            raise ConfigInvalid(f"truth spec {path.name} is invalid: {violations[:3]}")
+            shown = "; ".join(str(v) for v in violations[:3])
+            raise ConfigInvalid(f"truth spec {path.name} is invalid: {shown}")
         truth[path.stem] = spec
 
     try:

@@ -8,6 +8,7 @@ shells out to an interpreter.
 from __future__ import annotations
 
 import json
+import keyword
 import re
 from dataclasses import dataclass, field
 from typing import Optional
@@ -274,6 +275,11 @@ def generate_tools_for_spec(spec, source_id: str, used_names: Optional[set] = No
 # ---------------------------------------------------------------------------
 # function-source export
 
+# names the exported source binds itself; no function or parameter may take one
+_EXPORT_BOUND = frozenset(keyword.kwlist) | {
+    "__debug__", "requests", "api_url", "querystring", "response", "response2"}
+
+
 def _py_identifier(name: str, taken: set) -> str:
     ident = re.sub(r"[^0-9a-zA-Z_]", "_", name)
     if not ident or ident[0].isdigit():
@@ -287,20 +293,30 @@ def _py_identifier(name: str, taken: set) -> str:
     return ident
 
 
+def _py_escape(text: str, quote: str = "'", multiline: bool = False, fstring: bool = False) -> str:
+    """`text` as the inside of a Python string literal delimited by `quote`,
+    or by three of it when `multiline`; in an f-string, braces double too."""
+    table = {"\\": "\\\\", "\r": "\\r", "\0": "\\x00", quote: "\\" + quote}
+    if not multiline:
+        table["\n"] = "\\n"
+    if fstring:
+        table.update({"{": "{{", "}": "}}"})
+    return text.translate(str.maketrans(table))
+
+
 def export_function_source(tool: ToolDescriptor, tls_verify: bool = True) -> str:
     """Emit the tool as a self-contained script-style function text."""
-    taken: set = set()
+    taken = set(_EXPORT_BOUND)
+    func = _py_identifier(tool.tool_name, set(_EXPORT_BOUND))
     py_names = {arg.name: _py_identifier(arg.name, taken) for arg in tool.args}
 
-    url_parts = []
-    for seg in tool.template.segments:
-        if seg.kind == "lit":
-            url_parts.append(seg.value.replace("{", "{{").replace("}", "}}"))
-        else:
-            url_parts.append("{" + py_names[seg.value] + "}")
-    url_expr = "".join(url_parts)
+    url_expr = "".join(
+        _py_escape(seg.value, '"', fstring=True) if seg.kind == "lit"
+        else "{" + py_names[seg.value] + "}"
+        for seg in tool.template.segments
+    )
     if tool.template.query_base is not None:
-        url_expr += "?" + tool.template.query_base
+        url_expr += "?" + _py_escape(tool.template.query_base, '"', fstring=True)
 
     sendable = [a for a in tool.args if a.location == "query"]
     verb = tool.method.lower() if tool.method.lower() in (
@@ -308,20 +324,17 @@ def export_function_source(tool: ToolDescriptor, tls_verify: bool = True) -> str
     ) else "get"
     payload_kw = "params=querystring" if verb == "get" else "json=querystring"
 
-    lines = []
-    lines.append("import requests")
-    lines.append("")
-    lines.append("")
+    lines = ["import requests", "", ""]
     signature = ", ".join(f"{py_names[a.name]}=None" for a in tool.args)
-    lines.append(f"def {tool.tool_name}({signature}):")
+    lines.append(f"def {func}({signature}):")
     lines.append(f'    api_url = f"{url_expr}"')
-    entries = "".join(f"'{a.name}': {py_names[a.name]}, " for a in sendable)
+    entries = "".join(f"'{_py_escape(a.name)}': {py_names[a.name]}, " for a in sendable)
     lines.append(f"    querystring = {{{entries}}}")
     for arg in tool.args:
         if arg.required:
             lines.append(
                 f"    assert {py_names[arg.name]} is not None, "
-                f"'Missing required parameter: {arg.name}'"
+                f"'Missing required parameter: {_py_escape(arg.name)}'"
             )
     lines.append("    ")
     lines.append(
@@ -339,11 +352,11 @@ def export_function_source(tool: ToolDescriptor, tls_verify: bool = True) -> str
     lines.append("")
     lines.append("if __name__ == '__main__':")
     call_args = ", ".join(
-        f"{py_names[a.name]}='''{render_scalar(a.preferred_value)}'''"
+        f"{py_names[a.name]}='''{_py_escape(render_scalar(a.preferred_value), multiline=True)}'''"
         for a in tool.args
         if a.has_value
     )
-    lines.append(f"    r = {tool.tool_name}({call_args})")
+    lines.append(f"    r = {func}({call_args})")
     lines.append("    r_json = None")
     lines.append("    try:")
     lines.append("        r_json = r.json()")

@@ -9,13 +9,11 @@ from __future__ import annotations
 
 import enum
 import json
-import time
 from dataclasses import dataclass, field
 from typing import Optional
 from urllib.parse import quote, quote_from_bytes, unquote, unquote_to_bytes
 
-from .errors import (MissingRequiredParameter, NegativeCount, OfflineViolation,
-                     TransportFailed, UnboundPathParam)
+from .errors import MissingRequiredParameter, NegativeCount, OfflineViolation, TransportFailed
 from .judges import judge_with_fallback
 from .model import render_scalar, url_path_is_empty
 from .netutil import HttpPolicy, http_request, run_pool
@@ -65,7 +63,6 @@ class InvocationRecord:
     truncated: bool = False  # the body was longer than what `text` holds
     transport_error: Optional[str] = None
     retried_without_params: bool = False
-    elapsed: float = 0.0
 
     def to_dict(self) -> dict:
         return {
@@ -75,7 +72,6 @@ class InvocationRecord:
             "truncated": self.truncated,
             "transport_error": self.transport_error,
             "retried_without_params": self.retried_without_params,
-            "elapsed": self.elapsed,
         }
 
     @classmethod
@@ -87,7 +83,6 @@ class InvocationRecord:
             truncated=bool(d.get("truncated")),
             transport_error=d.get("transport_error"),
             retried_without_params=bool(d.get("retried_without_params")),
-            elapsed=float(d.get("elapsed", 0.0)),
         )
 
 
@@ -132,14 +127,12 @@ def build_request(tool: ToolDescriptor, args: dict) -> ConcreteRequest:
         if arg.required and args.get(arg.name) is None:
             raise MissingRequiredParameter(arg.name)
 
-    path_bindings = {}
-    for arg in tool.args:
-        if arg.location == "path":
-            value = args.get(arg.name)
-            if value is None:
-                raise UnboundPathParam(arg.name)
-            path_bindings[arg.name] = render_scalar(value)
-    url = tool.template.render(path_bindings, encode=True)
+    # a placeholder left without a value raises UnboundPathParam in render
+    url = tool.template.render({
+        arg.name: render_scalar(args[arg.name])
+        for arg in tool.args
+        if arg.location == "path" and args.get(arg.name) is not None
+    }, encode=True)
 
     query_names = {a.name for a in tool.args if a.location == "query"}
     sendable = {
@@ -176,7 +169,6 @@ def invoke_tool(
     calls go through `http_request` under the policy `http`.
     """
     request = build_request(tool, args)
-    started = time.monotonic()
     options = dict(headers=request.headers or None, timeout=tool.timeout_seconds, http=http)
     record = InvocationRecord()
     try:
@@ -187,7 +179,6 @@ def invoke_tool(
             record.retried_without_params = True
     except (OfflineViolation, TransportFailed) as exc:
         record.transport_error = str(exc)
-        record.elapsed = time.monotonic() - started
         return record
 
     record.status_code = response.status_code
@@ -197,7 +188,6 @@ def invoke_tool(
         record.json_body = json.loads(record.text)
     except ValueError:
         record.json_body = None
-    record.elapsed = time.monotonic() - started
     return record
 
 
@@ -262,6 +252,18 @@ def _preflight(tool: ToolDescriptor, args: dict) -> Optional[ErrorType]:
     return None
 
 
+def _response_label(
+    record: Optional[InvocationRecord], judge_passed: Optional[bool]
+) -> ErrorType:
+    """The label of a tool that passed preflight, from its HTTP attempt."""
+    if record is None or record.transport_error is not None:
+        # required values were all present; the request itself failed
+        return ErrorType.WRONG_PARAM_VALUE
+    if record.status_code == 200:
+        return ErrorType.PASSED if judge_passed else ErrorType.FAILED
+    return ErrorType.ABNORMAL
+
+
 def classify_outcome(
     tool: ToolDescriptor,
     args: dict,
@@ -269,15 +271,7 @@ def classify_outcome(
     judge_passed: Optional[bool],
 ) -> ErrorType:
     """Total decision function over the seven outcome labels."""
-    structural = _preflight(tool, args)
-    if structural is not None:
-        return structural
-    if record is None or record.transport_error is not None:
-        # required values were all present; the request itself failed
-        return ErrorType.WRONG_PARAM_VALUE
-    if record.status_code == 200:
-        return ErrorType.PASSED if judge_passed else ErrorType.FAILED
-    return ErrorType.ABNORMAL
+    return _preflight(tool, args) or _response_label(record, judge_passed)
 
 
 def default_args(tool: ToolDescriptor) -> dict:
@@ -290,30 +284,22 @@ def validate_tool(
     args: Optional[dict] = None,
     http: HttpPolicy = HttpPolicy(),
 ) -> ValidationReport:
-    """build → invoke → judge → classify for one tool."""
+    """build → invoke → judge → classify for one tool; a structural failure
+    found by `_preflight` sends no request."""
     bound = default_args(tool) if args is None else dict(args)
-
-    structural = _preflight(tool, bound)
-    if structural is not None:
-        return ValidationReport(
-            tool_name=tool.tool_name,
-            attempts=[],
-            error_type=structural,
-            passed=False,
-            source_id=tool.source_id,
-            args_used=bound,
-        )
-
-    record = invoke_tool(tool, bound, http=http)
-    verdict = None
-    judge_passed = None
-    if record.status_code == 200:
-        judge_passed, rationale = judge_response(tool.description, record, judge)
-        verdict = {"passed": judge_passed, "rationale": rationale}
-    outcome = classify_outcome(tool, bound, record, judge_passed)
+    outcome = _preflight(tool, bound)
+    attempts, verdict = [], None
+    if outcome is None:
+        record = invoke_tool(tool, bound, http=http)
+        attempts.append(record)
+        judge_passed = None
+        if record.status_code == 200:
+            judge_passed, rationale = judge_response(tool.description, record, judge)
+            verdict = {"passed": judge_passed, "rationale": rationale}
+        outcome = _response_label(record, judge_passed)
     return ValidationReport(
         tool_name=tool.tool_name,
-        attempts=[record],
+        attempts=attempts,
         error_type=outcome,
         judge_verdict=verdict,
         passed=outcome is ErrorType.PASSED,
@@ -399,20 +385,19 @@ def counts_from_reports(reports: list) -> dict:
     return counts
 
 
+def _aligned(headers: list, values: list) -> list:
+    """A header row and a value row, each column as wide as its wider cell."""
+    widths = [max(len(h), len(v)) for h, v in zip(headers, values)]
+    return ["  ".join(c.ljust(w) for c, w in zip(row, widths)) for row in (headers, values)]
+
+
 def render_error_tables(counts: dict, estimate: CauseEstimate) -> str:
     """Two aligned text tables: per-type counts, then cause ranges."""
-    type_headers = [t.value for t in FAILURE_TYPES]
-    type_values = [str(counts.get(t, 0)) for t in FAILURE_TYPES]
-    widths = [max(len(h), len(v)) for h, v in zip(type_headers, type_values)]
-    lines = ["Error Type Counts"]
-    lines.append("  ".join(h.ljust(w) for h, w in zip(type_headers, widths)))
-    lines.append("  ".join(v.ljust(w) for v, w in zip(type_values, widths)))
-    lines.append(f"Passed Validation: {counts.get(ErrorType.PASSED, 0)}")
-    lines.append("")
-    lines.append("Error Cause Estimation (conservative-aggressive)")
-    ranges = estimate.ranges()
-    cause_values = [f"{lo}-{hi}" for lo, hi in ranges.values()]
-    cause_widths = [max(len(h), len(v)) for h, v in zip(CAUSE_CATEGORIES, cause_values)]
-    lines.append("  ".join(h.ljust(w) for h, w in zip(CAUSE_CATEGORIES, cause_widths)))
-    lines.append("  ".join(v.ljust(w) for v, w in zip(cause_values, cause_widths)))
-    return "\n".join(lines)
+    return "\n".join([
+        "Error Type Counts",
+        *_aligned([t.value for t in FAILURE_TYPES], [str(counts.get(t, 0)) for t in FAILURE_TYPES]),
+        f"Passed Validation: {counts.get(ErrorType.PASSED, 0)}",
+        "",
+        "Error Cause Estimation (conservative-aggressive)",
+        *_aligned(list(CAUSE_CATEGORIES), [f"{lo}-{hi}" for lo, hi in estimate.ranges().values()]),
+    ])

@@ -1,8 +1,11 @@
 import string
+import sys
+import types
+from unittest import mock
 
 import pytest
 import yaml
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apimill import toolgen
@@ -251,6 +254,63 @@ class TestFunctionExport:
         )
         src = export_function_source(generate_tool(ep, "s"))
         assert "requests.post(url=api_url, json=querystring" in src
+
+
+def _stub_requests(calls: list) -> types.ModuleType:
+    """A `requests` module that records each call and answers 200."""
+    module = types.ModuleType("requests")
+
+    def verb(name):
+        def send(**kwargs):
+            calls.append((name, kwargs))
+            return types.SimpleNamespace(status_code=200, text="", content=b"", json=dict)
+        return send
+
+    module.get, module.post = verb("get"), verb("post")
+    return module
+
+
+# quotes, backslashes, braces, and names that Python or the export itself reserves
+_ODD_NAMES = ["it's", "a'''b", "from", "requests", "api_url", "querystring", "id"]
+_ODD_VALUES = ["it's'", "a'''b", "C:\\new", "{id}", 'say "hi"']
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    name=st.text(max_size=10) | st.sampled_from(["import", "requests", "Find Trainer"]),
+    method=st.sampled_from(["GET", "POST"]),
+    path=st.text(st.characters(exclude_characters="{<?:"), max_size=12) | st.just('a"b'),
+    placeholder=st.text(st.characters(exclude_characters="{}?"), min_size=1, max_size=8)
+    .filter(lambda s: s == s.strip()),
+    query_base=st.none() | st.text(max_size=12) | st.just("fields={id}"),
+    path_value=st.text(max_size=12) | st.sampled_from(_ODD_VALUES),
+    params=st.dictionaries(
+        st.text(min_size=1, max_size=8) | st.sampled_from(_ODD_NAMES),
+        st.text(max_size=12) | st.sampled_from(_ODD_VALUES),
+        max_size=3,
+    ),
+)
+def test_export_compiles_and_sends_what_the_descriptor_describes(
+    name, method, path, placeholder, query_base, path_value, params,
+):
+    params.pop(placeholder, None)
+    url = f"https://h.example/{path}{{{placeholder}}}"
+    if query_base is not None:
+        url += "?" + query_base
+    tool = generate_tool(Endpoint(
+        name=name, method=method, url=url,
+        required_parameters=[Parameter(name=placeholder, example_value=path_value)],
+        optional_parameters=[Parameter(name=n, example_value=v) for n, v in params.items()],
+    ), "s")
+    code = compile(export_function_source(tool).encode("utf-8"), "export.py", "exec")
+    calls: list = []
+    with mock.patch.dict(sys.modules, requests=_stub_requests(calls)):
+        exec(code, {"__name__": "__main__"})
+    payload = "params" if method == "GET" else "json"
+    assert calls == [(method.lower(), {
+        "url": tool.template.render({placeholder: path_value}, encode=False),
+        payload: params, "timeout": 50, "verify": True,
+    })]
 
 
 class TestOpenApiExport:

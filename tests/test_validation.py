@@ -309,9 +309,9 @@ class TestJudgeResponse:
 def test_validation_report_dict_round_trip():
     answered = InvocationRecord(
         status_code=200, text='{"data": [1]}', json_body={"data": [1]},
-        truncated=True, retried_without_params=True, elapsed=0.25,
+        truncated=True, retried_without_params=True,
     )
-    refused = InvocationRecord(transport_error="connection refused", elapsed=0.5)
+    refused = InvocationRecord(transport_error="connection refused")
     reports = [
         ValidationReport(
             tool_name="search", attempts=[answered], error_type=ErrorType.PASSED,
@@ -326,6 +326,10 @@ def test_validation_report_dict_round_trip():
     ]
     for report in reports:
         assert ValidationReport.from_dict(json.loads(json.dumps(report.to_dict()))) == report
+    # reports.jsonl rows of earlier versions carry a wall-clock "elapsed" per attempt
+    older = reports[1].to_dict()
+    older["attempts"][0]["elapsed"] = 0.5
+    assert ValidationReport.from_dict(older) == reports[1]
 
 
 class TestClassifyOutcome:
