@@ -4,7 +4,7 @@ from .embedding import LexicalEmbedding, cosine_similarity
 from .evaluate import compute_metrics
 from .extract import extract_spec, repair_json
 from .inference import infer_parameters, leave_one_api_out, rank_combinations
-from .model import ApiSpec, Endpoint, Parameter, validate_spec
+from .model import ApiSpec, Endpoint, ErrorType, Parameter, validate_spec
 from .netutil import HttpPolicy
 from .toolgen import (
     ToolDescriptor,
@@ -13,7 +13,7 @@ from .toolgen import (
     generate_tools_for_spec,
     parse_url_template,
 )
-from .validate import ErrorType, estimate_causes, invoke_tool, validate_tool
+from .validate import estimate_causes, invoke_tool, validate_tool
 
 __version__ = "0.1.0"
 

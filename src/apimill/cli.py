@@ -28,14 +28,7 @@ from typing import Optional
 import yaml
 
 from .embedding import LexicalEmbedding, RemoteEmbedding
-from .errors import (
-    ApimillError,
-    ConfigInvalid,
-    EmptyCorpus,
-    Exhausted,
-    MissingStageInput,
-    NoCandidates,
-)
+from .errors import ApimillError, ConfigInvalid, EmptyCorpus, MissingStageInput
 from .evaluate import compute_metrics
 from .extract import (
     ExtractionResult,
@@ -45,10 +38,10 @@ from .extract import (
     ReplayBackend,
     run_extraction,
 )
-from .inference import InferenceOutcome, build_kb, infer_parameters
+from .inference import build_kb, infer_parameters
 from .ingest import ApiDocument, ingest_corpus, load_corpus_manifest
 from .judges import DEFAULT_ERROR_PHRASES, HeuristicJudge, RemoteJudge
-from .model import validate_spec
+from .model import ErrorType, validate_spec
 from .netutil import HostRateLimiter, HttpPolicy
 from .remote import ChatClient, RemoteConfig
 from .toolgen import (
@@ -60,7 +53,6 @@ from .toolgen import (
     sanitize_tool_name,
 )
 from .validate import (
-    ErrorType,
     ValidationReport,
     counts_from_reports,
     estimate_causes,
@@ -411,17 +403,15 @@ def stage_generate(config: ProjectConfig) -> None:
     for result in results:
         if not result.valid:
             continue
-        tools, schemeless = generate_tools_for_spec(
-            result.spec, result.source_id, used_names
-        )
+        tools, unbuilt = generate_tools_for_spec(result.spec, result.source_id, used_names)
         all_tools.extend(tools)
-        for endpoint in schemeless:
+        for endpoint, error_type in unbuilt:
             unbuildable.append(
                 {
                     "source_id": result.source_id,
                     "endpoint_name": endpoint.name,
                     "tool_name": sanitize_tool_name(endpoint.name),
-                    "error_type": ErrorType.MISSING_BASE_URL.value,
+                    "error_type": error_type.value,
                     "url": endpoint.url,
                 }
             )
@@ -444,13 +434,14 @@ def stage_validate(config: ProjectConfig, judge) -> None:
     _write_jsonl(validation_dir / "reports.jsonl", (r.to_dict() for r in reports))
 
     unbuildable_path = config.output_dir / "tools" / "unbuildable.jsonl"
-    unbuildable = len(_read_jsonl(unbuildable_path)) if unbuildable_path.exists() else 0
+    unbuildable = _read_jsonl(unbuildable_path) if unbuildable_path.exists() else []
     counts = counts_from_reports(reports)
-    counts[ErrorType.MISSING_BASE_URL] += unbuildable
+    for row in unbuildable:
+        counts[ErrorType(row["error_type"])] += 1
     estimate = estimate_causes(counts)
     summary = {
         "validated_tools": len(reports),
-        "unbuildable_endpoints": unbuildable,
+        "unbuildable_endpoints": len(unbuildable),
         "passed": counts[ErrorType.PASSED],
         "counts": {t.value: counts[t] for t in ErrorType},
         "causes": estimate.to_dict(),
@@ -480,10 +471,7 @@ def stage_infer(config: ProjectConfig, judge, emb) -> None:
     ]
     for report in targets:
         tool = by_name[report.tool_name]
-        try:
-            outcome = infer_parameters(tool, kb, judge, emb, http=config.http)
-        except (NoCandidates, Exhausted) as exc:
-            outcome = InferenceOutcome.failed(tool.tool_name, exc)
+        outcome = infer_parameters(tool, kb, judge, emb, http=config.http)
         outcomes.append(outcome)
         if outcome.success:
             recovered.append(tool)

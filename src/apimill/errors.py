@@ -75,14 +75,6 @@ class NoCandidates(ApimillError):
         super().__init__(f"no usable candidates for parameter {param!r}")
 
 
-class Exhausted(ApimillError):
-    """Every ranked value assignment failed validation."""
-
-    def __init__(self, tool_name: str, attempts: int):
-        self.attempts = attempts
-        super().__init__(f"{tool_name}: all {attempts} ranked assignments failed validation")
-
-
 class InsufficientCorpus(ApimillError):
     """Leave-one-source-out needs at least two distinct source documents."""
 

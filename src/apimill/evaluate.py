@@ -7,12 +7,12 @@ similarity above 0.8, taken greedily one-to-one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 from .embedding import cosine_similarity
 from .errors import EmptyCorpus, MalformedUrl
-from .model import ApiSpec, Endpoint, canonical_type, resolve_url
+from .model import ApiSpec, Endpoint, canonical_type, primary_url
 from .toolgen import parse_url_template
 
 NAME_MATCH_THRESHOLD = 0.8
@@ -20,11 +20,10 @@ NAME_MATCH_THRESHOLD = 0.8
 
 def _template_key(endpoint: Endpoint) -> Optional[str]:
     try:
-        resolved = resolve_url(endpoint)
-        template = parse_url_template(resolved.primary)
+        template = parse_url_template(primary_url(endpoint))
     except MalformedUrl:
         return None
-    return f"{endpoint.method.upper()} {template.erased().split('?', 1)[0]}"
+    return f"{endpoint.method.upper()} {template.erased()}"
 
 
 def _clamp01(x: float) -> float:
@@ -77,18 +76,7 @@ class MetricsReport:
     per_endpoint: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "valid_ratio": self.valid_ratio,
-            "matched_endpoints": self.matched_endpoints,
-            "name_similarity": self.name_similarity,
-            "description_similarity": self.description_similarity,
-            "method_accuracy": self.method_accuracy,
-            "param_precision": self.param_precision,
-            "param_recall": self.param_recall,
-            "param_description_similarity": self.param_description_similarity,
-            "type_accuracy": self.type_accuracy,
-            "per_endpoint": self.per_endpoint,
-        }
+        return asdict(self)
 
     def to_text_table(self) -> str:
         columns = [

@@ -12,23 +12,17 @@ import copy
 import heapq
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    BackendUnreachable,
-    DimensionMismatch,
-    Exhausted,
-    InsufficientCorpus,
-    NoCandidates,
-)
-from .model import Scalar
+from .errors import BackendUnreachable, DimensionMismatch, InsufficientCorpus, NoCandidates
+from .model import ErrorType, Scalar
 from .netutil import HttpPolicy
 from .prompts import PARAMETER_GUESS_PROMPT, PARAMETER_LIST_SCHEMA
 from .toolgen import ToolDescriptor
-from .validate import ErrorType, default_args, validate_tool
+from .validate import default_args, validate_tool
 
 TOP_PER_CHANNEL = 5
 MAX_CANDIDATES = 10
@@ -368,21 +362,7 @@ class InferenceOutcome:
     note: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "tool_name": self.tool_name,
-            "success": self.success,
-            "assignment": self.assignment,
-            "attempts": self.attempts,
-            "candidates_considered": self.candidates_considered,
-            "note": self.note,
-        }
-
-    @classmethod
-    def failed(cls, tool_name: str, exc) -> "InferenceOutcome":
-        """The outcome of an inference that raised NoCandidates or Exhausted."""
-        if isinstance(exc, NoCandidates):
-            return cls(tool_name, False, note=f"no candidates: {exc}")
-        return cls(tool_name, False, attempts=exc.attempts, note=str(exc))
+        return asdict(self)
 
 
 def _inference_targets(tool: ToolDescriptor) -> list:
@@ -403,8 +383,9 @@ def infer_parameters(
 ) -> InferenceOutcome:
     """Try ranked KB value combinations for the tool's `_inference_targets`
     until it passes validation.  The winning assignment is written back onto
-    the descriptor's example values and inserted into the knowledge base;
-    failures leave the KB untouched.
+    the descriptor's example values and inserted into the knowledge base.
+    A target without candidates, or a search in which every combination
+    fails, returns a failed outcome and leaves the KB untouched.
     """
     targets = _inference_targets(tool)
     if not targets:
@@ -419,7 +400,8 @@ def infer_parameters(
                 f"isolation breach: candidate for {arg.name!r} from excluded source"
             )
         if not candidates:
-            raise NoCandidates(arg.name)
+            return InferenceOutcome(tool.tool_name, False, note=(
+                f"no candidates: no usable candidates for parameter {arg.name!r}"))
         per_param[arg.name] = candidates
         candidates_considered += len(candidates)
 
@@ -452,7 +434,8 @@ def infer_parameters(
                 attempts=attempts,
                 candidates_considered=candidates_considered,
             )
-    raise Exhausted(tool.tool_name, attempts)
+    return InferenceOutcome(tool.tool_name, False, attempts=attempts, note=(
+        f"{tool.tool_name}: all {attempts} ranked assignments failed validation"))
 
 
 def llm_guess_baseline(
@@ -537,18 +520,9 @@ def leave_one_api_out(
         if not stripped.missing_value_args:
             skipped.append(tool.tool_name)
             continue
-        try:
-            outcome = infer_parameters(
-                stripped,
-                kb,
-                judge,
-                emb,
-                exclude_source=tool.source_id,
-                http=http,
-            )
-        except (NoCandidates, Exhausted) as exc:
-            outcome = InferenceOutcome.failed(tool.tool_name, exc)
-        outcomes.append(outcome)
+        outcomes.append(infer_parameters(
+            stripped, kb, judge, emb, exclude_source=tool.source_id, http=http
+        ))
 
     attempted = [o for o in outcomes if o.attempts > 0]
     return {

@@ -7,12 +7,26 @@ The central currency of the pipeline: a validated `ApiSpec` holding
 
 from __future__ import annotations
 
+import enum
 import json
 import re
 from dataclasses import dataclass, field
 from typing import Any, Optional, Union
 
 Scalar = Union[str, int, float, bool]
+
+
+class ErrorType(enum.Enum):
+    """The seven outcome labels; every endpoint of a valid spec ends with one."""
+
+    PASSED = "Passed Validation"
+    MISSING_ENDPOINT_PATH = "Missing Endpoint Path"
+    MISSING_BASE_URL = "Missing Base URL"
+    FAILED = "Failed Validation"
+    ABNORMAL = "Abnormal Response"
+    NO_PARAM_VALUE = "No Parameter Value"
+    WRONG_PARAM_VALUE = "Wrong Parameter Value"
+
 
 # JSON Schema the extraction backends are asked to satisfy.  Structured-mode
 # remote backends receive it verbatim as their response format.
@@ -178,12 +192,6 @@ class ApiSpec:
 
     def to_json(self, indent: Optional[int] = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, ensure_ascii=False)
-
-
-@dataclass
-class ResolvedUrl:
-    primary: str
-    has_scheme: bool
 
 
 @dataclass
@@ -437,23 +445,8 @@ def validate_spec(document: Any):
 _MULTI_SLASH = re.compile(r"(?<!:)/{2,}")
 
 
-def _collapse_slashes(url: str) -> str:
-    return _MULTI_SLASH.sub("/", url)
-
-
-def url_path_is_empty(url: str) -> bool:
-    """True when the URL's path, query aside, is "" or "/"; a URL without a
-    scheme is all path."""
-    if url.startswith(("http://", "https://")):
-        rest = url.split("://", 1)[1]
-        slash = rest.find("/")
-        url = rest[slash:] if slash >= 0 else ""
-    return url.split("?", 1)[0] in ("", "/")
-
-
-def resolve_url(endpoint: Endpoint) -> ResolvedUrl:
-    """Pick the primary URL, the first of a URL list, and derive the
-    base-URL signal."""
+def primary_url(endpoint: Endpoint) -> str:
+    """The endpoint's URL, the first of a URL list, with repeated slashes
+    collapsed."""
     url = endpoint.url[0] if isinstance(endpoint.url, list) else endpoint.url
-    primary = _collapse_slashes(url)
-    return ResolvedUrl(primary=primary, has_scheme=primary.startswith(("http://", "https://")))
+    return _MULTI_SLASH.sub("/", url)

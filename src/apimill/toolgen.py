@@ -17,7 +17,7 @@ from urllib.parse import quote
 import yaml
 
 from .errors import MalformedUrl, MixedHosts, UnboundPathParam
-from .model import Endpoint, Parameter, canonical_type, render_scalar, resolve_url
+from .model import Endpoint, ErrorType, Parameter, canonical_type, primary_url, render_scalar
 
 DEFAULT_TIMEOUT_SECONDS = 50
 
@@ -30,6 +30,10 @@ YAML_DUMPER = yaml.CSafeDumper if yaml.__with_libyaml__ else yaml.SafeDumper
 class Segment:
     kind: str  # "lit" | "param"
     value: str
+
+
+# the scheme and host that start an http(s) URL
+_SCHEME_HOST = re.compile(r"https?://([^/]*)")
 
 
 @dataclass
@@ -55,6 +59,22 @@ class UrlTemplate:
         if self.query_base is not None:
             body += "?" + self.query_base
         return body
+
+    def _base_and_path(self) -> tuple:
+        body = self.canonical().partition("?")[0]  # no segment holds a "?"
+        m = _SCHEME_HOST.match(body)
+        rest = body[m.end():] if m else body
+        return (m.group(0) if m and m.group(1) else None), (rest or "/")
+
+    @property
+    def base(self) -> Optional[str]:
+        """scheme://host; None when the URL has no http(s) scheme or no host."""
+        return self._base_and_path()[0]
+
+    @property
+    def path(self) -> str:
+        """The templated path after the base, query aside; "/" when empty."""
+        return self._base_and_path()[1]
 
     def erased(self) -> str:
         """Placeholder names dropped — the positional identity of the path."""
@@ -213,8 +233,12 @@ def generate_tool(
     declared parameter get a synthesized required arg and a warning (the
     caller sees the tool rather than losing it).
     """
-    resolved = resolve_url(endpoint)
-    template = parse_url_template(resolved.primary)
+    return _build_tool(endpoint, parse_url_template(primary_url(endpoint)), source_id, used_names)
+
+
+def _build_tool(
+    endpoint: Endpoint, template: UrlTemplate, source_id: str, used_names: Optional[set]
+) -> ToolDescriptor:
     path_names = set(template.param_names())
 
     warnings: list = []
@@ -255,21 +279,29 @@ def generate_tool(
 
 
 def generate_tools_for_spec(spec, source_id: str, used_names: Optional[set] = None):
-    """All buildable tools from one spec, plus the endpoints that lack a
-    scheme (those become Missing Base URL outcomes downstream).
+    """(tools, unbuildable): the tool of each endpoint whose URL parses and
+    has a base, and an (endpoint, ErrorType) pair for each other endpoint:
+    Missing Endpoint Path for a URL that does not parse, Missing Base URL for
+    one without scheme or host.
 
-    Tool names are unique within `used_names`, which the call extends; pass
-    one set for every spec of a corpus so that tools of different sources
-    never share a name.  A name's first occurrence keeps its bare form.
+    Tool names are unique within `used_names`, which the call extends with
+    the names of built tools; pass one set for every spec of a corpus so that
+    tools of different sources never share a name.  A name's first
+    occurrence keeps its bare form.
     """
     used = set() if used_names is None else used_names
-    tools, schemeless = [], []
+    tools, unbuildable = [], []
     for endpoint in spec.endpoints:
-        if not resolve_url(endpoint).has_scheme:
-            schemeless.append(endpoint)
+        try:
+            template = parse_url_template(primary_url(endpoint))
+        except MalformedUrl:
+            unbuildable.append((endpoint, ErrorType.MISSING_ENDPOINT_PATH))
             continue
-        tools.append(generate_tool(endpoint, source_id, used))
-    return tools, schemeless
+        if template.base is None:
+            unbuildable.append((endpoint, ErrorType.MISSING_BASE_URL))
+            continue
+        tools.append(_build_tool(endpoint, template, source_id, used))
+    return tools, unbuildable
 
 
 # ---------------------------------------------------------------------------
@@ -377,30 +409,17 @@ def export_function_source(tool: ToolDescriptor, tls_verify: bool = True) -> str
 _OPENAPI_TYPES = {"string", "integer", "number", "boolean"}
 
 
-def split_base_and_path(template: UrlTemplate):
-    """(scheme://host, /templated/path) for a scheme-bearing template."""
-    canonical = template.canonical().split("?", 1)[0]
-    m = re.match(r"^(https?://[^/]+)(/.*)?$", canonical)
-    if not m:
-        raise MixedHosts(f"not a scheme-bearing URL: {template.raw}")
-    return m.group(1), m.group(2) or "/"
-
-
 def export_openapi(tools: list) -> str:
     """One OpenAPI YAML document for tools sharing a single host."""
     if not tools:
         raise MixedHosts("no tools to export")
-    bases = {}
-    for tool in tools:
-        base, _ = split_base_and_path(tool.template)
-        bases[base] = True
-    if len(bases) != 1:
-        raise MixedHosts(f"{len(bases)} distinct hosts in one export: {sorted(bases)}")
+    bases = {tool.template.base for tool in tools}
+    if len(bases) != 1 or None in bases:
+        raise MixedHosts(f"{len(bases)} distinct hosts in one export: {sorted(map(str, bases))}")
     base = next(iter(bases))
 
     paths: dict = {}
     for tool in tools:
-        _, path = split_base_and_path(tool.template)
         parameters = []
         body_props: dict = {}
         body_required: list = []
@@ -443,7 +462,7 @@ def export_openapi(tools: list) -> str:
                 "content": {"application/json": {"schema": schema}},
                 "required": bool(body_required),
             }
-        paths.setdefault(path, {})[tool.method.lower()] = operation
+        paths.setdefault(tool.template.path, {})[tool.method.lower()] = operation
 
     doc = {
         "openapi": "3.0.3",
@@ -455,9 +474,10 @@ def export_openapi(tools: list) -> str:
 
 
 def group_tools_by_host(tools: list) -> dict:
+    """Tools by the host of their base URL; a tool without a base has no
+    server to export under and is left out."""
     groups: dict = {}
     for tool in tools:
-        base, _ = split_base_and_path(tool.template)
-        host = base.split("://", 1)[1]
-        groups.setdefault(host, []).append(tool)
+        if tool.template.base is not None:
+            groups.setdefault(tool.template.base.partition("://")[2], []).append(tool)
     return groups

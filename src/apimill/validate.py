@@ -7,7 +7,6 @@ aggressive ranges over four root-cause categories.
 
 from __future__ import annotations
 
-import enum
 import json
 from dataclasses import dataclass, field
 from typing import Optional
@@ -15,7 +14,7 @@ from urllib.parse import quote, quote_from_bytes, unquote, unquote_to_bytes
 
 from .errors import MissingRequiredParameter, NegativeCount, OfflineViolation, TransportFailed
 from .judges import judge_with_fallback
-from .model import render_scalar, url_path_is_empty
+from .model import ErrorType, render_scalar
 from .netutil import HttpPolicy, http_request, run_pool
 from .toolgen import ToolDescriptor
 
@@ -40,20 +39,7 @@ def decode_to_bytes(value: str) -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# outcome taxonomy
-
-class ErrorType(enum.Enum):
-    PASSED = "Passed Validation"
-    MISSING_ENDPOINT_PATH = "Missing Endpoint Path"
-    MISSING_BASE_URL = "Missing Base URL"
-    FAILED = "Failed Validation"
-    ABNORMAL = "Abnormal Response"
-    NO_PARAM_VALUE = "No Parameter Value"
-    WRONG_PARAM_VALUE = "Wrong Parameter Value"
-
-
-FAILURE_TYPES = [t for t in ErrorType if t is not ErrorType.PASSED]
-
+# invocation and outcome
 
 @dataclass
 class InvocationRecord:
@@ -238,10 +224,9 @@ class ValidationReport:
 
 def _preflight(tool: ToolDescriptor, args: dict) -> Optional[ErrorType]:
     """Structural failures that make an HTTP attempt pointless."""
-    template = tool.template
-    if not template.raw.startswith(("http://", "https://")):
+    if tool.template.base is None:
         return ErrorType.MISSING_BASE_URL
-    if tool.args and url_path_is_empty(template.erased()):
+    if tool.args and tool.template.path == "/":
         return ErrorType.MISSING_ENDPOINT_PATH
     for arg in tool.args:
         if arg.location == "path" and args.get(arg.name) is None:
@@ -262,16 +247,6 @@ def _response_label(
     if record.status_code == 200:
         return ErrorType.PASSED if judge_passed else ErrorType.FAILED
     return ErrorType.ABNORMAL
-
-
-def classify_outcome(
-    tool: ToolDescriptor,
-    args: dict,
-    record: Optional[InvocationRecord],
-    judge_passed: Optional[bool],
-) -> ErrorType:
-    """Total decision function over the seven outcome labels."""
-    return _preflight(tool, args) or _response_label(record, judge_passed)
 
 
 def default_args(tool: ToolDescriptor) -> dict:
@@ -383,6 +358,9 @@ def counts_from_reports(reports: list) -> dict:
     for report in reports:
         counts[report.error_type] += 1
     return counts
+
+
+FAILURE_TYPES = [t for t in ErrorType if t is not ErrorType.PASSED]
 
 
 def _aligned(headers: list, values: list) -> list:

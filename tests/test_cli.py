@@ -445,6 +445,39 @@ def test_unbuildable_endpoint_counted(tmp_path):
     assert summary["unbuildable_endpoints"] == 1
 
 
+def test_unparsable_and_hostless_urls_become_labelled_rows(corpus, tmp_path):
+    manifest, corpus_dir, _ = corpus
+    entries = [{**e, "origin": str(corpus_dir / e["origin"])}
+               for e in json.loads(manifest.read_text())]
+    (tmp_path / "broken.txt").write_text(
+        "Broken API\n## Item\nGET https://h.example/items/{id\n## Root\nGET https:///\n"
+    )
+    entries.append({"source_id": "broken", "origin": str(tmp_path / "broken.txt")})
+    (tmp_path / "manifest.json").write_text(json.dumps(entries))
+    cfg = make_config(tmp_path, tmp_path / "manifest.json", corpus_dir)
+    stages = "ingest,extract,generate,validate"
+    assert main(["run", "--config", str(cfg), "--stage-filter", stages]) == 0
+    out = tmp_path / "out"
+
+    names = ["convert_structure", "find_trainer", "get_glycan", "legacy_lookup",
+             "old_resource", "search_cards", "strict_search"]
+    assert sorted(p.name for p in (out / "tools").glob("*.tool.json")) == [
+        f"{name}.tool.json" for name in names]
+    assert sorted(p.stem for p in (out / "exports").glob("*.py")) == names
+    assert len(list((out / "exports").glob("*.openapi.yaml"))) == 1
+    unbuildable = [json.loads(l) for l in (out / "tools" / "unbuildable.jsonl").read_text().splitlines()]
+    assert [(r["source_id"], r["endpoint_name"], r["error_type"], r["url"]) for r in unbuildable] == [
+        ("broken", "Item", "Missing Endpoint Path", "https://h.example/items/{id"),
+        ("broken", "Root", "Missing Base URL", "https:///"),
+    ]
+    summary = json.loads((out / "validation" / "summary.json").read_text())
+    assert summary["validated_tools"] == len(names)
+    assert summary["unbuildable_endpoints"] == 2
+    assert summary["counts"]["Missing Endpoint Path"] == 1
+    assert summary["counts"]["Missing Base URL"] == 1
+    assert sum(summary["counts"].values()) == len(names) + 2
+
+
 def test_same_endpoint_names_across_sources_all_kept(corpus, tmp_path):
     manifest, corpus_dir, _ = corpus
     rows = json.loads(manifest.read_text())

@@ -13,7 +13,6 @@ from apimill.embedding import LexicalEmbedding, cosine_similarity
 from apimill.errors import (
     BackendUnreachable,
     DimensionMismatch,
-    Exhausted,
     InsufficientCorpus,
     NoCandidates,
 )
@@ -23,7 +22,6 @@ from apimill.inference import (
     SIMILARITY_FLOOR,
     TOP_PER_CHANNEL,
     Candidate,
-    InferenceOutcome,
     KnowledgeBase,
     ParameterKbEntry,
     build_kb,
@@ -598,14 +596,18 @@ class TestInferParameters:
         # winning value written back onto the descriptor
         assert stripped.args[0].example_value == "G00048MO"
 
-    def test_empty_kb_raises_no_candidates(self, mock_api, judge, emb):
+    def test_empty_kb_has_no_candidates(self, mock_api, judge, emb):
         tool = generate_tool(
             Endpoint(name="E", method="GET", url=f"{mock_api.base_url}/glycan",
                      required_parameters=[Parameter(name="glytoucan_id")]),
             "s",
         )
-        with pytest.raises(NoCandidates):
-            infer_parameters(tool, KnowledgeBase(), judge, emb, http=HttpPolicy(offline=True))
+        before = len(mock_api.hits)
+        outcome = infer_parameters(tool, KnowledgeBase(), judge, emb,
+                                   http=HttpPolicy(offline=True))
+        assert (outcome.success, outcome.attempts) == (False, 0)
+        assert outcome.note == "no candidates: no usable candidates for parameter 'glytoucan_id'"
+        assert len(mock_api.hits) == before
 
     def test_exhausted_counts_attempts(self, mock_api, judge, emb):
         kb = KnowledgeBase()
@@ -618,17 +620,32 @@ class TestInferParameters:
                      required_parameters=[Parameter(name="glytoucan_id")]),
             "mine",
         )
-        with pytest.raises(Exhausted) as err:
-            infer_parameters(tool, kb, judge, emb, http=HttpPolicy(offline=True))
-        assert err.value.attempts == 3
+        outcome = infer_parameters(tool, kb, judge, emb, http=HttpPolicy(offline=True))
+        assert (outcome.success, outcome.attempts) == (False, 3)
+        assert outcome.note == "get_glycan: all 3 ranked assignments failed validation"
+        assert len(kb) == 3  # a failure inserts nothing
 
-    def test_failed_outcomes(self):
-        none = InferenceOutcome.failed("t", NoCandidates("q"))
-        assert (none.success, none.attempts) == (False, 0)
-        assert none.note == "no candidates: no usable candidates for parameter 'q'"
-        spent = InferenceOutcome.failed("t", Exhausted("t", 4))
-        assert (spent.success, spent.attempts) == (False, 4)
-        assert spent.note == "t: all 4 ranked assignments failed validation"
+    def test_failed_outcomes(self, mock_api, judge, emb):
+        # the rows infer writes to kb/inference.jsonl, every field in field order
+        tool = generate_tool(
+            Endpoint(name="t", method="GET", url=f"{mock_api.base_url}/glycan",
+                     required_parameters=[Parameter(name="q")]),
+            "s",
+        )
+        http = HttpPolicy(offline=True)
+        none = infer_parameters(tool, KnowledgeBase(), judge, emb, http=http)
+        assert list(none.to_dict().items()) == [
+            ("tool_name", "t"), ("success", False), ("assignment", None), ("attempts", 0),
+            ("candidates_considered", 0),
+            ("note", "no candidates: no usable candidates for parameter 'q'"),
+        ]
+        kb = KnowledgeBase()
+        kb.extend([ParameterKbEntry(param_key="q", value=f"BAD{i}", source_id=f"o{i}")
+                   for i in range(4)], emb)
+        spent = infer_parameters(tool, kb, judge, emb, http=http).to_dict()
+        assert list(spent) == list(none.to_dict())
+        assert (spent["success"], spent["assignment"], spent["attempts"]) == (False, None, 4)
+        assert spent["note"] == "t: all 4 ranked assignments failed validation"
 
     def test_nothing_to_infer(self, judge, emb):
         tool = generate_tool(

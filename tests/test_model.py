@@ -11,11 +11,11 @@ from apimill.model import (
     Endpoint,
     Parameter,
     coerce_scalar,
+    primary_url,
     render_scalar,
-    resolve_url,
-    url_path_is_empty,
     validate_spec,
 )
+from apimill.toolgen import parse_url_template
 
 
 def minimal_endpoint(**over):
@@ -193,16 +193,21 @@ class TestValueHandling:
         json.dumps(out)  # storable
 
 
+def template_of(url):
+    return parse_url_template(primary_url(Endpoint(name="E", method="GET", url=url)))
+
+
 class TestResolveUrl:
     def test_scheme_detection(self):
-        ep = Endpoint(name="E", method="GET", url="https://h.example/v1/x")
-        assert resolve_url(ep).has_scheme
-        ep = Endpoint(name="E", method="GET", url="/v1/x")
-        assert not resolve_url(ep).has_scheme
+        assert template_of("https://h.example/v1/x").base == "https://h.example"
+        assert template_of("/v1/x").base is None
+        # a scheme without a host is no base either
+        for url in ("https://", "https:///", "http://?q=1"):
+            assert template_of(url).base is None
 
     def test_url_array_first_is_primary(self):
         ep = Endpoint(name="E", method="GET", url=["https://a.example/x", "https://b.example/y"])
-        assert resolve_url(ep).primary == "https://a.example/x"
+        assert primary_url(ep) == "https://a.example/x"
 
     @pytest.mark.parametrize(
         "url,empty",
@@ -215,12 +220,11 @@ class TestResolveUrl:
         ],
     )
     def test_path_is_empty(self, url, empty):
-        ep = Endpoint(name="E", method="GET", url=url)
-        assert url_path_is_empty(resolve_url(ep).primary) is empty
+        assert (template_of(url).path == "/") is empty
 
     def test_double_slash_collapsed_scheme_kept(self):
         ep = Endpoint(name="E", method="GET", url="https://h.example//v1///x")
-        assert resolve_url(ep).primary == "https://h.example/v1/x"
+        assert primary_url(ep) == "https://h.example/v1/x"
 
 
 def test_spec_json_is_deterministic():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from apimill import toolgen
 from apimill.errors import MalformedUrl, MixedHosts, UnboundPathParam
-from apimill.model import Endpoint, Parameter
+from apimill.model import Endpoint, ErrorType, Parameter
 from apimill.toolgen import (
     ToolDescriptor,
     export_function_source,
@@ -20,7 +20,6 @@ from apimill.toolgen import (
     group_tools_by_host,
     parse_url_template,
     sanitize_tool_name,
-    split_base_and_path,
 )
 from apimill.model import ApiSpec
 from apimill.synthetic import build_corpus
@@ -164,18 +163,26 @@ class TestGenerateTool:
             Endpoint(name="List?", method="GET", url="https://h.example/b"),
             Endpoint(name="list", method="GET", url="https://h.example/c"),
         ])
-        tools, schemeless = generate_tools_for_spec(spec, "s")
+        tools, unbuildable = generate_tools_for_spec(spec, "s")
         assert [t.tool_name for t in tools] == ["list", "list_2", "list_3"]
-        assert schemeless == []
+        assert unbuildable == []
 
     def test_schemeless_endpoint_separated(self):
         spec = ApiSpec(endpoints=[
             Endpoint(name="Good", method="GET", url="https://h.example/a"),
             Endpoint(name="Bad", method="GET", url="/v1/only-path"),
+            Endpoint(name="Item", method="GET", url="https://h.example/items/{id"),
+            Endpoint(name="Root", method="GET", url="https:///"),
+            Endpoint(name="Item", method="GET", url="https://h.example/items"),
         ])
-        tools, schemeless = generate_tools_for_spec(spec, "s")
-        assert [t.tool_name for t in tools] == ["good"]
-        assert [e.name for e in schemeless] == ["Bad"]
+        tools, unbuildable = generate_tools_for_spec(spec, "s")
+        # an unbuildable endpoint reserves no name
+        assert [t.tool_name for t in tools] == ["good", "item"]
+        assert [(e.name, e.url, label) for e, label in unbuildable] == [
+            ("Bad", "/v1/only-path", ErrorType.MISSING_BASE_URL),
+            ("Item", "https://h.example/items/{id", ErrorType.MISSING_ENDPOINT_PATH),
+            ("Root", "https:///", ErrorType.MISSING_BASE_URL),
+        ]
 
     def test_descriptor_round_trip(self):
         tool = generate_tool(self.make_search_cards(), "pokemon")
@@ -382,10 +389,15 @@ class TestOpenApiExport:
         assert export_openapi(group) == fast
         assert yaml.load(fast, Loader=yaml.CSafeLoader) == yaml.safe_load(fast)
 
-    def test_split_base_and_path(self):
+    def test_base_and_path(self):
         t = parse_url_template("https://h.example/a/{b}?x=1")
-        assert split_base_and_path(t) == ("https://h.example", "/a/{b}")
+        assert (t.base, t.path) == ("https://h.example", "/a/{b}")
         t = parse_url_template("https://h.example")
-        assert split_base_and_path(t) == ("https://h.example", "/")
+        assert (t.base, t.path) == ("https://h.example", "/")
+        t = parse_url_template("/no/scheme")
+        assert (t.base, t.path) == (None, "/no/scheme")
+        # a tool without a base has no server: no export, and no host group
+        baseless = generate_tool(Endpoint(name="E", method="GET", url="/no/scheme"), "s")
         with pytest.raises(MixedHosts):
-            split_base_and_path(parse_url_template("/no/scheme"))
+            export_openapi([baseless])
+        assert group_tools_by_host([baseless]) == {}

@@ -24,7 +24,6 @@ from apimill.validate import (
     InvocationRecord,
     ValidationReport,
     build_request,
-    classify_outcome,
     counts_from_reports,
     decode_component,
     decode_to_bytes,
@@ -40,6 +39,8 @@ from apimill.validate import (
 )
 
 from conftest import DATA_DIR, serving
+
+STRUCTURAL = (ErrorType.MISSING_BASE_URL, ErrorType.MISSING_ENDPOINT_PATH, ErrorType.NO_PARAM_VALUE)
 
 
 def make_tool(base_url, path="/cards", name="Search Cards", method="GET",
@@ -333,50 +334,70 @@ def test_validation_report_dict_round_trip():
 
 
 class TestClassifyOutcome:
-    def base_tool(self, mock_api):
-        return make_tool(mock_api.base_url, required=[Parameter(name="q", example_value="x")])
+    """Each label as validate_tool decides it; a structural one sends nothing."""
 
-    def test_priority_missing_base_url(self):
+    def base_tool(self, base_url, path="/cards"):
+        return make_tool(base_url, path=path, required=[Parameter(name="q", example_value="x")])
+
+    def validate(self, mock_api, judge, tool, args, requests):
+        before = len(mock_api.hits)
+        report = validate_tool(tool, judge, args=args, http=HttpPolicy(offline=True))
+        assert len(mock_api.hits) - before == requests
+        assert len(report.attempts) == (0 if report.error_type in STRUCTURAL else 1)
+        return report
+
+    def test_priority_missing_base_url(self, mock_api, judge):
         tool = generate_tool(Endpoint(name="E", method="GET", url="/only/path"), "s")
-        # generate_tools_for_spec would divert this; classify directly instead
-        assert classify_outcome(tool, {}, None, None) is ErrorType.MISSING_BASE_URL
+        # generate_tools_for_spec would divert this; validate it directly instead
+        report = self.validate(mock_api, judge, tool, {}, requests=0)
+        assert report.error_type is ErrorType.MISSING_BASE_URL
 
-    def test_empty_path_with_args(self):
+    def test_empty_path_with_args(self, mock_api, judge):
         tool = generate_tool(
             Endpoint(name="E", method="GET", url="https://h.example",
                      required_parameters=[Parameter(name="q", example_value="x")]),
             "s",
         )
-        assert classify_outcome(tool, {"q": "x"}, None, None) is ErrorType.MISSING_ENDPOINT_PATH
+        report = self.validate(mock_api, judge, tool, {"q": "x"}, requests=0)
+        assert report.error_type is ErrorType.MISSING_ENDPOINT_PATH
 
-    def test_empty_path_without_args_is_not_structural(self, judge):
-        tool = generate_tool(Endpoint(name="E", method="GET", url="https://h.example"), "s")
-        record = InvocationRecord(status_code=200, text="{}", json_body={})
-        assert classify_outcome(tool, {}, record, True) is ErrorType.PASSED
+    def test_empty_path_without_args_is_not_structural(self, mock_api, judge):
+        tool = generate_tool(Endpoint(name="E", method="GET", url=mock_api.base_url), "s")
+        report = self.validate(mock_api, judge, tool, {}, requests=1)
+        assert mock_api.hits[-1] == ("/", {})
+        assert report.error_type is ErrorType.ABNORMAL  # the mock has no route at "/"
 
-    def test_valueless_path_placeholder(self):
+    def test_valueless_path_placeholder(self, mock_api, judge):
         tool = generate_tool(Endpoint(name="E", method="GET", url="https://h.example/x/{id}"), "s")
-        assert classify_outcome(tool, {}, None, None) is ErrorType.MISSING_ENDPOINT_PATH
+        report = self.validate(mock_api, judge, tool, {}, requests=0)
+        assert report.error_type is ErrorType.MISSING_ENDPOINT_PATH
 
-    def test_valueless_required_query(self, mock_api):
-        tool = self.base_tool(mock_api)
-        assert classify_outcome(tool, {}, None, None) is ErrorType.NO_PARAM_VALUE
+    def test_valueless_required_query(self, mock_api, judge):
+        tool = self.base_tool(mock_api.base_url)
+        report = self.validate(mock_api, judge, tool, {}, requests=0)
+        assert report.error_type is ErrorType.NO_PARAM_VALUE
 
-    def test_transport_error_is_wrong_param_value(self, mock_api):
-        tool = self.base_tool(mock_api)
-        record = InvocationRecord(transport_error="connection refused")
-        assert classify_outcome(tool, {"q": "x"}, record, None) is ErrorType.WRONG_PARAM_VALUE
+    def test_transport_error_is_wrong_param_value(self, mock_api, judge):
+        # offline mode refuses the non-loopback host: the request never completes
+        tool = self.base_tool("https://h.example")
+        report = self.validate(mock_api, judge, tool, {"q": "x"}, requests=0)
+        assert report.attempts[0].transport_error is not None
+        assert report.error_type is ErrorType.WRONG_PARAM_VALUE
 
-    def test_200_split_by_judge(self, mock_api):
-        tool = self.base_tool(mock_api)
-        record = InvocationRecord(status_code=200, text="{}")
-        assert classify_outcome(tool, {"q": "x"}, record, True) is ErrorType.PASSED
-        assert classify_outcome(tool, {"q": "x"}, record, False) is ErrorType.FAILED
+    def test_200_split_by_judge(self, mock_api, judge):
+        tool = self.base_tool(mock_api.base_url)
+        report = self.validate(mock_api, judge, tool, {"q": "x"}, requests=1)
+        assert report.error_type is ErrorType.PASSED
+        tool = self.base_tool(mock_api.base_url, path="/strict")
+        report = self.validate(mock_api, judge, tool, {"q": "x"}, requests=1)
+        assert report.attempts[0].status_code == 200
+        assert report.error_type is ErrorType.FAILED
 
-    def test_non_200_abnormal(self, mock_api):
-        tool = self.base_tool(mock_api)
-        record = InvocationRecord(status_code=500, text="oops")
-        assert classify_outcome(tool, {"q": "x"}, record, None) is ErrorType.ABNORMAL
+    def test_non_200_abnormal(self, mock_api, judge):
+        tool = self.base_tool(mock_api.base_url, path="/gone")
+        # the 404 is retried once without parameters
+        report = self.validate(mock_api, judge, tool, {"q": "x"}, requests=2)
+        assert report.error_type is ErrorType.ABNORMAL
 
 
 class TestValidateTool:
