@@ -1,44 +1,54 @@
-"""Turn natural-language REST API documentation into validated, invocable tools."""
+"""Turn natural-language REST API documentation into validated, invocable tools.
 
-from .embedding import LexicalEmbedding, cosine_similarity
-from .evaluate import compute_metrics
-from .extract import extract_spec, repair_json
-from .inference import infer_parameters, leave_one_api_out, rank_combinations
-from .model import ApiSpec, Endpoint, ErrorType, Parameter, validate_spec
-from .netutil import HttpPolicy
-from .toolgen import (
-    ToolDescriptor,
-    export_function_source,
-    export_openapi,
-    generate_tools_for_spec,
-    parse_url_template,
-)
-from .validate import estimate_causes, invoke_tool, validate_tool
+Each public name is imported from its home module on first access, so that
+`import apimill.mockapi` or one `apimill <stage>` command loads only the
+modules it runs.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ApiSpec",
-    "Endpoint",
-    "ErrorType",
-    "HttpPolicy",
-    "LexicalEmbedding",
-    "Parameter",
-    "ToolDescriptor",
-    "__version__",
-    "compute_metrics",
-    "cosine_similarity",
-    "estimate_causes",
-    "export_function_source",
-    "export_openapi",
-    "extract_spec",
-    "generate_tools_for_spec",
-    "infer_parameters",
-    "invoke_tool",
-    "leave_one_api_out",
-    "parse_url_template",
-    "rank_combinations",
-    "repair_json",
-    "validate_spec",
-    "validate_tool",
-]
+# public name -> the submodule that defines it
+_HOMES = {
+    "ApiSpec": "model",
+    "Endpoint": "model",
+    "ErrorType": "model",
+    "HttpPolicy": "netutil",
+    "LexicalEmbedding": "embedding",
+    "Parameter": "model",
+    "ToolDescriptor": "toolgen",
+    "compute_metrics": "evaluate",
+    "cosine_similarity": "embedding",
+    "estimate_causes": "validate",
+    "export_function_source": "toolgen",
+    "export_openapi": "toolgen",
+    "extract_spec": "extract",
+    "generate_tools_for_spec": "toolgen",
+    "infer_parameters": "inference",
+    "invoke_tool": "validate",
+    "leave_one_api_out": "inference",
+    "parse_url_template": "toolgen",
+    "rank_combinations": "inference",
+    "repair_json": "extract",
+    "validate_spec": "model",
+    "validate_tool": "validate",
+}
+
+__all__ = sorted([*_HOMES, "__version__"])
+
+
+def __getattr__(name: str):
+    """A public name, imported from its home module and kept here; any other
+    name raises AttributeError, so `from apimill import <submodule>` imports
+    the submodule."""
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{home}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list:
+    return list(__all__)

@@ -51,6 +51,7 @@ from .toolgen import (
     generate_tools_for_spec,
     group_tools_by_host,
     sanitize_tool_name,
+    unique_name,
 )
 from .validate import (
     ValidationReport,
@@ -398,23 +399,25 @@ def stage_generate(config: ProjectConfig) -> None:
     results = _load_extraction_results(config, "generate")
 
     all_tools: list = []
-    unbuildable: list = []
+    unbuilt: list = []  # (source_id, endpoint, error_type)
     used_names: set = set()  # tool and export files are keyed by tool name
     for result in results:
         if not result.valid:
             continue
-        tools, unbuilt = generate_tools_for_spec(result.spec, result.source_id, used_names)
+        tools, pairs = generate_tools_for_spec(result.spec, result.source_id, used_names)
         all_tools.extend(tools)
-        for endpoint, error_type in unbuilt:
-            unbuildable.append(
-                {
-                    "source_id": result.source_id,
-                    "endpoint_name": endpoint.name,
-                    "tool_name": sanitize_tool_name(endpoint.name),
-                    "error_type": error_type.value,
-                    "url": endpoint.url,
-                }
-            )
+        unbuilt.extend((result.source_id, endpoint, error_type) for endpoint, error_type in pairs)
+    # named once every tool has its name, so a row never takes a built tool's
+    unbuildable = [
+        {
+            "source_id": source_id,
+            "endpoint_name": endpoint.name,
+            "tool_name": unique_name(sanitize_tool_name(endpoint.name), used_names),
+            "error_type": error_type.value,
+            "url": endpoint.url,
+        }
+        for source_id, endpoint, error_type in unbuilt
+    ]
 
     _export(config, all_tools, all_tools)
     _write_jsonl(config.subdir("tools") / "unbuildable.jsonl", unbuildable)

@@ -8,13 +8,14 @@ Evaluation and parameter inference both consume this interface.
 from __future__ import annotations
 
 import zlib
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import DimensionMismatch, EmbeddingUnavailable
 from .netutil import HttpPolicy
 from .remote import RemoteConfig, post_json
+
+if TYPE_CHECKING:
+    import numpy as np
 
 TIMEOUT_S = 60.0
 BATCH_SIZE = 128  # texts per request
@@ -22,6 +23,8 @@ BATCH_SIZE = 128  # texts per request
 
 def cosine_similarity(a, b) -> float:
     """Cosine of the angle between two vectors; 0.0 when either is zero."""
+    import numpy as np
+
     va = np.asarray(a, dtype=np.float64).ravel()
     vb = np.asarray(b, dtype=np.float64).ravel()
     if va.shape[0] != vb.shape[0]:
@@ -36,6 +39,8 @@ def cosine_similarity(a, b) -> float:
 def distinct_texts(texts: Sequence[str]) -> tuple:
     """The distinct texts in first-seen order, and for each input text the
     position of its distinct copy."""
+    import numpy as np
+
     slot: dict = {}
     inverse = [slot.setdefault(t, len(slot)) for t in texts]
     return list(slot), np.asarray(inverse, dtype=np.intp)
@@ -60,6 +65,8 @@ class LexicalEmbedding:
         return [s[i : i + 3] for i in range(len(s) - 2)]
 
     def embed_one(self, text: str) -> np.ndarray:
+        import numpy as np
+
         v = np.zeros(self.dimension, dtype=np.float64)
         for gram in self._grams(text):
             v[zlib.crc32(gram.encode("utf-8")) % self.dimension] += 1.0
@@ -70,6 +77,8 @@ class LexicalEmbedding:
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
         """One row per text, filled in place; each distinct text is embedded once."""
+        import numpy as np
+
         out = np.empty((len(texts), self.dimension))
         first: dict = {}
         for row, text in enumerate(texts):
@@ -106,6 +115,8 @@ class RemoteEmbedding:
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
         """One row per text; each distinct text is sent once."""
+        import numpy as np
+
         distinct, inverse = distinct_texts(texts)
         vectors: list = []
         for start in range(0, len(distinct), BATCH_SIZE):

@@ -13,9 +13,7 @@ import heapq
 import json
 import math
 from dataclasses import asdict, dataclass
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from .errors import BackendUnreachable, DimensionMismatch, InsufficientCorpus, NoCandidates
 from .model import ErrorType, Scalar
@@ -23,6 +21,9 @@ from .netutil import HttpPolicy
 from .prompts import PARAMETER_GUESS_PROMPT, PARAMETER_LIST_SCHEMA
 from .toolgen import ToolDescriptor
 from .validate import default_args, validate_tool
+
+if TYPE_CHECKING:
+    import numpy as np
 
 TOP_PER_CHANNEL = 5
 MAX_CANDIDATES = 10
@@ -70,6 +71,8 @@ class _Channel:
     row of its text, -1 when the entry has none."""
 
     def __init__(self):
+        import numpy as np
+
         self.slot: dict = {}  # text -> row
         self.rows: Optional[np.ndarray] = None  # (distinct texts, d) float64
         self.norms = np.empty(0)
@@ -77,6 +80,8 @@ class _Channel:
 
     def append(self, texts: list, unseen: list, vectors) -> None:
         """Take the rows of the `unseen` texts, then one row index per text."""
+        import numpy as np
+
         if unseen:
             for text in unseen:
                 self.slot[text] = len(self.slot)
@@ -117,6 +122,8 @@ class KnowledgeBase:
     def extend(self, entries: list, emb) -> None:
         """Add the entries not yet held, first occurrence first, embedding
         with `emb` the keys and descriptions that have no row yet."""
+        import numpy as np
+
         fresh: dict = {}
         for entry in entries:
             identity = _identity(entry)
@@ -156,6 +163,8 @@ class KnowledgeBase:
         were summed.  A zero vector has similarity 0.0.  `include` is a
         boolean mask over entries.
         """
+        import numpy as np
+
         ch = self._channels[channel]
         q = np.asarray(query, dtype=np.float64).ravel()
         if ch.rows is None:
@@ -177,6 +186,8 @@ class KnowledgeBase:
     def source_mask(self, exclude_source: Optional[str]):
         """Boolean mask of the entries not from `exclude_source`, or None
         when nothing is excluded."""
+        import numpy as np
+
         if exclude_source is None:
             return None
         return np.fromiter(
@@ -434,8 +445,10 @@ def infer_parameters(
                 attempts=attempts,
                 candidates_considered=candidates_considered,
             )
-    return InferenceOutcome(tool.tool_name, False, attempts=attempts, note=(
-        f"{tool.tool_name}: all {attempts} ranked assignments failed validation"))
+    return InferenceOutcome(
+        tool.tool_name, False, attempts=attempts, candidates_considered=candidates_considered,
+        note=f"{tool.tool_name}: all {attempts} ranked assignments failed validation",
+    )
 
 
 def llm_guess_baseline(

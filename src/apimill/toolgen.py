@@ -222,6 +222,17 @@ def sanitize_tool_name(name: str) -> str:
     return slug
 
 
+def unique_name(base: str, used_names: set) -> str:
+    """`base`, or the first of `base_2`, `base_3`, ... not in `used_names`;
+    the name returned is added to the set."""
+    name, n = base, 2
+    while name in used_names:
+        name = f"{base}_{n}"
+        n += 1
+    used_names.add(name)
+    return name
+
+
 def generate_tool(
     endpoint: Endpoint,
     source_id: str,
@@ -257,14 +268,9 @@ def _build_tool(
             warnings.append(f"synthesized required arg for unbound path placeholder: {name}")
     add(endpoint.optional_parameters, False)
 
-    base = sanitize_tool_name(endpoint.name)
-    tool_name = base
+    tool_name = sanitize_tool_name(endpoint.name)
     if used_names is not None:
-        n = 2
-        while tool_name in used_names:
-            tool_name = f"{base}_{n}"
-            n += 1
-        used_names.add(tool_name)
+        tool_name = unique_name(tool_name, used_names)
 
     return ToolDescriptor(
         tool_name=tool_name,

@@ -1,6 +1,9 @@
 import json
+import os
 import socket
 import ssl
+import subprocess
+import sys
 import threading
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -9,12 +12,23 @@ from typing import NamedTuple
 
 import pytest
 
+import apimill
 from apimill.embedding import LexicalEmbedding
 from apimill.judges import HeuristicJudge
 from apimill.mockapi import MockApi
 from apimill.synthetic import write_corpus
 
 DATA_DIR = Path(__file__).parent / "data"
+
+
+def in_fresh_python(script: str):
+    """Run `script` in a new interpreter that imports apimill from this
+    checkout; the JSON value it prints last."""
+    env = dict(os.environ, PYTHONPATH=str(Path(apimill.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 @pytest.fixture(scope="session")

@@ -478,6 +478,27 @@ def test_unparsable_and_hostless_urls_become_labelled_rows(corpus, tmp_path):
     assert sum(summary["counts"].values()) == len(names) + 2
 
 
+def test_unbuildable_rows_never_take_a_built_tools_name(corpus, tmp_path):
+    manifest, corpus_dir, _ = corpus
+    entries = [{**e, "origin": str(corpus_dir / e["origin"])}
+               for e in json.loads(manifest.read_text())]
+    (tmp_path / "broken.txt").write_text(
+        "Broken API\n## Search Cards\nGET https://h.example/items/{id\n"
+    )
+    # listed first: its row is still named after every built tool
+    entries.insert(0, {"source_id": "broken", "origin": str(tmp_path / "broken.txt")})
+    (tmp_path / "manifest.json").write_text(json.dumps(entries))
+    cfg = make_config(tmp_path, tmp_path / "manifest.json", corpus_dir)
+    assert main(["run", "--config", str(cfg), "--stage-filter", "ingest,extract,generate"]) == 0
+    out = tmp_path / "out"
+    built = sorted(p.name[: -len(".tool.json")] for p in (out / "tools").glob("*.tool.json"))
+    assert "search_cards" in built
+    unbuildable = [json.loads(l) for l in (out / "tools" / "unbuildable.jsonl").read_text().splitlines()]
+    assert [(r["source_id"], r["endpoint_name"], r["tool_name"]) for r in unbuildable] == [
+        ("broken", "Search Cards", "search_cards_2"),
+    ]
+
+
 def test_same_endpoint_names_across_sources_all_kept(corpus, tmp_path):
     manifest, corpus_dir, _ = corpus
     rows = json.loads(manifest.read_text())

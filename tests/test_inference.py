@@ -645,6 +645,7 @@ class TestInferParameters:
         spent = infer_parameters(tool, kb, judge, emb, http=http).to_dict()
         assert list(spent) == list(none.to_dict())
         assert (spent["success"], spent["assignment"], spent["attempts"]) == (False, None, 4)
+        assert spent["candidates_considered"] == 4
         assert spent["note"] == "t: all 4 ranked assignments failed validation"
 
     def test_nothing_to_infer(self, judge, emb):

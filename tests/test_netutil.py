@@ -9,8 +9,6 @@ import json
 import os
 import pkgutil
 import socket
-import subprocess
-import sys
 import textwrap
 import threading
 import time
@@ -36,7 +34,7 @@ from apimill.remote import ChatClient, RemoteConfig
 from apimill.toolgen import generate_tool
 from apimill.validate import invoke_tool
 
-from conftest import DATA_DIR, make_config, serving
+from conftest import DATA_DIR, in_fresh_python, make_config, serving
 
 STREAMED_BYTES = 64 * 1024 * 1024
 COMPLETION = {"choices": [{"message": {"content": "ok"}}], "usage": {"total_tokens": 3}}
@@ -366,23 +364,13 @@ HTTP_MODULES = ("http.client", "ssl", "urllib.request")
 THIRD_PARTY = ("requests", "urllib3", "charset_normalizer")
 
 
-def _in_fresh_python(script: str) -> dict:
-    """Run `script` in a new interpreter that imports apimill from this
-    checkout; the JSON object it prints last."""
-    env = dict(os.environ, PYTHONPATH=str(Path(apimill.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
-
-
 class TestLazyHttpImport:
     """The stdlib HTTP client loads on the first request, not before; no
     third-party HTTP library loads at all."""
 
     @staticmethod
     def pipeline(argv) -> dict:
-        return _in_fresh_python(textwrap.dedent(f"""
+        return in_fresh_python(textwrap.dedent(f"""
             import json, sys
             from apimill.cli import main
             code = main({argv!r})
@@ -408,7 +396,7 @@ class TestLazyHttpImport:
         assert (tmp_path / "out" / "kb" / "kb.jsonl").exists()
 
     def test_simultaneous_first_requests_all_succeed(self, mock_api):
-        out = _in_fresh_python(textwrap.dedent(f"""
+        out = in_fresh_python(textwrap.dedent(f"""
             import json, sys, threading
             from apimill import netutil
             assert not [m for m in {HTTP_MODULES + THIRD_PARTY!r} if m in sys.modules]
