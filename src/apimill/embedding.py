@@ -2,48 +2,44 @@
 
 Two providers share one interface: a deterministic lexical fallback (hashed
 character trigrams, no model, no network) and a remote embedding service.
-Evaluation and parameter inference both consume this interface.
+Evaluation and parameter inference both consume this interface.  A vector
+is a standard-library `array('d')` row; numpy's one home is the knowledge
+base in `inference`, which reads the rows through the buffer protocol.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 import zlib
-from typing import TYPE_CHECKING, Optional, Sequence
+from array import array
+from collections import Counter
+from operator import mul
+from typing import Optional, Sequence
 
 from .errors import DimensionMismatch, EmbeddingUnavailable
 from .netutil import HttpPolicy
 from .remote import RemoteConfig, post_json
 
-if TYPE_CHECKING:
-    import numpy as np
-
 TIMEOUT_S = 60.0
 BATCH_SIZE = 128  # texts per request
 
 
-def cosine_similarity(a, b) -> float:
-    """Cosine of the angle between two vectors; 0.0 when either is zero."""
-    import numpy as np
+def vector_norm(v) -> float:
+    """Euclidean length of `v`."""
+    return math.sqrt(sum(map(mul, v, v)))
 
-    va = np.asarray(a, dtype=np.float64).ravel()
-    vb = np.asarray(b, dtype=np.float64).ravel()
-    if va.shape[0] != vb.shape[0]:
-        raise DimensionMismatch(got=vb.shape[0], expected=va.shape[0])
-    na = float(np.linalg.norm(va))
-    nb = float(np.linalg.norm(vb))
+
+def cosine_similarity(a, b, norm_a=None, norm_b=None) -> float:
+    """Cosine of the angle between two vectors; 0.0 when either is zero.  A
+    caller that scores a vector many times passes in its `vector_norm`."""
+    if len(a) != len(b):
+        raise DimensionMismatch(got=len(b), expected=len(a))
+    na = vector_norm(a) if norm_a is None else norm_a
+    nb = vector_norm(b) if norm_b is None else norm_b
     if na == 0.0 or nb == 0.0:
         return 0.0
-    return float(np.dot(va, vb) / (na * nb))
-
-
-def distinct_texts(texts: Sequence[str]) -> tuple:
-    """The distinct texts in first-seen order, and for each input text the
-    position of its distinct copy."""
-    import numpy as np
-
-    slot: dict = {}
-    inverse = [slot.setdefault(t, len(slot)) for t in texts]
-    return list(slot), np.asarray(inverse, dtype=np.intp)
+    return sum(map(mul, a, b)) / (na * nb)
 
 
 class LexicalEmbedding:
@@ -64,27 +60,30 @@ class LexicalEmbedding:
             return [s] if s else []
         return [s[i : i + 3] for i in range(len(s) - 2)]
 
-    def embed_one(self, text: str) -> np.ndarray:
-        import numpy as np
-
-        v = np.zeros(self.dimension, dtype=np.float64)
-        for gram in self._grams(text):
-            v[zlib.crc32(gram.encode("utf-8")) % self.dimension] += 1.0
-        norm = float(np.linalg.norm(v))
-        if norm > 0.0:
-            v /= norm
+    def embed_one(self, text: str) -> array:
+        d = self.dimension
+        counts = Counter([zlib.crc32(gram.encode("utf-8")) % d for gram in self._grams(text)])
+        v = array("d", [0.0]) * d
+        # a sum of integer squares is exact, so the norm is correctly rounded
+        norm = math.sqrt(sum(c * c for c in counts.values()))
+        for index, count in counts.items():
+            v[index] = count / norm
         return v
 
-    def embed(self, texts: Sequence[str]) -> np.ndarray:
-        """One row per text, filled in place; each distinct text is embedded once."""
-        import numpy as np
+    def embed(self, texts: Sequence[str]) -> list:
+        """One row per text; each distinct text is embedded once, and its
+        repeats share its row."""
+        rows: dict = {}
+        for text in texts:
+            if text not in rows:
+                rows[text] = self.embed_one(text)
+        return [rows[text] for text in texts]
 
-        out = np.empty((len(texts), self.dimension))
-        first: dict = {}
-        for row, text in enumerate(texts):
-            seen = first.setdefault(text, row)
-            out[row] = self.embed_one(text) if seen == row else out[seen]
-        return out
+
+def _finite_number(x) -> bool:
+    """A JSON number a float holds: no bool, NaN, ±Infinity or huge integer."""
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and abs(x) <= sys.float_info.max)
 
 
 class RemoteEmbedding:
@@ -113,26 +112,28 @@ class RemoteEmbedding:
         except (KeyError, TypeError) as exc:
             raise EmbeddingUnavailable(f"malformed response: {exc}") from exc
 
-    def embed(self, texts: Sequence[str]) -> np.ndarray:
-        """One row per text; each distinct text is sent once."""
-        import numpy as np
-
-        distinct, inverse = distinct_texts(texts)
-        vectors: list = []
+    def embed(self, texts: Sequence[str]) -> list:
+        """One row per text; each distinct text is sent once, and its repeats
+        share its row.  Every row must be a list of finite numbers, as wide
+        as every other row the embedder has returned."""
+        distinct = list(dict.fromkeys(texts))
+        replies: list = []
         for start in range(0, len(distinct), BATCH_SIZE):
-            vectors.extend(self._post_batch(distinct[start : start + BATCH_SIZE]))
-        if not vectors:
-            return np.zeros((0, self.dimension or 0))
-        out = np.asarray(vectors, dtype=np.float64)
-        if out.shape[0] != len(distinct):
+            replies.extend(self._post_batch(distinct[start : start + BATCH_SIZE]))
+        if len(replies) != len(distinct):
             raise EmbeddingUnavailable(
-                f"malformed response: {out.shape[0]} rows for {len(distinct)} texts"
+                f"malformed response: {len(replies)} rows for {len(distinct)} texts"
             )
-        if self.dimension is None:
-            self.dimension = out.shape[1]
-        elif out.shape[1] != self.dimension:
-            raise DimensionMismatch(got=out.shape[1], expected=self.dimension)
-        return out if len(distinct) == len(texts) else out[inverse]
+        width = self.dimension
+        for reply in replies:
+            if not isinstance(reply, list) or not all(map(_finite_number, reply)):
+                raise EmbeddingUnavailable(f"malformed response: embedding {reply!r:.80}")
+            width = len(reply) if width is None else width
+            if len(reply) != width:
+                raise DimensionMismatch(got=len(reply), expected=width)
+        self.dimension = width
+        rows = {text: array("d", reply) for text, reply in zip(distinct, replies)}
+        return [rows[text] for text in texts]
 
-    def embed_one(self, text: str) -> np.ndarray:
+    def embed_one(self, text: str) -> array:
         return self.embed([text])[0]

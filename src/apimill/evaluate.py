@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
-from .embedding import cosine_similarity
+from .embedding import cosine_similarity, vector_norm
 from .errors import EmptyCorpus, MalformedUrl
 from .model import ApiSpec, Endpoint, canonical_type, primary_url
 from .toolgen import parse_url_template
@@ -176,9 +176,11 @@ def compute_metrics(results: list, truth: dict, emb) -> MetricsReport:
         for text in pair:
             row.setdefault(text, len(row))
     vectors = emb.embed(list(row))
+    norms = [vector_norm(v) for v in vectors]  # each once, however many pairs share it
 
     def similarities(pairs: list) -> list:
-        return [_clamp01(cosine_similarity(vectors[row[a]], vectors[row[b]])) for a, b in pairs]
+        return [_clamp01(cosine_similarity(vectors[i], vectors[j], norms[i], norms[j]))
+                for i, j in ((row[a], row[b]) for a, b in pairs)]
 
     name_sims = similarities(name_pairs)
     for entry, sim in zip(per_endpoint, name_sims):

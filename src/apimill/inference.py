@@ -3,7 +3,9 @@
 Verified (key, description, value) triples come from passing tools and the
 scalar leaves of their JSON responses.  Retrieval runs two embedding
 channels (description and key), candidates are ranked, and k-best value
-combinations are validated in the loop until one passes.
+combinations are validated in the loop until one passes.  The knowledge
+base is numpy's one home in apimill: it stacks the embedders' `array('d')`
+rows into float64 matrices.
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
 import math
 import random
+import zlib
 
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from apimill import embedding, evaluate
@@ -59,7 +60,8 @@ class TestCosine:
 class TestLexicalEmbedding:
     def test_shape_and_determinism(self, emb):
         vecs = emb.embed(["hello world", "hello world"])
-        assert vecs.shape == (2, 256)
+        assert len(vecs) == 2
+        assert [len(v) for v in vecs] == [256, 256]
         assert np.array_equal(vecs[0], vecs[1])
         assert np.array_equal(vecs[0], LexicalEmbedding().embed_one("hello world"))
 
@@ -94,6 +96,50 @@ class TestLexicalEmbedding:
         assert float(np.linalg.norm(v)) == pytest.approx(1.0)
 
 
+def numpy_lexical(text, d=256):
+    """The lexical embedding as numpy computes it: counts at crc32 % d of each
+    trigram (or of the whole text when shorter), divided by their norm."""
+    s = text.lower()
+    grams = [s[i : i + 3] for i in range(len(s) - 2)] if len(s) >= 3 else [s] if s else []
+    v = np.zeros(d)
+    for gram in grams:
+        v[zlib.crc32(gram.encode("utf-8")) % d] += 1.0
+    norm = np.linalg.norm(v)
+    if norm > 0.0:
+        v /= norm
+    return v
+
+
+# "", one- and two-character texts and non-ASCII letters, next to longer ones
+short_or_any_text = st.one_of(st.text(max_size=2), st.text(alphabet="aAbé日 -_", max_size=12),
+                              st.text())
+
+
+class TestMatchesNumpy:
+    """The standard-library vectors and cosines against numpy's: the vector
+    bytes are the ones `kb/kb.jsonl` holds."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(short_or_any_text)
+    @example("")
+    @example("a")
+    @example("Zé")
+    @example("search cards")
+    def test_lexical_vector_is_bit_identical(self, text):
+        assert LexicalEmbedding().embed_one(text).tobytes() == numpy_lexical(text).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(short_or_any_text, short_or_any_text)
+    @example("", "ab")
+    @example("search cards", "search card")
+    def test_cosine_within_1e_12(self, text_a, text_b):
+        a, b = numpy_lexical(text_a), numpy_lexical(text_b)
+        got = cosine_similarity(LexicalEmbedding().embed_one(text_a),
+                                LexicalEmbedding().embed_one(text_b))
+        denom = np.linalg.norm(a) * np.linalg.norm(b)
+        assert abs(got - (np.dot(a, b) / denom if denom else 0.0)) <= 1e-12
+
+
 class TestRemoteEmbedding:
     def make(self, monkeypatch, reply):
         monkeypatch.setattr(embedding, "BATCH_SIZE", 2)
@@ -106,12 +152,37 @@ class TestRemoteEmbedding:
         emb, posted = self.make(monkeypatch, lambda batch: [[float(len(t)), 1.0] for t in batch])
         vecs = emb.embed(["aa", "b", "aa", "ccc", "b"])
         assert posted == [["aa", "b"], ["ccc"]]
-        assert vecs[:, 0].tolist() == [2.0, 1.0, 2.0, 3.0, 1.0]
+        assert [v[0] for v in vecs] == [2.0, 1.0, 2.0, 3.0, 1.0]
 
     def test_missing_rows_rejected(self, monkeypatch):
         emb, _ = self.make(monkeypatch, lambda batch: [[1.0, 1.0]])
         with pytest.raises(EmbeddingUnavailable):
             emb.embed(["a", "b"])
+
+    def test_ragged_rows_rejected(self, monkeypatch):
+        emb, _ = self.make(monkeypatch, lambda batch: [[1.0, 2.0], [1.0]])
+        with pytest.raises(DimensionMismatch):
+            emb.embed(["a", "b"])
+        assert emb.dimension is None  # a rejected response teaches no width
+
+    @pytest.mark.parametrize(
+        "entry", ["x", None, math.nan, math.inf, -math.inf, True, 10**400],
+        ids=["string", "null", "nan", "inf", "-inf", "bool", "beyond-float"],
+    )
+    def test_non_number_entry_rejected(self, monkeypatch, entry):
+        emb, _ = self.make(monkeypatch, lambda batch: [[1.0, 2.0], [1.0, entry]])
+        with pytest.raises(EmbeddingUnavailable, match="malformed response"):
+            emb.embed(["a", "b"])
+
+    def test_row_that_is_not_a_list_rejected(self, monkeypatch):
+        emb, _ = self.make(monkeypatch, lambda batch: ["1.0"])
+        with pytest.raises(EmbeddingUnavailable, match="malformed response"):
+            emb.embed(["a"])
+
+    def test_rows_are_float_arrays(self, monkeypatch):
+        emb, _ = self.make(monkeypatch, lambda batch: [[1, 2.5]])
+        (row,) = emb.embed(["a"])
+        assert row.typecode == "d" and row.tolist() == [1.0, 2.5]
 
 
 class TestCanonicalType:

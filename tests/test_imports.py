@@ -1,5 +1,5 @@
 """What an entry point imports: the package resolves its public names on
-first use, and numpy loads only in a stage that embeds."""
+first use, and numpy loads only when infer builds the knowledge base."""
 
 import textwrap
 
@@ -60,7 +60,11 @@ def test_public_names_resolve_on_first_use():
     }
 
 
-def test_numpy_loads_only_in_a_stage_that_embeds(corpus, tmp_path):
+def test_embedding_and_evaluate_load_no_numpy():
+    assert "numpy" not in loaded_after("import apimill.embedding, apimill.evaluate")
+
+
+def test_numpy_loads_only_in_infer(corpus, tmp_path):
     manifest, corpus_dir, _ = corpus
     cfg = make_config(tmp_path, manifest, corpus_dir)
     numpy_loaded = {}
@@ -74,6 +78,6 @@ def test_numpy_loads_only_in_a_stage_that_embeds(corpus, tmp_path):
         assert out["code"] == 0, stage
         numpy_loaded[stage] = out["numpy"]
     assert numpy_loaded == {
-        "ingest": False, "extract": False, "evaluate": True, "generate": False,
+        "ingest": False, "extract": False, "evaluate": False, "generate": False,
         "validate": False, "infer": True, "report": False,
     }

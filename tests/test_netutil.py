@@ -360,6 +360,23 @@ def test_mock_hits_equal_requests_sent(corpus, tmp_path, mock_api, monkeypatch):
     assert len(mock_api.hits) - before == len(sent)
 
 
+@pytest.mark.parametrize("entry", [None, "x"], ids=["null", "string"])
+def test_malformed_embedding_reply_ends_the_run_with_an_error(corpus, tmp_path, capsys, entry):
+    manifest, corpus_dir, _ = corpus
+
+    def answer(handler):
+        texts = json.loads(handler.server.seen[-1].body)["input"]
+        reply = {"data": [{"embedding": [1.0, entry]} for _ in texts]}
+        return 200, {"Content-Type": "application/json"}, json.dumps(reply).encode()
+
+    with serving(answer) as (base, _):
+        cfg = make_config(tmp_path, manifest, corpus_dir, backends={"embedding": {
+            "kind": "remote", "endpoint_url": f"{base}/v1", "model_name": "m"}})
+        code = main(["run", "--config", str(cfg), "--stage-filter", "ingest,extract,evaluate"])
+    assert code == 1
+    assert "error: malformed response: embedding [1.0, " in capsys.readouterr().err
+
+
 HTTP_MODULES = ("http.client", "ssl", "urllib.request")
 THIRD_PARTY = ("requests", "urllib3", "charset_normalizer")
 
