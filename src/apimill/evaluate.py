@@ -12,7 +12,7 @@ from typing import Optional
 
 from .embedding import cosine_similarity, vector_norm
 from .errors import EmptyCorpus, MalformedUrl
-from .model import ApiSpec, Endpoint, canonical_type, primary_url
+from .model import ApiSpec, Endpoint, aligned_rows, canonical_type, primary_url
 from .toolgen import parse_url_template
 
 NAME_MATCH_THRESHOLD = 0.8
@@ -30,22 +30,19 @@ def _clamp01(x: float) -> float:
     return 0.0 if x < 0.0 else (1.0 if x > 1.0 else x)
 
 
-def match_endpoints(pred: ApiSpec, truth: ApiSpec, emb) -> list:
-    """Greedy one-to-one (pred_index, truth_index) pairs, best match first."""
-    if not pred.endpoints or not truth.endpoints:
-        return []
+def match_endpoints(pred: ApiSpec, truth: ApiSpec, name_similarity) -> list:
+    """Greedy one-to-one (pred_index, truth_index) pairs, best match first;
+    `name_similarity(pred_name, truth_name)` scores two endpoint names."""
     pred_keys = [_template_key(e) for e in pred.endpoints]
     truth_keys = [_template_key(e) for e in truth.endpoints]
-    pred_vecs = emb.embed([e.name for e in pred.endpoints])
-    truth_vecs = emb.embed([e.name for e in truth.endpoints])
 
     candidates = []
-    for pi in range(len(pred.endpoints)):
-        for ti in range(len(truth.endpoints)):
+    for pi, pred_ep in enumerate(pred.endpoints):
+        for ti, truth_ep in enumerate(truth.endpoints):
             if pred_keys[pi] is not None and pred_keys[pi] == truth_keys[ti]:
                 score = 1.0
             else:
-                score = cosine_similarity(pred_vecs[pi], truth_vecs[ti])
+                score = name_similarity(pred_ep.name, truth_ep.name)
                 if score < NAME_MATCH_THRESHOLD:
                     continue
             candidates.append((-score, pi, ti))
@@ -90,11 +87,8 @@ class MetricsReport:
             ("Param Desc Sim", f"{self.param_description_similarity:.3f}"),
             ("Type Acc", f"{self.type_accuracy:.3f}"),
         ]
-        widths = [max(len(h), len(v)) for h, v in columns]
-        header = "  ".join(h.ljust(w) for (h, _), w in zip(columns, widths))
-        values = "  ".join(v.ljust(w) for (_, v), w in zip(columns, widths))
-        rule = "-" * len(header)
-        return "\n".join([header, rule, values])
+        header, values = aligned_rows(*zip(*columns))
+        return "\n".join([header, "-" * len(header), values])
 
 
 def _mean(values: list) -> float:
@@ -107,38 +101,49 @@ def compute_metrics(results: list, truth: dict, emb) -> MetricsReport:
     Parameter precision/recall are micro-averaged name-set arithmetic over
     matched endpoints; description/type scoring pairs parameters by exact
     name and skips pairs where the truth side carries nothing to compare.
+    Each distinct text is embedded once, in at most one `emb.embed` call per
+    scored source, and matching and scoring read the same vectors.
     """
     if not results:
         raise EmptyCorpus("no extraction results to score")
 
-    valid = sum(1 for r in results if r.valid)
-    valid_ratio = valid / len(results)
+    valid_ratio = sum(1 for r in results if r.valid) / len(results)
 
-    matched_total = 0
-    # (predicted text, truth text) pairs to score, embedded once all are known
-    name_pairs: list = []
-    desc_pairs: list = []
-    param_desc_pairs: list = []
+    table: dict = {}  # text -> (vector, its norm)
+
+    def cosine(a: str, b: str) -> float:
+        (va, na), (vb, nb) = table[a], table[b]
+        return cosine_similarity(va, vb, na, nb)
+
+    name_sims: list = []
+    desc_sims: list = []
+    param_desc_sims: list = []
     method_hits: list = []
     tp = pred_total = truth_total = 0
     type_hits: list = []
     per_endpoint: list = []
 
     for result in sorted(results, key=lambda r: r.source_id):
-        if not result.valid:
-            continue
         truth_spec = truth.get(result.source_id)
-        if truth_spec is None:
+        if not result.valid or truth_spec is None:
             continue
-        pairs = match_endpoints(result.spec, truth_spec, emb)
-        matched_total += len(pairs)
-        for pi, ti in pairs:
+        new = list(dict.fromkeys(
+            text
+            for endpoint in (*result.spec.endpoints, *truth_spec.endpoints)
+            for text in (endpoint.name, endpoint.description or "",
+                         *(p.description or "" for p in endpoint.all_parameters()))
+            if text not in table
+        ))
+        for text, vector in zip(new, emb.embed(new)):
+            table[text] = (vector, vector_norm(vector))
+
+        for pi, ti in match_endpoints(result.spec, truth_spec, cosine):
             pred_ep = result.spec.endpoints[pi]
             truth_ep = truth_spec.endpoints[ti]
 
-            name_pairs.append((pred_ep.name, truth_ep.name))
+            name_sims.append(_clamp01(cosine(pred_ep.name, truth_ep.name)))
             if truth_ep.description:
-                desc_pairs.append((pred_ep.description or "", truth_ep.description))
+                desc_sims.append(_clamp01(cosine(pred_ep.description or "", truth_ep.description)))
             method_hits.append(1.0 if pred_ep.method.upper() == truth_ep.method.upper() else 0.0)
 
             pred_params = {p.name: p for p in pred_ep.all_parameters()}
@@ -152,7 +157,8 @@ def compute_metrics(results: list, truth: dict, emb) -> MetricsReport:
                 t_param = truth_params[name]
                 p_param = pred_params[name]
                 if t_param.description:
-                    param_desc_pairs.append((p_param.description or "", t_param.description))
+                    param_desc_sims.append(
+                        _clamp01(cosine(p_param.description or "", t_param.description)))
                 if t_param.type_hint:
                     type_hits.append(
                         1.0 if canonical_type(p_param.type_hint) == canonical_type(t_param.type_hint)
@@ -163,28 +169,12 @@ def compute_metrics(results: list, truth: dict, emb) -> MetricsReport:
                     "source_id": result.source_id,
                     "pred": pred_ep.name,
                     "truth": truth_ep.name,
-                    "name_similarity": None,  # scored below
+                    "name_similarity": name_sims[-1],
                     "param_intersection": len(inter),
                     "pred_params": len(pred_params),
                     "truth_params": len(truth_params),
                 }
             )
-
-    # one embed call over the distinct texts; `row` maps each text to its vector
-    row: dict = {}
-    for pair in (*name_pairs, *desc_pairs, *param_desc_pairs):
-        for text in pair:
-            row.setdefault(text, len(row))
-    vectors = emb.embed(list(row))
-    norms = [vector_norm(v) for v in vectors]  # each once, however many pairs share it
-
-    def similarities(pairs: list) -> list:
-        return [_clamp01(cosine_similarity(vectors[i], vectors[j], norms[i], norms[j]))
-                for i, j in ((row[a], row[b]) for a, b in pairs)]
-
-    name_sims = similarities(name_pairs)
-    for entry, sim in zip(per_endpoint, name_sims):
-        entry["name_similarity"] = sim
 
     # micro-averages; an empty denominator means nothing was claimed/owed,
     # which counts as perfect rather than as failure
@@ -193,13 +183,13 @@ def compute_metrics(results: list, truth: dict, emb) -> MetricsReport:
 
     return MetricsReport(
         valid_ratio=valid_ratio,
-        matched_endpoints=matched_total,
+        matched_endpoints=len(per_endpoint),
         name_similarity=_mean(name_sims),
-        description_similarity=_mean(similarities(desc_pairs)),
+        description_similarity=_mean(desc_sims),
         method_accuracy=_mean(method_hits),
         param_precision=precision,
         param_recall=recall,
-        param_description_similarity=_mean(similarities(param_desc_pairs)),
+        param_description_similarity=_mean(param_desc_sims),
         type_accuracy=_mean(type_hits),
         per_endpoint=per_endpoint,
     )

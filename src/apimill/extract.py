@@ -33,10 +33,13 @@ class ExtractionResult:
     source_id: str
     raw_output: str
     spec: Optional[ApiSpec]
-    valid: bool
     violations: list = field(default_factory=list)
     backend_kind: str = ""
     token_or_byte_cost: int = 0
+
+    @property
+    def valid(self) -> bool:
+        return self.spec is not None
 
     def to_dict(self) -> dict:
         return {
@@ -58,7 +61,6 @@ class ExtractionResult:
             source_id=d["source_id"],
             raw_output=d.get("raw_output", ""),
             spec=spec,
-            valid=bool(d.get("valid")) and spec is not None,
             violations=d.get("violations", []),
             backend_kind=d.get("backend_kind", ""),
             token_or_byte_cost=int(d.get("token_or_byte_cost", 0)),
@@ -361,7 +363,6 @@ def extract_spec(doc: ApiDocument, backend) -> ExtractionResult:
             source_id=doc.source_id,
             raw_output="",
             spec=None,
-            valid=False,
             violations=[f"backend: {exc}"],
             backend_kind=backend.kind,
         )
@@ -372,7 +373,6 @@ def extract_spec(doc: ApiDocument, backend) -> ExtractionResult:
             source_id=doc.source_id,
             raw_output=raw,
             spec=None,
-            valid=False,
             violations=[f"repair: {exc.reason}"],
             backend_kind=backend.kind,
             token_or_byte_cost=cost,
@@ -382,7 +382,6 @@ def extract_spec(doc: ApiDocument, backend) -> ExtractionResult:
         source_id=doc.source_id,
         raw_output=raw,
         spec=spec,
-        valid=spec is not None and not violations,
         # strings, as to_dict writes them, so the result survives its round trip
         violations=[str(v) for v in violations],
         backend_kind=backend.kind,

@@ -245,6 +245,13 @@ def render_scalar(value: Optional[Scalar]) -> str:
     return json.dumps(value)
 
 
+def aligned_rows(headers: list, values: list) -> list:
+    """A header row and a value row of a text table, each column as wide as
+    its wider cell."""
+    widths = [max(len(h), len(v)) for h, v in zip(headers, values)]
+    return ["  ".join(c.ljust(w) for c, w in zip(row, widths)) for row in (headers, values)]
+
+
 _TYPE_FAMILIES = {
     "string": "string", "str": "string",
     "integer": "integer", "int": "integer",

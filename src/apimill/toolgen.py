@@ -322,13 +322,7 @@ def _py_identifier(name: str, taken: set) -> str:
     ident = re.sub(r"[^0-9a-zA-Z_]", "_", name)
     if not ident or ident[0].isdigit():
         ident = "p_" + ident
-    base = ident
-    n = 2
-    while ident in taken:
-        ident = f"{base}_{n}"
-        n += 1
-    taken.add(ident)
-    return ident
+    return unique_name(ident, taken)
 
 
 def _py_escape(text: str, quote: str = "'", multiline: bool = False, fstring: bool = False) -> str:

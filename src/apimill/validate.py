@@ -14,7 +14,7 @@ from urllib.parse import quote, quote_from_bytes, unquote, unquote_to_bytes
 
 from .errors import MissingRequiredParameter, NegativeCount, OfflineViolation, TransportFailed
 from .judges import judge_with_fallback
-from .model import ErrorType, render_scalar
+from .model import ErrorType, aligned_rows, render_scalar
 from .netutil import HttpPolicy, http_request, run_pool
 from .toolgen import ToolDescriptor
 
@@ -194,9 +194,12 @@ class ValidationReport:
     attempts: list
     error_type: ErrorType
     judge_verdict: Optional[dict] = None
-    passed: bool = False
     source_id: str = ""
     args_used: dict = field(default_factory=dict)
+
+    @property
+    def passed(self) -> bool:
+        return self.error_type is ErrorType.PASSED
 
     def to_dict(self) -> dict:
         return {
@@ -216,7 +219,6 @@ class ValidationReport:
             attempts=[InvocationRecord.from_dict(a) for a in d.get("attempts", [])],
             error_type=ErrorType(d["error_type"]),
             judge_verdict=d.get("judge_verdict"),
-            passed=bool(d.get("passed")),
             source_id=d.get("source_id", ""),
             args_used=d.get("args_used", {}),
         )
@@ -277,7 +279,6 @@ def validate_tool(
         attempts=attempts,
         error_type=outcome,
         judge_verdict=verdict,
-        passed=outcome is ErrorType.PASSED,
         source_id=tool.source_id,
         args_used=bound,
     )
@@ -363,19 +364,14 @@ def counts_from_reports(reports: list) -> dict:
 FAILURE_TYPES = [t for t in ErrorType if t is not ErrorType.PASSED]
 
 
-def _aligned(headers: list, values: list) -> list:
-    """A header row and a value row, each column as wide as its wider cell."""
-    widths = [max(len(h), len(v)) for h, v in zip(headers, values)]
-    return ["  ".join(c.ljust(w) for c, w in zip(row, widths)) for row in (headers, values)]
-
-
 def render_error_tables(counts: dict, estimate: CauseEstimate) -> str:
     """Two aligned text tables: per-type counts, then cause ranges."""
     return "\n".join([
         "Error Type Counts",
-        *_aligned([t.value for t in FAILURE_TYPES], [str(counts.get(t, 0)) for t in FAILURE_TYPES]),
+        *aligned_rows([t.value for t in FAILURE_TYPES],
+                      [str(counts.get(t, 0)) for t in FAILURE_TYPES]),
         f"Passed Validation: {counts.get(ErrorType.PASSED, 0)}",
         "",
         "Error Cause Estimation (conservative-aggressive)",
-        *_aligned(list(CAUSE_CATEGORIES), [f"{lo}-{hi}" for lo, hi in estimate.ranges().values()]),
+        *aligned_rows(list(CAUSE_CATEGORIES), [f"{lo}-{hi}" for lo, hi in estimate.ranges().values()]),
     ])

@@ -201,9 +201,9 @@ def test_criterion_5_metrics_oracle(verdict, emb):
                 required_parameters=[Parameter(name=n) for n in truth_names],
             )])
             n_invalid = rng.randint(0, 3)
-            results = [ExtractionResult(source_id="s", raw_output="", spec=pred, valid=True)]
+            results = [ExtractionResult(source_id="s", raw_output="", spec=pred)]
             results += [
-                ExtractionResult(source_id=f"bad{i}", raw_output="", spec=None, valid=False)
+                ExtractionResult(source_id=f"bad{i}", raw_output="", spec=None)
                 for i in range(n_invalid)
             ]
             report = compute_metrics(results, {"s": truth}, emb)

@@ -8,7 +8,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from apimill import embedding, evaluate
+from apimill import embedding
 from apimill.embedding import LexicalEmbedding, RemoteEmbedding, cosine_similarity
 from apimill.errors import DimensionMismatch, EmbeddingUnavailable, EmptyCorpus
 from apimill.evaluate import (
@@ -34,10 +34,8 @@ def ep(name, url, method="GET", required=(), optional=(), description=None):
     )
 
 
-def result(source_id, spec, valid=True):
-    return ExtractionResult(
-        source_id=source_id, raw_output="", spec=spec, valid=valid and spec is not None
-    )
+def result(source_id, spec):
+    return ExtractionResult(source_id=source_id, raw_output="", spec=spec)
 
 
 class TestCosine:
@@ -184,6 +182,23 @@ class TestRemoteEmbedding:
         (row,) = emb.embed(["a"])
         assert row.typecode == "d" and row.tolist() == [1.0, 2.5]
 
+    def test_metrics_post_each_distinct_text_once(self, monkeypatch, emb):
+        remote, posted = self.make(monkeypatch,
+                                   lambda batch: [emb.embed_one(t).tolist() for t in batch])
+        search = ep("Search Cards", "https://h.example/cards", description="Find cards.",
+                    required=[Parameter(name="q", description="Query text.")])
+        get = ep("Get Card", "https://h.example/cards/{id}", description="One card.")
+        truth = {"a": ApiSpec(endpoints=[search]), "b": ApiSpec(endpoints=[search, get])}
+        renamed = ep("Search All Cards", "https://h.example/cards", description="Find cards.",
+                     required=[Parameter(name="q")])
+        results = [result("a", ApiSpec(endpoints=[renamed])), result("b", truth["b"])]
+        report = compute_metrics(results, truth, remote)
+        sent = [text for batch in posted for text in batch]
+        assert sorted(sent) == sorted(
+            {"Search Cards", "Search All Cards", "Get Card", "Find cards.", "One card.",
+             "Query text.", ""})
+        assert report.to_dict() == compute_metrics(results, truth, emb).to_dict()
+
 
 class TestCanonicalType:
     @pytest.mark.parametrize(
@@ -211,37 +226,42 @@ class TestCanonicalType:
 
 
 class TestMatchEndpoints:
-    def test_template_equality_beats_name(self, emb):
+    @pytest.fixture
+    def names(self, emb):
+        """Endpoint-name similarity over the lexical embedder."""
+        return lambda a, b: cosine_similarity(emb.embed_one(a), emb.embed_one(b))
+
+    def test_template_equality_beats_name(self, names):
         pred = ApiSpec(endpoints=[ep("Totally Different Label", "https://h.example/v1/cards")])
         truth = ApiSpec(endpoints=[ep("Search Cards", "https://h.example/v1/cards")])
-        assert match_endpoints(pred, truth, emb) == [(0, 0)]
+        assert match_endpoints(pred, truth, names) == [(0, 0)]
 
-    def test_template_match_ignores_placeholder_names(self, emb):
+    def test_template_match_ignores_placeholder_names(self, names):
         pred = ApiSpec(endpoints=[ep("A", "https://h.example/users/{uid}")])
         truth = ApiSpec(endpoints=[ep("B", "https://h.example/users/:user_id")])
-        assert match_endpoints(pred, truth, emb) == [(0, 0)]
+        assert match_endpoints(pred, truth, names) == [(0, 0)]
 
-    def test_name_similarity_fallback(self, emb):
+    def test_name_similarity_fallback(self, names):
         pred = ApiSpec(endpoints=[ep("Search Cards", "https://h.example/a")])
         truth = ApiSpec(endpoints=[ep("Search Cards", "https://other.example/b")])
-        assert match_endpoints(pred, truth, emb) == [(0, 0)]
+        assert match_endpoints(pred, truth, names) == [(0, 0)]
 
-    def test_dissimilar_names_no_match(self, emb):
+    def test_dissimilar_names_no_match(self, names):
         pred = ApiSpec(endpoints=[ep("Completely Unrelated", "https://h.example/a")])
         truth = ApiSpec(endpoints=[ep("Search Cards", "https://other.example/b")])
-        assert match_endpoints(pred, truth, emb) == []
+        assert match_endpoints(pred, truth, names) == []
 
-    def test_one_to_one(self, emb):
+    def test_one_to_one(self, names):
         pred = ApiSpec(endpoints=[
             ep("Search Cards", "https://h.example/cards"),
             ep("Search Cards Again", "https://h.example/cards"),
         ])
         truth = ApiSpec(endpoints=[ep("Search Cards", "https://h.example/cards")])
-        pairs = match_endpoints(pred, truth, emb)
+        pairs = match_endpoints(pred, truth, names)
         assert len(pairs) == 1
 
-    def test_empty_specs(self, emb):
-        assert match_endpoints(ApiSpec(endpoints=[]), ApiSpec(endpoints=[]), emb) == []
+    def test_empty_specs(self, names):
+        assert match_endpoints(ApiSpec(endpoints=[]), ApiSpec(endpoints=[]), names) == []
 
 
 def brute_force_param_counts(pred_truth_pairs):
@@ -285,7 +305,7 @@ class TestComputeMetrics:
 
     def test_valid_ratio_counts_failures(self, emb):
         spec = ApiSpec(endpoints=[ep("E", "https://h.example/x")])
-        results = [result("a", spec), result("b", None, valid=False)]
+        results = [result("a", spec), result("b", None)]
         report = compute_metrics(results, {"a": spec}, emb)
         assert report.valid_ratio == 0.5
 
@@ -330,17 +350,14 @@ class TestComputeMetrics:
         rev = compute_metrics(list(reversed(results)), specs, emb).to_dict()
         assert fwd == rev
 
-    def test_each_distinct_text_embedded_once(self, emb, monkeypatch):
-        class Counting:  # no embed_one: the scoring must embed in batches
+    def test_each_distinct_text_embedded_once(self, emb):
+        class Counting:  # no embed_one: matching and scoring embed in batches
             texts = 0
 
             def embed(self, texts):
                 Counting.texts += len(texts)
                 return emb.embed(texts)
 
-        # matching embeds on its own, uncounted; this counts the scoring
-        match = evaluate.match_endpoints
-        monkeypatch.setattr(evaluate, "match_endpoints", lambda p, t, _emb: match(p, t, emb))
         spec = ApiSpec(endpoints=[
             ep("Search Cards", "https://h.example/cards", description="Find cards.",
                required=[Parameter(name="q", description="Query text.")]),
@@ -351,7 +368,7 @@ class TestComputeMetrics:
         results = [result(sid, s) for sid, s in specs.items()]
         counted = compute_metrics(results, specs, Counting()).to_dict()
         # two names, two descriptions and two parameter descriptions, each on
-        # both sides of three pairs
+        # both sides of three sources, matched and scored
         assert Counting.texts == 6
         assert counted == compute_metrics(results, specs, emb).to_dict()
 

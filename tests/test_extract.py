@@ -205,6 +205,9 @@ def test_extraction_result_dict_round_trip(pokemon_html):
     assert not invalid.valid and invalid.violations
     for result in (valid, unrepaired, unreachable, invalid):
         assert ExtractionResult.from_dict(json.loads(json.dumps(result.to_dict()))) == result
+    # the row still carries "valid", derived from the spec
+    assert [r.to_dict()["valid"] for r in (valid, unrepaired, unreachable, invalid)] == [
+        True, False, False, False]
 
 
 def test_run_extraction_preserves_order():

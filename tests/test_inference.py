@@ -233,7 +233,6 @@ def scripted_report(tool, error_type, json_body=None):
         tool_name=tool.tool_name,
         attempts=attempts,
         error_type=error_type,
-        passed=error_type is ErrorType.PASSED,
         source_id=tool.source_id,
     )
 

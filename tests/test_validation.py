@@ -317,7 +317,7 @@ def test_validation_report_dict_round_trip():
         ValidationReport(
             tool_name="search", attempts=[answered], error_type=ErrorType.PASSED,
             judge_verdict={"passed": True, "rationale": "response object carries data"},
-            passed=True, source_id="src", args_used={"q": "x", "n": 3},
+            source_id="src", args_used={"q": "x", "n": 3},
         ),
         ValidationReport(
             tool_name="lookup", attempts=[refused], error_type=ErrorType.WRONG_PARAM_VALUE,
@@ -327,6 +327,8 @@ def test_validation_report_dict_round_trip():
     ]
     for report in reports:
         assert ValidationReport.from_dict(json.loads(json.dumps(report.to_dict()))) == report
+    # the row still carries "passed", derived from the error type
+    assert [r.to_dict()["passed"] for r in reports] == [True, False, False]
     # reports.jsonl rows of earlier versions carry a wall-clock "elapsed" per attempt
     older = reports[1].to_dict()
     older["attempts"][0]["elapsed"] = 0.5
