@@ -3,8 +3,7 @@
 Two providers share one interface: a deterministic lexical fallback (hashed
 character trigrams, no model, no network) and a remote embedding service.
 Evaluation and parameter inference both consume this interface.  A vector
-is a standard-library `array('d')` row; numpy's one home is the knowledge
-base in `inference`, which reads the rows through the buffer protocol.
+is a standard-library `array('d')` row.
 """
 
 from __future__ import annotations

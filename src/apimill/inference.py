@@ -4,8 +4,8 @@ Verified (key, description, value) triples come from passing tools and the
 scalar leaves of their JSON responses.  Retrieval runs two embedding
 channels (description and key), candidates are ranked, and k-best value
 combinations are validated in the loop until one passes.  The knowledge
-base is numpy's one home in apimill: it stacks the embedders' `array('d')`
-rows into float64 matrices.
+base keeps the embedders' `array('d')` rows and searches them exactly, with
+the standard library.
 """
 
 from __future__ import annotations
@@ -14,9 +14,13 @@ import copy
 import heapq
 import json
 import math
+from array import array
+from collections import Counter
 from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING, Optional
+from itertools import groupby
+from typing import Optional
 
+from .embedding import cosine_similarity, vector_norm
 from .errors import BackendUnreachable, DimensionMismatch, InsufficientCorpus, NoCandidates
 from .model import ErrorType, Scalar
 from .netutil import HttpPolicy
@@ -24,13 +28,11 @@ from .prompts import PARAMETER_GUESS_PROMPT, PARAMETER_LIST_SCHEMA
 from .toolgen import ToolDescriptor
 from .validate import default_args, validate_tool
 
-if TYPE_CHECKING:
-    import numpy as np
-
 TOP_PER_CHANNEL = 5
 MAX_CANDIDATES = 10
 SIMILARITY_FLOOR = 0.5
 SIMILARITY_DECIMALS = 12
+_SCALE = 10.0 ** SIMILARITY_DECIMALS
 MAX_COMBINATIONS = 20
 GUESS_ROUNDS = 10
 
@@ -68,37 +70,63 @@ def _identity(entry: ParameterKbEntry) -> tuple:
     return (entry.param_key, str(entry.value), entry.source_id)
 
 
+def _rounded(similarity: float) -> float:
+    """`similarity` rounded to SIMILARITY_DECIMALS places as numpy's
+    `round` does it: scale, round half to even, scale back.  NaN, the cosine
+    of two vectors whose norms overflow, becomes -inf, so that it ranks last
+    and below the floor, as numpy ranked NaN."""
+    if math.isnan(similarity):
+        return -math.inf
+    return round(similarity * _SCALE) / _SCALE
+
+
 class _Channel:
     """One embedding channel: a row per distinct text, and per entry the
     row of its text, -1 when the entry has none."""
 
     def __init__(self):
-        import numpy as np
-
         self.slot: dict = {}  # text -> row
-        self.rows: Optional[np.ndarray] = None  # (distinct texts, d) float64
-        self.norms = np.empty(0)
-        self.row = np.empty(0, dtype=np.intp)  # parallel to the KB's entries
+        self.rows: list = []  # one array('d') per distinct text
+        self.norms: list = []  # vector_norm of each row
+        self.members: list = []  # per row, the indices of its entries, ascending
+        self.row: list = []  # per KB entry, its row or -1
+        # query vector (bytes) -> rounded similarities to rows[:len]; the rows
+        # only grow, so a later call scores only the rows added since
+        self.scores: dict = {}
 
-    def append(self, texts: list, unseen: list, vectors) -> None:
-        """Take the rows of the `unseen` texts, then one row index per text."""
-        import numpy as np
+    def append(self, texts: list, vectors: dict) -> None:
+        """Take one entry per text, None for an entry without one; a text
+        with no row yet gets one, holding its vector from `vectors`."""
+        for text in texts:
+            if text is None:
+                self.row.append(-1)
+                continue
+            row = self.slot.get(text)
+            if row is None:
+                row = self.slot[text] = len(self.rows)
+                self.rows.append(vectors[text])
+                self.norms.append(vector_norm(vectors[text]))
+                self.members.append([])
+            self.members[row].append(len(self.row))
+            self.row.append(row)
 
-        if unseen:
-            for text in unseen:
-                self.slot[text] = len(self.slot)
-            self.rows = vectors if self.rows is None else np.concatenate((self.rows, vectors))
-            # einsum sums row by row, without the n x d temporary of rows * rows
-            norms = np.sqrt(np.einsum("ij,ij->i", vectors, vectors))
-            self.norms = np.concatenate((self.norms, norms))
-        row = [-1 if text is None else self.slot[text] for text in texts]
-        self.row = np.concatenate((self.row, np.asarray(row, dtype=np.intp)))
+    def similarities(self, query: array) -> array:
+        """The rounded cosine of `query` to every row, scoring only the rows
+        it has not been scored against before."""
+        sims = self.scores.setdefault(query.tobytes(), array("d"))
+        if len(sims) < len(self.rows):
+            norm = vector_norm(query)
+            sims.extend([
+                _rounded(cosine_similarity(query, row, norm, row_norm))
+                for row, row_norm in zip(self.rows[len(sims):], self.norms[len(sims):])
+            ])
+        return sims
 
     def encoded(self) -> list:
         """Per entry, its vector as JSON text, None where it has none; each
         row is encoded once however many entries share it."""
-        rows = [] if self.rows is None else [_Json(_encode(v)) for v in self.rows.tolist()]
-        return [rows[r] if r >= 0 else None for r in self.row.tolist()]
+        rows = [_Json(_encode(v.tolist())) for v in self.rows]
+        return [rows[r] if r >= 0 else None for r in self.row]
 
 
 class KnowledgeBase:
@@ -106,26 +134,42 @@ class KnowledgeBase:
     (param_key, value, source_id).
 
     The KB owns the embeddings.  Each channel ("key", "description") holds
-    one float64 row per distinct text, embedded once however many entries
-    and `extend` calls share it, and maps every entry to its text's row.
-    Every row has the width of the first vectors the KB took.
+    one `array('d')` row per distinct text and maps every entry to its
+    text's row.  Every row has the width of the first vectors the KB took.
+    The KB also remembers the embedder of its first `extend` and every
+    vector it has had from it, so that no text, held or queried, goes to
+    that embedder twice.
     """
 
     def __init__(self):
         self.entries: list = []
         self._seen: set = set()
-        self._source_ids: list = []  # parallel to entries
+        self._per_source: Counter = Counter()  # source_id -> entries
         self._channels = {"key": _Channel(), "description": _Channel()}
         self._width: Optional[int] = None  # of every vector; the first ones set it
+        self.embedder = None  # the embedder of the first extend
+        self._vectors: dict = {}  # text -> its vector from self.embedder
 
     def __len__(self) -> int:
         return len(self.entries)
 
+    def embed(self, texts: list, emb) -> list:
+        """`emb`'s vectors of `texts`, as `array('d')` rows.  For the KB's
+        own embedder, each text it has not had yet is embedded, all in one
+        `emb.embed` call, and kept; any other embedder embeds every text."""
+        vectors = self._vectors if emb is self.embedder else {}
+        missing = [t for t in dict.fromkeys(texts) if t not in vectors]
+        if missing:
+            vectors.update(zip(missing, (array("d", v) for v in emb.embed(missing))))
+        return [vectors[t] for t in texts]
+
+    def holds_other_than(self, source_id: Optional[str]) -> bool:
+        """Whether any entry comes from a source other than `source_id`."""
+        return len(self.entries) > self._per_source[source_id]
+
     def extend(self, entries: list, emb) -> None:
         """Add the entries not yet held, first occurrence first, embedding
         with `emb` the keys and descriptions that have no row yet."""
-        import numpy as np
-
         fresh: dict = {}
         for entry in entries:
             identity = _identity(entry)
@@ -134,68 +178,53 @@ class KnowledgeBase:
         entries = list(fresh.values())
         if not entries:
             return
+        if self.embedder is None:
+            self.embedder = emb
+        texts = {"key": [e.param_key for e in entries],
+                 "description": [e.description or None for e in entries]}
+        unseen = [t for name, channel in self._channels.items() for t in texts[name]
+                  if t is not None and t not in channel.slot]
         # embed everything before the KB changes, so a failure leaves it whole
-        pending, width = [], self._width
-        for name, texts in (("key", [e.param_key for e in entries]),
-                            ("description", [e.description or None for e in entries])):
-            channel = self._channels[name]
-            unseen = [t for t in dict.fromkeys(texts) if t is not None and t not in channel.slot]
-            vectors = None
-            if unseen:
-                vectors = np.asarray(emb.embed(unseen), dtype=np.float64)
-                width = vectors.shape[1] if width is None else width
-                if vectors.shape[1] != width:
-                    raise DimensionMismatch(got=vectors.shape[1], expected=width)
-            pending.append((channel, texts, unseen, vectors))
+        vectors = dict(zip(unseen, self.embed(unseen, emb)))
+        width = self._width
+        for vector in vectors.values():
+            width = len(vector) if width is None else width
+            if len(vector) != width:
+                raise DimensionMismatch(got=len(vector), expected=width)
         self._width = width
         for entry in entries:
             self._seen.add(_identity(entry))
             self.entries.append(entry)
-            self._source_ids.append(entry.source_id)
-        for channel, texts, unseen, vectors in pending:
-            channel.append(texts, unseen, vectors)
+            self._per_source[entry.source_id] += 1
+        for name, channel in self._channels.items():
+            channel.append(texts[name], vectors)
 
-    def nearest(self, channel: str, query, k: int, include=None) -> tuple:
+    def nearest(self, channel: str, query, k: int, exclude_source: Optional[str] = None) -> list:
         """The k entries of `channel` closest to `query` by cosine
-        similarity, as (similarities, entry indices), best first.
+        similarity, as (similarity, entry index) pairs, best first, leaving
+        out the entries of `exclude_source`.
 
-        One matrix-vector product scores the channel's distinct texts.
+        Each distinct text is scored once, and each query once against it.
         Similarities are rounded to SIMILARITY_DECIMALS places before
         ranking, so that ties go to the earlier entry however the products
-        were summed.  A zero vector has similarity 0.0.  `include` is a
-        boolean mask over entries.
+        were summed.  A zero vector has similarity 0.0.
         """
-        import numpy as np
-
         ch = self._channels[channel]
-        q = np.asarray(query, dtype=np.float64).ravel()
-        if ch.rows is None:
-            return np.empty(0), np.empty(0, dtype=np.intp)
-        if ch.rows.shape[1] != q.shape[0]:
-            raise DimensionMismatch(got=ch.rows.shape[1], expected=q.shape[0])
-        denom = ch.norms * np.linalg.norm(q)
-        row_sims = np.divide(ch.rows @ q, denom, out=np.zeros_like(denom), where=denom > 0)
-        held = ch.row >= 0
-        index = np.flatnonzero(held if include is None else held & include)
-        sims = np.round(row_sims, SIMILARITY_DECIMALS)[ch.row[index]]
-        if len(sims) > k:
-            kth = np.partition(sims, len(sims) - k)[len(sims) - k]
-            keep = sims >= kth  # ties at the kth value are settled by lexsort
-            sims, index = sims[keep], index[keep]
-        order = np.lexsort((index, -sims))[:k]
-        return sims[order], index[order]
-
-    def source_mask(self, exclude_source: Optional[str]):
-        """Boolean mask of the entries not from `exclude_source`, or None
-        when nothing is excluded."""
-        import numpy as np
-
-        if exclude_source is None:
-            return None
-        return np.fromiter(
-            (s != exclude_source for s in self._source_ids),
-            dtype=bool, count=len(self._source_ids),
-        )
+        if not ch.rows:
+            return []
+        query = array("d", query)
+        if len(query) != self._width:
+            raise DimensionMismatch(got=self._width, expected=len(query))
+        sims = ch.similarities(query)
+        found: list = []
+        best_first = sorted(range(len(sims)), key=sims.__getitem__, reverse=True)
+        for sim, tied in groupby(best_first, key=sims.__getitem__):
+            for i in heapq.merge(*(ch.members[r] for r in tied)):
+                if self.entries[i].source_id != exclude_source:
+                    found.append((sim, i))
+                    if len(found) == k:
+                        return found
+        return found
 
     def write_jsonl(self, fh) -> None:
         """One JSON row per entry into the text file `fh`: its fields and its
@@ -298,15 +327,14 @@ def retrieve_candidates(
 
     `param` needs .name and .description attributes (a ToolArg fits).
     """
-    include = kb.source_mask(exclude_source)
-    if not kb.entries or (include is not None and not include.any()):
+    if not kb.holds_other_than(exclude_source):
         return []
 
     best: dict = {}  # (key, str(value)) -> (similarity, KB index, entry)
 
     def consider(channel: str, text: str):
-        sims, index = kb.nearest(channel, emb.embed_one(text), TOP_PER_CHANNEL, include)
-        for sim, idx in zip(sims.tolist(), index.tolist()):
+        (query,) = kb.embed([text], emb)
+        for sim, idx in kb.nearest(channel, query, TOP_PER_CHANNEL, exclude_source):
             entry = kb.entries[idx]
             dedupe_key = (entry.param_key, str(entry.value))
             held = best.get(dedupe_key)
@@ -404,6 +432,10 @@ def infer_parameters(
     if not targets:
         return InferenceOutcome(tool.tool_name, True, assignment={}, note="nothing to infer")
 
+    # one embed call for the target texts the KB has no vector of; another
+    # embedder's vectors are not kept, so it would embed them twice
+    if emb is kb.embedder:
+        kb.embed([text for arg in targets for text in (arg.description, arg.name) if text], emb)
     per_param: dict = {}
     candidates_considered = 0
     for arg in targets:

@@ -1,5 +1,5 @@
 """What an entry point imports: the package resolves its public names on
-first use, and numpy loads only when infer builds the knowledge base."""
+first use, and no module or command loads numpy."""
 
 import textwrap
 
@@ -61,10 +61,11 @@ def test_public_names_resolve_on_first_use():
 
 
 def test_embedding_and_evaluate_load_no_numpy():
-    assert "numpy" not in loaded_after("import apimill.embedding, apimill.evaluate")
+    assert "numpy" not in loaded_after(
+        "import apimill.embedding, apimill.evaluate, apimill.inference")
 
 
-def test_numpy_loads_only_in_infer(corpus, tmp_path):
+def test_no_stage_loads_numpy(corpus, tmp_path):
     manifest, corpus_dir, _ = corpus
     cfg = make_config(tmp_path, manifest, corpus_dir)
     numpy_loaded = {}
@@ -79,5 +80,5 @@ def test_numpy_loads_only_in_infer(corpus, tmp_path):
         numpy_loaded[stage] = out["numpy"]
     assert numpy_loaded == {
         "ingest": False, "extract": False, "evaluate": False, "generate": False,
-        "validate": False, "infer": True, "report": False,
+        "validate": False, "infer": False, "report": False,
     }

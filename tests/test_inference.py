@@ -6,10 +6,10 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from apimill.embedding import LexicalEmbedding, cosine_similarity
+from apimill.embedding import LexicalEmbedding, cosine_similarity, vector_norm
 from apimill.errors import (
     BackendUnreachable,
     DimensionMismatch,
@@ -24,6 +24,7 @@ from apimill.inference import (
     Candidate,
     KnowledgeBase,
     ParameterKbEntry,
+    _rounded,
     build_kb,
     harvest_response_values,
     infer_parameters,
@@ -76,10 +77,15 @@ class CountingEmbedding(LexicalEmbedding):
     def __init__(self):
         super().__init__()
         self.texts = []
+        self.calls = []  # the texts of each embed call
 
     def embed_one(self, text):
         self.texts.append(text)
         return super().embed_one(text)
+
+    def embed(self, texts):
+        self.calls.append(list(texts))
+        return super().embed(texts)
 
 
 class TestKnowledgeBase:
@@ -114,7 +120,7 @@ class TestKnowledgeBase:
             ParameterKbEntry(param_key="q", value="x", source_id="s"),
             ParameterKbEntry(param_key="q", value="y", source_id="s", description=""),
         ], emb)
-        assert kb._channels["description"].rows is None
+        assert kb._channels["description"].rows == []
         assert kb_vector(kb, "description", 0) is None and kb_vector(kb, "description", 1) is None
         path = tmp_path / "kb.jsonl"
         with open(path, "w", encoding="utf-8") as fh:
@@ -178,13 +184,13 @@ class TestKnowledgeBase:
                                ("description", ["the id", "a name"])):
             ch = kb._channels[channel]
             assert list(ch.slot) == texts
-            assert ch.rows.shape == (len(texts), emb.dimension)
-            assert ch.norms.shape == (len(texts),)
+            assert len(ch.rows) == len(texts)
+            assert all(r.typecode == "d" and len(r) == emb.dimension for r in ch.rows)
+            assert ch.norms == [vector_norm(r) for r in ch.rows]
         for i, entry in enumerate(kb.entries):
-            assert np.array_equal(kb_vector(kb, "key", i), emb.embed_one(entry.param_key))
+            assert kb_vector(kb, "key", i) == emb.embed_one(entry.param_key)
             if entry.description:
-                assert np.array_equal(kb_vector(kb, "description", i),
-                                      emb.embed_one(entry.description))
+                assert kb_vector(kb, "description", i) == emb.embed_one(entry.description)
             else:
                 assert kb_vector(kb, "description", i) is None
 
@@ -279,21 +285,23 @@ class TestBuildKb:
         ]
         keys, descriptions = kb._channels["key"], kb._channels["description"]
         assert len(keys.rows) == 2  # one row per distinct key text
-        assert keys.row.tolist() == [0, 1, 1]  # both token entries share its row
-        assert descriptions.row.tolist() == [0, -1, -1]
+        assert keys.row == [0, 1, 1]  # both token entries share its row
+        assert keys.members == [[0], [1, 2]]
+        assert descriptions.row == [0, -1, -1] and descriptions.members == [[0]]
         for i, entry in enumerate(kb.entries):
-            assert np.array_equal(kb_vector(kb, "key", i), emb.embed_one(entry.param_key))
-        assert np.array_equal(kb_vector(kb, "description", 0), emb.embed_one("query text"))
+            assert kb_vector(kb, "key", i) == emb.embed_one(entry.param_key)
+        assert kb_vector(kb, "description", 0) == emb.embed_one("query text")
 
         for i in range(3):
             kb.extend([ParameterKbEntry(param_key=f"later {i}", value=i, source_id="s")], emb)
         kb.extend([ParameterKbEntry(param_key="token", value="new", source_id="s")], emb)
-        # one matrix takes every call's new texts; a held text keeps its row
+        # every call's new texts get rows; a held text keeps its row
         assert list(keys.slot) == ["q", "token", "later 0", "later 1", "later 2"]
-        assert keys.rows.shape == (5, emb.dimension)
-        assert keys.row.tolist() == [0, 1, 1, 2, 3, 4, 1]
+        assert len(keys.rows) == 5
+        assert keys.row == [0, 1, 1, 2, 3, 4, 1]
+        assert keys.members == [[0], [1, 2, 6], [3], [4], [5]]
         for i, entry in enumerate(kb.entries[3:], start=3):
-            assert np.array_equal(kb_vector(kb, "key", i), emb.embed_one(entry.param_key))
+            assert kb_vector(kb, "key", i) == emb.embed_one(entry.param_key)
 
 
 class TestRetrieveCandidates:
@@ -362,8 +370,15 @@ class TestRetrieveCandidates:
                                        description="a new text")):
             with pytest.raises(DimensionMismatch):
                 kb.extend([entry], LexicalEmbedding(dimension=64))
-        assert len(kb) == 1 and kb._channels["description"].rows is None
+        assert len(kb) == 1 and kb._channels["description"].rows == []
         assert [c.entry.value for c in retrieve_candidates(arg, kb, emb)] == ["x"]
+
+    def test_overflowing_vectors_rank_last(self):
+        # finite rows whose norms overflow: their cosine is NaN
+        emb = TableEmbedding({"big": [1e200, 1e200], "small": [1.0, 1.0]})
+        kb = self.kb_with(emb, [("big", "x", "a", None), ("small", "y", "a", None)])
+        assert kb.nearest("key", emb.embed_one("big"), 5) == [(0.0, 1), (-math.inf, 0)]
+        assert retrieve_candidates(SimpleNamespace(name="big", description=None), kb, emb) == []
 
     def test_cap_ten(self, emb):
         rows = [(f"query_{i}", f"v{i}", "a", None) for i in range(30)]
@@ -562,6 +577,119 @@ class TestRetrievalOracle:
         want = loop_retrieve(param, kb, emb, exclude_source=exclude)
         assert [id(c.entry) for c in got] == [id(c.entry) for c in want]
         assert [c.similarity for c in got] == [c.similarity for c in want]
+
+
+def numpy_nearest(kb, emb, channel, query, k, exclude_source=None):
+    """The numpy search `KnowledgeBase.nearest` replaced, kept as its
+    oracle: one matrix-vector product over a row per entry, embedded from
+    the entry's own text, cosines rounded with np.round, the top k by
+    similarity and ties to the earlier entry.  Also returns the cosines
+    before rounding."""
+    texts = [e.param_key if channel == "key" else e.description for e in kb.entries]
+    index = np.array([i for i, (text, e) in enumerate(zip(texts, kb.entries))
+                      if text and e.source_id != exclude_source], dtype=np.intp)
+    if not len(index):
+        return [], np.empty(0)
+    rows = np.array([emb.embed_one(texts[i]) for i in index], dtype=np.float64)
+    q = np.asarray(query, dtype=np.float64)
+    denom = np.sqrt(np.einsum("ij,ij->i", rows, rows)) * np.linalg.norm(q)
+    raw = np.divide(rows @ q, denom, out=np.zeros_like(denom), where=denom > 0)
+    sims = np.round(raw, SIMILARITY_DECIMALS)
+    if len(sims) > k:
+        kth = np.partition(sims, len(sims) - k)[len(sims) - k]
+        keep = sims >= kth  # ties at the kth value are settled by lexsort
+        sims, index = sims[keep], index[keep]
+    order = np.lexsort((index, -sims))[:k]
+    return list(zip(sims[order].tolist(), index[order].tolist())), raw
+
+
+# non-dyadic: most products round, so the two summation orders can differ in
+# the last bits; magnitudes stay far from underflow
+dense = st.integers(-10_000, 10_000).map(lambda n: n / 1000)
+
+
+def vectors(width):
+    unit = [1.0] + [0.0] * (width - 1)
+    return st.one_of(
+        st.sampled_from([[0.0] * width, unit, [2.0 * x for x in unit]]),  # zero, parallel
+        st.lists(component, min_size=width, max_size=width),  # exact products, many ties
+        st.lists(dense, min_size=width, max_size=width),
+    )
+
+
+class TestNearestMatchesNumpy:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_same_entries_and_similarities(self, data):
+        width = data.draw(st.integers(1, 6), label="width")
+        texts = [*KEYS, *(f"about {key}" for key in KEYS)]
+        table = data.draw(st.lists(vectors(width), min_size=len(texts), max_size=len(texts)),
+                          label="text vectors")
+        emb = TableEmbedding(dict(zip(texts, table)))
+        batches = data.draw(st.lists(st.lists(kb_row, min_size=1, max_size=8),
+                                     min_size=1, max_size=4), label="extend calls")
+        queries = data.draw(st.lists(st.tuples(
+            vectors(width), st.sampled_from(["key", "description"]),
+            st.sampled_from([1, 2, TOP_PER_CHANNEL, 40]),
+            st.one_of(st.none(), st.sampled_from(["a", "b", "c"])),
+        ), min_size=1, max_size=4), label="queries")
+        kb = KnowledgeBase()
+        for batch in batches:
+            kb.extend([
+                ParameterKbEntry(param_key=key, value=value, source_id=source,
+                                 description=f"about {key}" if described else None)
+                for key, value, source, described in batch
+            ], emb)
+            # the same queries after every extend: their held scores must
+            # grow by the rows the call added
+            for query, channel, k, exclude in queries:
+                got = kb.nearest(channel, query, k, exclude)
+                want, raw = numpy_nearest(kb, emb, channel, query, k, exclude)
+                scaled = raw * 10.0 ** SIMILARITY_DECIMALS
+                if np.any(np.abs(scaled % 1.0 - 0.5) < 0.01):
+                    # a cosine within 1e-14 of a rounding boundary may round
+                    # either way under another summation order; the two
+                    # differ by at most 8e-16 here
+                    continue
+                assert got == want
+
+    @given(st.floats(allow_nan=False, min_value=-1e290, max_value=1e290))
+    @example(0.5e-12)
+    @example(-0.0)
+    @example(0.1 + 0.2)
+    def test_rounding_matches_numpy(self, x):
+        assert _rounded(x) == float(np.round(x, SIMILARITY_DECIMALS))
+
+
+class TestEmbeddingMemo:
+    def test_held_texts_are_not_embedded_for_queries(self):
+        counting = CountingEmbedding()
+        kb = KnowledgeBase()
+        kb.extend([ParameterKbEntry(param_key="city", value="Köln", source_id="a",
+                                    description="the city name")], counting)
+        counting.texts.clear()
+        arg = ToolArg(name="city", location="query", required=True, description="the city name")
+        assert [c.entry.value for c in retrieve_candidates(arg, kb, counting)] == ["Köln"]
+        assert counting.texts == []
+
+    def test_unheld_target_text_embedded_once(self, judge):
+        counting = CountingEmbedding()
+        kb = KnowledgeBase()
+        kb.extend([ParameterKbEntry(param_key="glytoucan_id", value="G00048MO",
+                                    source_id="a")], counting)
+        counting.texts.clear()
+        counting.calls.clear()
+        for n in (1, 2):
+            tool = generate_tool(
+                Endpoint(name=f"Lookup {n}", method="GET", url=f"https://h.example/{n}",
+                         required_parameters=[Parameter(name="accession",
+                                                        description="the accession code")]),
+                f"s{n}",
+            )
+            outcome = infer_parameters(tool, kb, judge, counting, http=HttpPolicy(offline=True))
+            assert outcome.note.startswith("no candidates")
+        assert counting.calls == [["the accession code", "accession"]]
+        assert counting.texts == ["the accession code", "accession"]
 
 
 @pytest.fixture()
