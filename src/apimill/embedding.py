@@ -3,7 +3,9 @@
 Two providers share one interface: a deterministic lexical fallback (hashed
 character trigrams, no model, no network) and a remote embedding service.
 Evaluation and parameter inference both consume this interface.  A vector
-is a standard-library `array('d')` row.
+is a standard-library `array('d')` row.  Each provider keeps every row it has
+made, so an embedder embeds each distinct text once in its life: one
+embedder serves a whole run, and no stage keeps a memo of its own.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ class LexicalEmbedding:
 
     def __init__(self, dimension: int = 256):
         self.dimension = dimension
+        self._rows: dict = {}  # text -> its row
 
     def _grams(self, text: str):
         s = text.lower()
@@ -70,9 +73,9 @@ class LexicalEmbedding:
         return v
 
     def embed(self, texts: Sequence[str]) -> list:
-        """One row per text; each distinct text is embedded once, and its
-        repeats share its row."""
-        rows: dict = {}
+        """One row per text; `embed_one` runs only for a text this embedder
+        has never seen, and every repeat shares that text's row."""
+        rows = self._rows
         for text in texts:
             if text not in rows:
                 rows[text] = self.embed_one(text)
@@ -99,6 +102,7 @@ class RemoteEmbedding:
         self.config = config
         self.dimension = dimension  # learned from the first response when unset
         self._http = http
+        self._rows: dict = {}  # text -> its row
 
     def _post_batch(self, batch: Sequence[str]) -> list:
         payload = post_json(
@@ -112,16 +116,17 @@ class RemoteEmbedding:
             raise EmbeddingUnavailable(f"malformed response: {exc}") from exc
 
     def embed(self, texts: Sequence[str]) -> list:
-        """One row per text; each distinct text is sent once, and its repeats
-        share its row.  Every row must be a list of finite numbers, as wide
-        as every other row the embedder has returned."""
-        distinct = list(dict.fromkeys(texts))
+        """One row per text; only the texts this embedder has never seen are
+        sent, each once, and every repeat shares that text's row.  Every row
+        must be a list of finite numbers, as wide as every other row the
+        embedder has returned; no row is kept unless the whole reply is."""
+        new = [text for text in dict.fromkeys(texts) if text not in self._rows]
         replies: list = []
-        for start in range(0, len(distinct), BATCH_SIZE):
-            replies.extend(self._post_batch(distinct[start : start + BATCH_SIZE]))
-        if len(replies) != len(distinct):
+        for start in range(0, len(new), BATCH_SIZE):
+            replies.extend(self._post_batch(new[start : start + BATCH_SIZE]))
+        if len(replies) != len(new):
             raise EmbeddingUnavailable(
-                f"malformed response: {len(replies)} rows for {len(distinct)} texts"
+                f"malformed response: {len(replies)} rows for {len(new)} texts"
             )
         width = self.dimension
         for reply in replies:
@@ -131,8 +136,8 @@ class RemoteEmbedding:
             if len(reply) != width:
                 raise DimensionMismatch(got=len(reply), expected=width)
         self.dimension = width
-        rows = {text: array("d", reply) for text, reply in zip(distinct, replies)}
-        return [rows[text] for text in texts]
+        self._rows.update((text, array("d", reply)) for text, reply in zip(new, replies))
+        return [self._rows[text] for text in texts]
 
     def embed_one(self, text: str) -> array:
         return self.embed([text])[0]

@@ -159,7 +159,11 @@ class ReplayBackend:
             path = self._dir / f"{doc.source_id}.json"
             if not path.exists():
                 raise BackendUnreachable(f"no recorded output for {doc.source_id!r}")
-            raw = path.read_text(encoding="utf-8")
+            try:
+                raw = path.read_text(encoding="utf-8")
+            except (OSError, UnicodeDecodeError) as exc:
+                raise BackendUnreachable(
+                    f"unreadable recorded output for {doc.source_id!r}: {exc}") from exc
         return raw, len(raw.encode("utf-8"))
 
 

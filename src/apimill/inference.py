@@ -136,9 +136,6 @@ class KnowledgeBase:
     The KB owns the embeddings.  Each channel ("key", "description") holds
     one `array('d')` row per distinct text and maps every entry to its
     text's row.  Every row has the width of the first vectors the KB took.
-    The KB also remembers the embedder of its first `extend` and every
-    vector it has had from it, so that no text, held or queried, goes to
-    that embedder twice.
     """
 
     def __init__(self):
@@ -147,21 +144,9 @@ class KnowledgeBase:
         self._per_source: Counter = Counter()  # source_id -> entries
         self._channels = {"key": _Channel(), "description": _Channel()}
         self._width: Optional[int] = None  # of every vector; the first ones set it
-        self.embedder = None  # the embedder of the first extend
-        self._vectors: dict = {}  # text -> its vector from self.embedder
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def embed(self, texts: list, emb) -> list:
-        """`emb`'s vectors of `texts`, as `array('d')` rows.  For the KB's
-        own embedder, each text it has not had yet is embedded, all in one
-        `emb.embed` call, and kept; any other embedder embeds every text."""
-        vectors = self._vectors if emb is self.embedder else {}
-        missing = [t for t in dict.fromkeys(texts) if t not in vectors]
-        if missing:
-            vectors.update(zip(missing, (array("d", v) for v in emb.embed(missing))))
-        return [vectors[t] for t in texts]
 
     def holds_other_than(self, source_id: Optional[str]) -> bool:
         """Whether any entry comes from a source other than `source_id`."""
@@ -178,14 +163,12 @@ class KnowledgeBase:
         entries = list(fresh.values())
         if not entries:
             return
-        if self.embedder is None:
-            self.embedder = emb
         texts = {"key": [e.param_key for e in entries],
                  "description": [e.description or None for e in entries]}
         unseen = [t for name, channel in self._channels.items() for t in texts[name]
                   if t is not None and t not in channel.slot]
         # embed everything before the KB changes, so a failure leaves it whole
-        vectors = dict(zip(unseen, self.embed(unseen, emb)))
+        vectors = {t: array("d", v) for t, v in zip(unseen, emb.embed(unseen) if unseen else [])}
         width = self._width
         for vector in vectors.values():
             width = len(vector) if width is None else width
@@ -333,7 +316,7 @@ def retrieve_candidates(
     best: dict = {}  # (key, str(value)) -> (similarity, KB index, entry)
 
     def consider(channel: str, text: str):
-        (query,) = kb.embed([text], emb)
+        (query,) = emb.embed([text])
         for sim, idx in kb.nearest(channel, query, TOP_PER_CHANNEL, exclude_source):
             entry = kb.entries[idx]
             dedupe_key = (entry.param_key, str(entry.value))
@@ -432,10 +415,9 @@ def infer_parameters(
     if not targets:
         return InferenceOutcome(tool.tool_name, True, assignment={}, note="nothing to infer")
 
-    # one embed call for the target texts the KB has no vector of; another
-    # embedder's vectors are not kept, so it would embed them twice
-    if emb is kb.embedder:
-        kb.embed([text for arg in targets for text in (arg.description, arg.name) if text], emb)
+    # every target text in one embed call, so a remote embedder sends the
+    # new ones in one request
+    emb.embed([text for arg in targets for text in (arg.description, arg.name) if text])
     per_param: dict = {}
     candidates_considered = 0
     for arg in targets:

@@ -268,13 +268,24 @@ def canonical_type(label: Optional[str]) -> Optional[str]:
     return _TYPE_FAMILIES.get(t, t)
 
 
+LONE_SURROGATE = re.compile("[\ud800-\udfff]")  # no UTF-8 text can hold one
+
+
+def _kept(value: Any, path: str, violations: list) -> Any:
+    """`value`, and a kind error at `path` when it is a string holding a
+    lone surrogate, which no artifact could then be written with."""
+    if isinstance(value, str) and LONE_SURROGATE.search(value):
+        violations.append(_wrong(path, "text holds a lone surrogate"))
+    return value
+
+
 def _text_field(raw: Any, path: str, violations: list) -> Optional[str]:
     # free-text field: strings pass, stray scalars are stringified,
     # containers are a kind error
     if raw is None:
         return None
     if isinstance(raw, str):
-        return raw
+        return _kept(raw, path, violations)
     if isinstance(raw, (int, float, bool)):
         return json.dumps(raw)
     violations.append(_wrong(path, f"expected text, got {type(raw).__name__}"))
@@ -300,11 +311,11 @@ def _parse_parameter(raw: Any, path: str, violations: list) -> Optional[Paramete
         violations.append(_wrong(f"{path}.name", "parameter name contains whitespace"))
         return None
     return Parameter(
-        name=name,
+        name=_kept(name, f"{path}.name", violations),
         type_hint=_text_field(raw.get("type"), f"{path}.type", violations),
         description=_text_field(raw.get("description"), f"{path}.description", violations),
-        default_value=coerce_scalar(raw.get("default")),
-        example_value=coerce_scalar(raw.get("example")),
+        default_value=_kept(coerce_scalar(raw.get("default")), f"{path}.default", violations),
+        example_value=_kept(coerce_scalar(raw.get("example")), f"{path}.example", violations),
     )
 
 
@@ -324,7 +335,7 @@ def _parse_param_list(raw: Any, path: str, violations: list) -> list:
 
 def _parse_url(raw: Any, path: str, violations: list) -> Optional[Union[str, list]]:
     if isinstance(raw, str):
-        return raw.strip()
+        return _kept(raw.strip(), path, violations)
     if isinstance(raw, list):
         if not raw:
             violations.append(_wrong(path, "url array is empty"))
@@ -334,7 +345,7 @@ def _parse_url(raw: Any, path: str, violations: list) -> Optional[Union[str, lis
             if not isinstance(item, str):
                 violations.append(_wrong(f"{path}[{i}]", "url must be a string"))
                 return None
-            items.append(item.strip())
+            items.append(_kept(item.strip(), f"{path}[{i}]", violations))
         return items
     violations.append(_wrong(path, "url must be a string or array of strings"))
     return None
@@ -353,7 +364,7 @@ def _parse_endpoint(raw: Any, path: str, violations: list) -> Optional[Endpoint]
         violations.append(_wrong(f"{path}.name", "endpoint name must be a non-empty string"))
         name = None
     else:
-        name = name.strip()
+        name = _kept(name.strip(), f"{path}.name", violations)
 
     method = raw.get("method")
     if method is None:
@@ -362,7 +373,7 @@ def _parse_endpoint(raw: Any, path: str, violations: list) -> Optional[Endpoint]
         violations.append(_wrong(f"{path}.method", "method must be a non-empty string"))
         method = None
     else:
-        method = method.strip().upper()
+        method = _kept(method.strip().upper(), f"{path}.method", violations)
 
     if "url" not in raw:
         violations.append(_missing(f"{path}.url"))
@@ -378,7 +389,7 @@ def _parse_endpoint(raw: Any, path: str, violations: list) -> Optional[Endpoint]
         else:
             for i, h in enumerate(headers_raw):
                 if isinstance(h, str):
-                    headers.append(h)
+                    headers.append(_kept(h, f"{path}.headers[{i}]", violations))
                 elif isinstance(h, (int, float, bool)):
                     headers.append(json.dumps(h))
                 else:

@@ -17,7 +17,15 @@ from urllib.parse import quote
 import yaml
 
 from .errors import MalformedUrl, MixedHosts, UnboundPathParam
-from .model import Endpoint, ErrorType, Parameter, canonical_type, primary_url, render_scalar
+from .model import (
+    LONE_SURROGATE,
+    Endpoint,
+    ErrorType,
+    Parameter,
+    canonical_type,
+    primary_url,
+    render_scalar,
+)
 
 DEFAULT_TIMEOUT_SECONDS = 50
 
@@ -327,13 +335,16 @@ def _py_identifier(name: str, taken: set) -> str:
 
 def _py_escape(text: str, quote: str = "'", multiline: bool = False, fstring: bool = False) -> str:
     """`text` as the inside of a Python string literal delimited by `quote`,
-    or by three of it when `multiline`; in an f-string, braces double too."""
+    or by three of it when `multiline`; in an f-string, braces double too.
+    A lone surrogate becomes its `\\uXXXX` escape, so the source encodes as
+    UTF-8."""
     table = {"\\": "\\\\", "\r": "\\r", "\0": "\\x00", quote: "\\" + quote}
     if not multiline:
         table["\n"] = "\\n"
     if fstring:
         table.update({"{": "{{", "}": "}}"})
-    return text.translate(str.maketrans(table))
+    escaped = text.translate(str.maketrans(table))
+    return LONE_SURROGATE.sub(lambda m: f"\\u{ord(m[0]):04x}", escaped)
 
 
 def export_function_source(tool: ToolDescriptor, tls_verify: bool = True) -> str:

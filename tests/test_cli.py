@@ -2,12 +2,15 @@ import json
 import re
 import shutil
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
 import yaml
 
+from apimill import cli
 from apimill.cli import load_config, main, make_judge
+from apimill.embedding import LexicalEmbedding
 from apimill.errors import BackendUnreachable, ConfigInvalid
 from apimill.model import validate_spec
 from apimill.toolgen import (
@@ -28,6 +31,23 @@ def full_run(corpus, tmp_path_factory):
     cfg = make_config(tmp, manifest, corpus_dir)
     rc = main(["run", "--config", str(cfg)])
     return rc, tmp / "out"
+
+
+def test_run_embeds_each_text_once(corpus, tmp_path, monkeypatch):
+    # evaluate and infer share the run's one embedder, and so its memo
+    embedded = []
+
+    class Counting(LexicalEmbedding):
+        def embed_one(self, text):
+            embedded.append(text)
+            return super().embed_one(text)
+
+    monkeypatch.setattr(cli, "make_embedding", lambda config: Counting())
+    manifest, corpus_dir, _ = corpus
+    assert main(["run", "--config", str(make_config(tmp_path, manifest, corpus_dir))]) == 0
+    assert [text for text, n in Counter(embedded).items() if n > 1] == []
+    # a name evaluate scores, and a parameter name infer queries with
+    assert {"Search Cards", "name"} <= set(embedded)
 
 
 class TestLoadConfig:
@@ -377,6 +397,17 @@ class TestReplayProject:
         src = (out / "exports" / "search_cards.py").read_text()
         assert "Missing required parameter: q" in src
         assert "timeout=50" in src
+
+    def test_lone_surrogate_reply_recorded_invalid(self, pokemon_project):
+        cfg, out = pokemon_project
+        (cfg.parent / "corpus" / "recorded" / "pokemon.json").write_text(
+            '{"endpoints": [{"name": "q\\ud800", "method": "GET", "url": "https://h.example/"}]}')
+        assert main(["run", "--config", str(cfg), "--stage-filter", "ingest"]) == 0
+        assert main(["extract", "--config", str(cfg)]) == 0
+        (row,) = [json.loads(l) for l in (out / "specs" / "results.jsonl").read_text().splitlines()]
+        assert not row["valid"]
+        assert row["violations"] == [
+            "wrong_value_kind at endpoints[0].name (text holds a lone surrogate)"]
 
     def test_backend_override_flag(self, pokemon_project):
         cfg, out = pokemon_project

@@ -73,6 +73,16 @@ class TestLexicalEmbedding:
         for text, row in zip(["b", "a", "b", "b"], vecs):
             assert np.array_equal(row, embed_one(text))
 
+    def test_second_call_computes_only_new_texts(self, monkeypatch):
+        emb = LexicalEmbedding()
+        seen = []
+        embed_one = emb.embed_one
+        monkeypatch.setattr(emb, "embed_one", lambda t: seen.append(t) or embed_one(t))
+        first = emb.embed(["a", "b"])
+        second = emb.embed(["c", "b", "a", "c"])
+        assert seen == ["a", "b", "c"]
+        assert second[1] is first[1] and second[2] is first[0]
+
     def test_unit_norm(self, emb):
         v = emb.embed_one("some text")
         assert abs(float(np.linalg.norm(v)) - 1.0) < 1e-9
@@ -151,6 +161,24 @@ class TestRemoteEmbedding:
         vecs = emb.embed(["aa", "b", "aa", "ccc", "b"])
         assert posted == [["aa", "b"], ["ccc"]]
         assert [v[0] for v in vecs] == [2.0, 1.0, 2.0, 3.0, 1.0]
+
+    def test_second_call_sends_only_new_texts(self, monkeypatch):
+        emb, posted = self.make(monkeypatch, lambda batch: [[float(len(t)), 1.0] for t in batch])
+        emb.embed(["aa", "b"])
+        vecs = emb.embed(["ccc", "b", "aa", "dddd", "ccc"])
+        assert posted == [["aa", "b"], ["ccc", "dddd"]]
+        assert [v[0] for v in vecs] == [3.0, 1.0, 2.0, 4.0, 3.0]
+        emb.embed(["dddd", "aa"])
+        assert len(posted) == 2
+
+    def test_rejected_reply_keeps_no_row(self, monkeypatch):
+        # the first batch is sound, the second is not: no row of either is kept
+        replies = iter([[[1.0, 2.0], [3.0, 4.0]], [["x"]], [[5.0, 6.0]]])
+        emb, posted = self.make(monkeypatch, lambda batch: next(replies))
+        with pytest.raises(EmbeddingUnavailable):
+            emb.embed(["a", "b", "c"])
+        assert [row.tolist() for row in emb.embed(["a"])] == [[5.0, 6.0]]
+        assert posted == [["a", "b"], ["c"], ["a"]]
 
     def test_missing_rows_rejected(self, monkeypatch):
         emb, _ = self.make(monkeypatch, lambda batch: [[1.0, 1.0]])

@@ -85,6 +85,16 @@ class TestReplayBackend:
         assert not result.valid
         assert result.violations and result.violations[0].startswith("backend:")
 
+    def test_unreadable_file_recorded_not_raised(self, tmp_path):
+        (tmp_path / "latin.json").write_bytes(b'{"endpoints": [], "title": "caf\xe9 \xff"}')
+        (tmp_path / "folder.json").mkdir()
+        backend = ReplayBackend(tmp_path)
+        for source_id in ("latin", "folder"):
+            result = extract_spec(doc("x", source_id), backend)
+            assert not result.valid
+            (violation,) = result.violations
+            assert violation.startswith(f"backend: unreadable recorded output for {source_id!r}")
+
 
 class TestHeuristicBackend:
     def test_structured_page(self):

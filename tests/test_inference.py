@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from apimill.embedding import LexicalEmbedding, cosine_similarity, vector_norm
+from apimill.embedding import LexicalEmbedding, RemoteEmbedding, cosine_similarity, vector_norm
 from apimill.errors import (
     BackendUnreachable,
     DimensionMismatch,
@@ -35,6 +35,7 @@ from apimill.inference import (
 )
 from apimill.model import Endpoint, Parameter
 from apimill.netutil import HttpPolicy
+from apimill.remote import RemoteConfig
 from apimill.synthetic import build_corpus
 from apimill.toolgen import ToolArg, generate_tool, generate_tools_for_spec
 from apimill.validate import ErrorType, run_validation, validate_tool
@@ -72,20 +73,15 @@ def kb_vector(kb, channel, i):
 
 
 class CountingEmbedding(LexicalEmbedding):
-    """Lexical embedding that records every text it is asked to embed."""
+    """Lexical embedding that records every text it computes a row for."""
 
     def __init__(self):
         super().__init__()
         self.texts = []
-        self.calls = []  # the texts of each embed call
 
     def embed_one(self, text):
         self.texts.append(text)
         return super().embed_one(text)
-
-    def embed(self, texts):
-        self.calls.append(list(texts))
-        return super().embed(texts)
 
 
 class TestKnowledgeBase:
@@ -672,13 +668,15 @@ class TestEmbeddingMemo:
         assert [c.entry.value for c in retrieve_candidates(arg, kb, counting)] == ["Köln"]
         assert counting.texts == []
 
-    def test_unheld_target_text_embedded_once(self, judge):
-        counting = CountingEmbedding()
+    def test_unheld_target_text_embedded_once(self, judge, emb, monkeypatch):
+        remote = RemoteEmbedding(RemoteConfig(endpoint_url="http://127.0.0.1:9/v1", model_name="m"))
+        posted = []
+        monkeypatch.setattr(remote, "_post_batch", lambda batch: posted.append(list(batch))
+                            or [emb.embed_one(t).tolist() for t in batch])
         kb = KnowledgeBase()
         kb.extend([ParameterKbEntry(param_key="glytoucan_id", value="G00048MO",
-                                    source_id="a")], counting)
-        counting.texts.clear()
-        counting.calls.clear()
+                                    source_id="a")], remote)
+        posted.clear()
         for n in (1, 2):
             tool = generate_tool(
                 Endpoint(name=f"Lookup {n}", method="GET", url=f"https://h.example/{n}",
@@ -686,10 +684,10 @@ class TestEmbeddingMemo:
                                                         description="the accession code")]),
                 f"s{n}",
             )
-            outcome = infer_parameters(tool, kb, judge, counting, http=HttpPolicy(offline=True))
+            outcome = infer_parameters(tool, kb, judge, remote, http=HttpPolicy(offline=True))
             assert outcome.note.startswith("no candidates")
-        assert counting.calls == [["the accession code", "accession"]]
-        assert counting.texts == ["the accession code", "accession"]
+        # the targets of both tools in one request, and their queries in none
+        assert posted == [["the accession code", "accession"]]
 
 
 @pytest.fixture()

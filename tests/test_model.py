@@ -149,6 +149,36 @@ class TestValidateSpec:
         assert v == []
         assert spec.endpoints[0].headers == ["X-Key: abc", "5"]
 
+    @pytest.mark.parametrize("document, path", [
+        (wrap(minimal_endpoint(), title="T\ud800"), "title"),
+        (wrap(minimal_endpoint(name="P\udfff")), "endpoints[0].name"),
+        (wrap(minimal_endpoint(method="g\ud800")), "endpoints[0].method"),
+        (wrap(minimal_endpoint(url="https://h.example/\ud800")), "endpoints[0].url"),
+        (wrap(minimal_endpoint(url=["https://h.example/", "https://h.example/\ud800"])),
+         "endpoints[0].url[1]"),
+        (wrap(minimal_endpoint(description="\udc00")), "endpoints[0].description"),
+        (wrap(minimal_endpoint(headers=["X-Key: \ud800"])), "endpoints[0].headers[0]"),
+        (wrap(minimal_endpoint(required_parameters=[{"name": "q\ud800"}])),
+         "endpoints[0].required_parameters[0].name"),
+        (wrap(minimal_endpoint(optional_parameters=[{"name": "q", "type": "\ud800"}])),
+         "endpoints[0].optional_parameters[0].type"),
+        (wrap(minimal_endpoint(required_parameters=[{"name": "q", "description": "\ud800"}])),
+         "endpoints[0].required_parameters[0].description"),
+        (wrap(minimal_endpoint(required_parameters=[{"name": "q", "default": "\ud800"}])),
+         "endpoints[0].required_parameters[0].default"),
+        (wrap(minimal_endpoint(required_parameters=[{"name": "q", "example": ["\ud800"]}])),
+         "endpoints[0].required_parameters[0].example"),
+    ])
+    def test_lone_surrogate_rejected_where_it_is(self, document, path):
+        spec, v = validate_spec(document)
+        assert spec is None
+        assert [(x.kind, x.path) for x in v] == [("wrong_value_kind", path)]
+
+    def test_surrogate_pair_is_one_character(self):
+        spec, v = validate_spec(json.loads('{"endpoints": [{"name": "Smile \\ud83d\\ude00", '
+                                           '"method": "GET", "url": "https://h.example/"}]}'))
+        assert v == [] and spec.endpoints[0].name == "Smile \U0001f600"
+
     def test_unknown_fields_dropped(self):
         ep = minimal_endpoint(novel_field="ignored")
         spec, v = validate_spec(wrap(ep))

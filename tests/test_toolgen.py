@@ -5,7 +5,7 @@ from unittest import mock
 
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from apimill import toolgen
@@ -297,6 +297,9 @@ _ODD_VALUES = ["it's'", "a'''b", "C:\\new", "{id}", 'say "hi"']
         max_size=3,
     ),
 )
+# a lone surrogate, which the export must escape to encode as UTF-8
+@example(name="", method="GET", path='a"b', placeholder="\ud800", query_base=None,
+         path_value="", params={})
 def test_export_compiles_and_sends_what_the_descriptor_describes(
     name, method, path, placeholder, query_base, path_value, params,
 ):
