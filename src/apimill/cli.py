@@ -19,6 +19,7 @@ import argparse
 import json
 import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -310,33 +311,45 @@ def stage_ingest(config: ProjectConfig, judge) -> None:
 
     def keep(doc: ApiDocument) -> None:
         # a fetched page is kept as fetched; a file origin is already on disk
-        if doc.origin.startswith(("http://", "https://")):
-            (docs_dir / f"{doc.source_id}.html").write_text(doc.raw, encoding="utf-8")
-        (docs_dir / f"{doc.source_id}.txt").write_text(doc.text, encoding="utf-8")
+        row = {"source_id": doc.source_id, "text": doc.text}
+        if doc.raw:
+            row["raw"] = doc.raw
+        pages.write(json.dumps(row, ensure_ascii=False) + "\n")
 
-    decisions, failures = ingest_corpus(
-        entries, judge, keep, width=config.concurrency, http=config.http
-    )
+    with _commit(docs_dir / "pages.jsonl") as pages:
+        decisions, failures = ingest_corpus(
+            entries, judge, keep, width=config.concurrency, http=config.http
+        )
     _write_json(docs_dir / "index.json", {"documents": decisions, "failures": failures})
     print(f"ingest: {len(decisions)} documents cleaned, {len(failures)} failed")
 
 
 def stage_extract(config: ProjectConfig, backend) -> None:
     index_path = _input(config, "extract", "docs/index.json", "ingest")
+    pages_path = _input(config, "extract", "docs/pages.jsonl", "ingest")
     index = json.loads(index_path.read_text(encoding="utf-8"))
-    docs_dir = config.output_dir / "docs"
     source_ids = [info["source_id"] for info in index["documents"]
                   if info.get("is_api_page", True)]
     skipped = len(index["documents"]) - len(source_ids)
 
-    def read(source_id: str) -> str:
-        return (docs_dir / f"{source_id}.txt").read_text(encoding="utf-8")
+    def api_pages():
+        # pages.jsonl is in index order; a page it lacks stops the stage
+        # before results.jsonl is replaced, so no source is skipped silently
+        wanted = set(source_ids)
+        with open(pages_path, encoding="utf-8") as fh:
+            for line in fh:
+                page = json.loads(line)
+                if page["source_id"] in wanted:
+                    wanted.discard(page["source_id"])
+                    yield page["source_id"], page["text"]
+        if wanted:
+            raise MissingStageInput("extract", f"docs/pages.jsonl lacks API pages {sorted(wanted)}")
 
     def keep(result: ExtractionResult) -> None:
         results.write(json.dumps(result.to_dict(), ensure_ascii=False) + "\n")
 
     with _commit(config.subdir("specs") / "results.jsonl") as results:
-        valid = run_extraction(source_ids, read, backend, keep, width=config.concurrency)
+        valid = run_extraction(api_pages(), backend, keep, width=config.concurrency)
     print(
         f"extract: {valid}/{len(source_ids)} valid specs"
         + (f" ({skipped} non-API pages skipped)" if skipped else "")
@@ -380,14 +393,23 @@ def _export(config: ProjectConfig, tools: list, changed: list) -> None:
     OpenAPI file of each host a changed tool is on, with that host's tools
     in tool-name order, the order `_load_tools` returns."""
     tools_dir, exports_dir = config.subdir("tools"), config.subdir("exports")
-    # one file per tool, written in place: a rename each would double the file operations
-    for tool in changed:
-        (tools_dir / f"{tool.tool_name}.tool.json").write_text(
-            json.dumps(tool.to_dict(), indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
-        )
-        (exports_dir / f"{tool.tool_name}.py").write_text(
-            export_function_source(tool, tls_verify=config.tls_verify), encoding="utf-8"
-        )
+
+    def write_exports() -> None:
+        for tool in changed:
+            (exports_dir / f"{tool.tool_name}.py").write_text(
+                export_function_source(tool, tls_verify=config.tls_verify), encoding="utf-8"
+            )
+
+    # one file per tool, written in place: a rename each would double the file
+    # operations.  Creating a file locks its directory, so one helper thread
+    # fills exports/ while this one fills tools/.
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        exported = helper.submit(write_exports)
+        for tool in changed:
+            (tools_dir / f"{tool.tool_name}.tool.json").write_text(
+                json.dumps(tool.to_dict(), indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
+            )
+        exported.result()
     names = {tool.tool_name for tool in changed}
     for host, group in group_tools_by_host(tools).items():
         if any(tool.tool_name in names for tool in group):
@@ -479,9 +501,12 @@ def stage_infer(config: ProjectConfig, judge, emb) -> None:
         if outcome.success:
             recovered.append(tool)
 
+    entries = len(kb)
+    # freed before the exports, so their helper thread does not add to the KB's memory
+    del kb
     _export(config, tools, recovered)
     _write_jsonl(kb_dir / "inference.jsonl", (o.to_dict() for o in outcomes))
-    print(f"infer: {len(recovered)}/{len(outcomes)} failing tools recovered; kb entries {len(kb)}")
+    print(f"infer: {len(recovered)}/{len(outcomes)} failing tools recovered; kb entries {entries}")
 
 
 def stage_report(config: ProjectConfig) -> None:

@@ -21,6 +21,7 @@ from .model import (
     ApiSpec,
     Endpoint,
     Parameter,
+    escape_lone_surrogates,
     validate_spec,
 )
 from .netutil import run_pool
@@ -164,7 +165,8 @@ class ReplayBackend:
             except (OSError, UnicodeDecodeError) as exc:
                 raise BackendUnreachable(
                     f"unreadable recorded output for {doc.source_id!r}: {exc}") from exc
-        return raw, len(raw.encode("utf-8"))
+        # a mapping can hold a lone surrogate, which strict UTF-8 cannot encode
+        return raw, len(raw.encode("utf-8", errors="surrogatepass"))
 
 
 class HeuristicBackend:
@@ -359,7 +361,9 @@ class RemoteStructuredBackend(RemoteChatBackend):
 # ---------------------------------------------------------------------------
 
 def extract_spec(doc: ApiDocument, backend) -> ExtractionResult:
-    """Run one backend over one document; failures land in the result."""
+    """Run one backend over one document; failures land in the result.  A
+    lone surrogate in the output is escaped, so the result can be written as
+    UTF-8, and the spec it reaches is not valid."""
     try:
         raw, cost = backend.extract(doc)
     except BackendUnreachable as exc:
@@ -370,6 +374,7 @@ def extract_spec(doc: ApiDocument, backend) -> ExtractionResult:
             violations=[f"backend: {exc}"],
             backend_kind=backend.kind,
         )
+    raw = escape_lone_surrogates(raw)
     try:
         document = repair_json(raw)
     except RepairFailure as exc:
@@ -393,17 +398,19 @@ def extract_spec(doc: ApiDocument, backend) -> ExtractionResult:
     )
 
 
-def run_extraction(source_ids: Iterable, read: Callable, backend, keep: Callable,
-                   width: int = 4) -> int:
-    """Extract a spec from each source's text, `read(source_id)`, on `width`
-    threads, and hand each result to `keep` in input order; no more than
-    about `width` texts are held at once.  Returns how many are valid."""
+def run_extraction(pages: Iterable, backend, keep: Callable, width: int = 4) -> int:
+    """Extract a spec from each `(source_id, text)` pair of `pages` on `width`
+    threads, and hand each result to `keep` in input order.  Pages are taken
+    lazily, so the caller streams them from one file, not one file per page,
+    which would cost more, as creating a file locks its directory; no more
+    than about `width` texts are held at once.  Returns how many are valid."""
 
-    def extract(source_id: str) -> ExtractionResult:
-        return extract_spec(ApiDocument(source_id, origin="", raw="", text=read(source_id)), backend)
+    def extract(page: tuple) -> ExtractionResult:
+        source_id, text = page
+        return extract_spec(ApiDocument(source_id, origin="", raw="", text=text), backend)
 
     valid = 0
-    for result in run_pool(extract, source_ids, width):
+    for result in run_pool(extract, pages, width):
         keep(result)
         valid += result.valid
     return valid

@@ -168,7 +168,9 @@ class KnowledgeBase:
         unseen = [t for name, channel in self._channels.items() for t in texts[name]
                   if t is not None and t not in channel.slot]
         # embed everything before the KB changes, so a failure leaves it whole
-        vectors = {t: array("d", v) for t, v in zip(unseen, emb.embed(unseen) if unseen else [])}
+        # an embedder's array('d') row is kept as it is, shared with its memo
+        vectors = {t: v if isinstance(v, array) and v.typecode == "d" else array("d", v)
+                   for t, v in zip(unseen, emb.embed(unseen) if unseen else [])}
         width = self._width
         for vector in vectors.values():
             width = len(vector) if width is None else width

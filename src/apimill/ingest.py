@@ -271,8 +271,9 @@ def load_and_clean(
 def load_corpus_manifest(path) -> list:
     """Manifest format: JSON list of {source_id, origin}.
 
-    Each source_id names the source's files under the output directory, so
-    it must be unique, non-empty, and free of `/`, `\\` and `..`.
+    Each source_id keys the source's rows in every artifact and may name
+    files under the output directory, so it must be unique, non-empty, and
+    free of `/`, `\\` and `..`.
     """
     try:
         entries = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -306,8 +307,12 @@ def ingest_corpus(
     """Load, clean, filter and classify a corpus on `width` threads.
 
     Each page is read (an HTTP fetch under the policy `http`), cleaned and
-    judged on a pool thread, which then hands the document to `keep`; no
-    more than about `width` pages are held at once.
+    judged on a pool thread; no more than about `width` pages are held at
+    once.  The calling thread hands each document to `keep`, in manifest
+    order, so `keep` can append every page to one file: creating a file per
+    page would cost far more, as creating a file locks its directory.  A
+    document's `raw` is kept only for a fetched page, and is "" for a file,
+    which is on disk already.
 
     Returns (decisions, failures), in manifest order: decisions carry the
     per-doc api-page verdict and classification; failures record load errors
@@ -315,23 +320,28 @@ def ingest_corpus(
     fallback, and the decision records that as judge_degraded.
     """
 
-    def ingest(entry) -> dict:
+    def ingest(entry) -> tuple:
         try:
             doc = load_and_clean(entry["origin"], entry["source_id"], http=http)
         except (FetchFailed, EmptyDocument) as exc:
-            return {"source_id": entry["source_id"], "error": str(exc)}
+            return {"source_id": entry["source_id"], "error": str(exc)}, None
         is_api, failure = judge_with_fallback("is_api_page", judge, doc.text)
         (category, analysis), failure2 = judge_with_fallback("classify_doc", judge, doc.text)
-        keep(doc)
+        if not doc.origin.startswith(("http://", "https://")):
+            doc.raw = ""
         return {
             "source_id": doc.source_id,
             "is_api_page": bool(is_api),
             "category": category,
             "analysis": analysis[:300],
             "judge_degraded": failure is not None or failure2 is not None,
-        }
+        }, doc
 
     decisions, failures = [], []
-    for row in run_pool(ingest, manifest_entries, width):
-        (failures if "error" in row else decisions).append(row)
+    for row, doc in run_pool(ingest, manifest_entries, width):
+        if doc is None:
+            failures.append(row)
+        else:
+            keep(doc)
+            decisions.append(row)
     return decisions, failures

@@ -271,6 +271,13 @@ def canonical_type(label: Optional[str]) -> Optional[str]:
 LONE_SURROGATE = re.compile("[\ud800-\udfff]")  # no UTF-8 text can hold one
 
 
+def escape_lone_surrogates(text: str) -> str:
+    """`text` with each lone surrogate as its `\\uXXXX` escape, so that it
+    encodes as UTF-8; in a JSON or Python string literal the escape still
+    reads as the same character."""
+    return LONE_SURROGATE.sub(lambda m: f"\\u{ord(m[0]):04x}", text)
+
+
 def _kept(value: Any, path: str, violations: list) -> Any:
     """`value`, and a kind error at `path` when it is a string holding a
     lone surrogate, which no artifact could then be written with."""

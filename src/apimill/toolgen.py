@@ -18,11 +18,11 @@ import yaml
 
 from .errors import MalformedUrl, MixedHosts, UnboundPathParam
 from .model import (
-    LONE_SURROGATE,
     Endpoint,
     ErrorType,
     Parameter,
     canonical_type,
+    escape_lone_surrogates,
     primary_url,
     render_scalar,
 )
@@ -344,7 +344,7 @@ def _py_escape(text: str, quote: str = "'", multiline: bool = False, fstring: bo
     if fstring:
         table.update({"{": "{{", "}": "}}"})
     escaped = text.translate(str.maketrans(table))
-    return LONE_SURROGATE.sub(lambda m: f"\\u{ord(m[0]):04x}", escaped)
+    return escape_lone_surrogates(escaped)
 
 
 def export_function_source(tool: ToolDescriptor, tls_verify: bool = True) -> str:

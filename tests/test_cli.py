@@ -1,6 +1,7 @@
 import json
 import re
 import shutil
+import threading
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -8,11 +9,12 @@ from pathlib import Path
 import pytest
 import yaml
 
-from apimill import cli
+from apimill import cli, ingest
 from apimill.cli import load_config, main, make_judge
 from apimill.embedding import LexicalEmbedding
 from apimill.errors import BackendUnreachable, ConfigInvalid
 from apimill.model import validate_spec
+from apimill.remote import ChatClient
 from apimill.toolgen import (
     ToolDescriptor,
     export_function_source,
@@ -201,11 +203,12 @@ class TestFullRun:
         _, out = full_run
         index = json.loads((out / "docs" / "index.json").read_text())
         assert len(index["documents"]) == 4 and index["failures"] == []
-        for info in index["documents"]:
-            sid = info["source_id"]
-            assert (out / "docs" / f"{sid}.txt").exists()
+        pages = [json.loads(l) for l in (out / "docs" / "pages.jsonl").read_text().splitlines()]
+        assert [p["source_id"] for p in pages] == [i["source_id"] for i in index["documents"]]
+        for page in pages:
+            assert page["text"].strip()
             # every bundled page is a file: no copy of it is written
-            assert not (out / "docs" / f"{sid}.html").exists()
+            assert "raw" not in page
 
     def test_spec_artifacts(self, full_run):
         _, out = full_run
@@ -409,6 +412,23 @@ class TestReplayProject:
         assert row["violations"] == [
             "wrong_value_kind at endpoints[0].name (text holds a lone surrogate)"]
 
+    def test_lone_surrogate_in_chat_reply_recorded_invalid(self, pokemon_project, monkeypatch):
+        # a chat API's JSON can escape a lone surrogate, so the decoded reply holds it
+        cfg, out = pokemon_project
+        settings = yaml.safe_load(cfg.read_text())
+        settings["backends"]["extraction"] = {
+            "kind": "remote_chat", "endpoint_url": "http://127.0.0.1:9/v1/chat", "model_name": "m"}
+        cfg.write_text(yaml.safe_dump(settings))
+        reply = '{"endpoints": [{"name": "q\ud800", "method": "GET", "url": "https://h.example/"}]}'
+        monkeypatch.setattr(ChatClient, "complete", lambda self, *a, **k: (reply, 7))
+        assert main(["run", "--config", str(cfg), "--stage-filter", "ingest"]) == 0
+        assert main(["extract", "--config", str(cfg)]) == 0
+        text = (out / "specs" / "results.jsonl").read_bytes().decode("utf-8")
+        (row,) = [json.loads(l) for l in text.splitlines()]
+        assert not row["valid"] and row["backend_kind"] == "remote_chat"
+        assert row["violations"] == [
+            "wrong_value_kind at endpoints[0].name (text holds a lone surrogate)"]
+
     def test_backend_override_flag(self, pokemon_project):
         cfg, out = pokemon_project
         assert main(["run", "--config", str(cfg), "--stage-filter", "ingest"]) == 0
@@ -591,10 +611,12 @@ def test_html_copy_only_for_fetched_pages(mock_api, tmp_path):
     cfg = make_config(tmp_path, tmp_path / "manifest.json", tmp_path)
     assert main(["ingest", "--config", str(cfg)]) == 0
     docs = tmp_path / "out" / "docs"
-    assert sorted(p.name for p in docs.iterdir()) == [
-        "index.json", "local.txt", "remote.html", "remote.txt",
-    ]
-    assert "Gardevoir" in (docs / "remote.html").read_text()
+    assert sorted(p.name for p in docs.iterdir()) == ["index.json", "pages.jsonl"]
+    local, remote = [json.loads(l) for l in (docs / "pages.jsonl").read_text().splitlines()]
+    assert (local["source_id"], remote["source_id"]) == ("local", "remote")
+    assert local["text"] and remote["text"]
+    assert "raw" not in local
+    assert "Gardevoir" in remote["raw"]
 
 
 @pytest.mark.parametrize("entries, lost", [
@@ -612,6 +634,65 @@ def test_bad_manifest_ids_stop_ingest(tmp_path, entries, lost):
     cfg = make_config(tmp_path, tmp_path / "manifest.json", tmp_path)
     assert main(["ingest", "--config", str(cfg)]) == 1
     assert not (tmp_path / lost).exists()
+    assert not (tmp_path / "out" / "docs" / "pages.jsonl").exists()
+
+
+def test_pages_in_manifest_order_when_a_slow_page_ends_last(tmp_path, monkeypatch):
+    manifest, finished = [], []
+    for i in range(4):
+        (tmp_path / f"p{i}.txt").write_text(f"## Item {i}\nGET https://h.example/v1/items/{i}\n")
+        manifest.append({"source_id": f"p{i}", "origin": f"p{i}.txt"})
+    (tmp_path / "m.json").write_text(json.dumps(manifest))
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"corpus_manifest": "m.json", "output_dir": "out", "concurrency": 4}))
+    others_done = threading.Event()
+    load_and_clean = ingest.load_and_clean
+
+    def first_page_last(origin, source_id=None, **kwargs):
+        if source_id == "p0":
+            assert others_done.wait(timeout=30)
+        doc = load_and_clean(origin, source_id, **kwargs)
+        finished.append(source_id)
+        if len(finished) == 3 and "p0" not in finished:
+            others_done.set()
+        return doc
+
+    monkeypatch.setattr(ingest, "load_and_clean", first_page_last)
+    assert main(["ingest", "--config", str(cfg)]) == 0
+    assert finished[-1] == "p0"
+    pages = (tmp_path / "out" / "docs" / "pages.jsonl").read_text().splitlines()
+    assert [json.loads(line)["source_id"] for line in pages] == ["p0", "p1", "p2", "p3"]
+
+
+def test_export_helper_exception_propagates(corpus, tmp_path, monkeypatch):
+    manifest, corpus_dir, _ = corpus
+    cfg = make_config(tmp_path, manifest, corpus_dir)
+    assert main(["run", "--config", str(cfg), "--stage-filter", "ingest,extract"]) == 0
+    threads = set()
+
+    def failing_export(tool, tls_verify=True):
+        threads.add(threading.current_thread())
+        raise RuntimeError(f"cannot export {tool.tool_name}")
+
+    monkeypatch.setattr(cli, "export_function_source", failing_export)
+    with pytest.raises(RuntimeError, match="cannot export"):
+        main(["generate", "--config", str(cfg)])
+    assert threads and threading.main_thread() not in threads
+
+
+def test_page_missing_from_pages_stops_extract(corpus, tmp_path, capsys):
+    manifest, corpus_dir, _ = corpus
+    cfg = make_config(tmp_path, manifest, corpus_dir)
+    assert main(["run", "--config", str(cfg), "--stage-filter", "ingest,extract"]) == 0
+    docs, specs = tmp_path / "out" / "docs", tmp_path / "out" / "specs"
+    before = (specs / "results.jsonl").read_bytes()
+    first, *rest = (docs / "pages.jsonl").read_text().splitlines(keepends=True)
+    (docs / "pages.jsonl").write_text("".join(rest))
+    capsys.readouterr()
+    assert main(["extract", "--config", str(cfg)]) == 2
+    assert json.loads(first)["source_id"] in capsys.readouterr().err
+    assert (specs / "results.jsonl").read_bytes() == before
+    assert sorted(p.name for p in specs.iterdir()) == ["results.jsonl"]
 
 
 def test_ingest_and_extract_hold_only_pages_in_flight(tmp_path):

@@ -95,6 +95,17 @@ class TestReplayBackend:
             (violation,) = result.violations
             assert violation.startswith(f"backend: unreadable recorded output for {source_id!r}")
 
+    def test_lone_surrogate_in_mapping_recorded_invalid(self):
+        # the character itself, not its JSON escape: the output has no UTF-8 form
+        raw = '{"endpoints": [{"name": "q\ud800", "method": "GET", "url": "https://h.example/"}]}'
+        result = extract_spec(doc("x", "a"), ReplayBackend({"a": raw}))
+        assert not result.valid
+        assert result.violations == [
+            "wrong_value_kind at endpoints[0].name (text holds a lone surrogate)"]
+        assert "\\ud800" in result.raw_output
+        line = json.dumps(result.to_dict(), ensure_ascii=False).encode("utf-8")
+        assert ExtractionResult.from_dict(json.loads(line)) == result
+
 
 class TestHeuristicBackend:
     def test_structured_page(self):
@@ -223,8 +234,7 @@ def test_extraction_result_dict_round_trip(pokemon_html):
 def test_run_extraction_preserves_order():
     texts = {f"s{i}": f"## E{i}\nGET https://h.example/{i}\n" for i in range(6)}
     results = []
-    valid = run_extraction(list(texts), texts.__getitem__, HeuristicBackend(), results.append,
-                           width=3)
+    valid = run_extraction(iter(texts.items()), HeuristicBackend(), results.append, width=3)
     assert [r.source_id for r in results] == list(texts)
     assert all(r.valid for r in results) and valid == 6
     assert results[2].spec.endpoints[0].url == "https://h.example/2"
