@@ -487,6 +487,7 @@ def stage_infer(config: ProjectConfig, judge, emb) -> None:
     kb_dir = config.subdir("kb")
     with _commit(kb_dir / "kb.jsonl") as fh:
         kb.write_jsonl(fh)
+    entries = len(kb)  # the rows written: recovered values join the KB only in memory
 
     outcomes, recovered = [], []
     targets = [
@@ -501,7 +502,6 @@ def stage_infer(config: ProjectConfig, judge, emb) -> None:
         if outcome.success:
             recovered.append(tool)
 
-    entries = len(kb)
     # freed before the exports, so their helper thread does not add to the KB's memory
     del kb
     _export(config, tools, recovered)

@@ -117,6 +117,14 @@ def repair_json(raw: str):
         candidates.append(fenced.group(1))
     candidates.append(raw)
 
+    # a candidate that is one JSON object is its own earliest balanced span
+    first = candidates[0].strip()
+    if first.startswith("{"):
+        try:
+            return json.loads(first)
+        except json.JSONDecodeError:
+            pass
+
     saw_unbalanced = False
     saw_object = False
     for candidate in candidates:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import os
@@ -58,6 +59,50 @@ _RAW_TEXT_CLOSE = {tag: re.compile(r"</\s*(?ai:%s)\s*>" % tag) for tag in ("scri
 _UNFINISHED = frozenset("/=abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
 
 
+def _any_case(names) -> str:
+    """An alternation that matches names in any case.  Each alternative
+    starts with a literal letter, lower case first, which the regex engine
+    tests the most cheaply: most names fail each alternative at once."""
+    def letters(s):
+        return "".join(f"[{c}{c.upper()}]" if c.isalpha() else c for c in s)
+    rests: dict = {}
+    for name in sorted(names):
+        rests.setdefault(name[0], []).append(letters(name[1:]))
+    return "|".join(f"{c}(?:{'|'.join(rests[c.lower()])})"
+                    for c in [*rests, *(c.upper() for c in rests)])
+
+
+# A plain run, read while no skipped element and no anchor is open: text
+# with no `<` or `&`, and well-formed tags whose only effect is a line break
+# or nothing.  Such a tag is an end tag, a start tag other than script,
+# style, noscript, template and `a`, or `<a ...>text</a>` whose attributes
+# hold no "http", so that no href is kept.  Tags have no `/>`, attribute
+# values no `<`, `>` or `&`, and whitespace in a tag is html.parser's
+# [\t\n\r\f ]: a tag name runs on across other whitespace, such as `\x0b`.
+# The run's text is the run with its block tags made newlines and its other
+# tags removed.  No repeat can match a part of another's text, so the match
+# takes time linear in the run's length.
+_WS = r"[\t\n\r\f ]"
+_NAME_END = r"[\t\n\r\f >]"
+_PLAIN_NAME = r"[a-zA-Z][-.:a-zA-Z0-9_]*"
+_PLAIN_ATTRS = (rf"(?:{_WS}+[-.:a-zA-Z0-9_]+(?:{_WS}*={_WS}*"
+                rf"(?:\"[^\"<>&]*\"|'[^'<>&]*'|[^\s\"'<=>&/]+))?)*{_WS}*>")
+_PLAIN_RUN = (
+    r"(?:[^<&]+"
+    rf"|</{_PLAIN_NAME}{_WS}*>"
+    rf"|<(?!(?:{_any_case(_SKIPPED | {'a'})}){_NAME_END}){_PLAIN_NAME}{_PLAIN_ATTRS}"
+    rf"|<[aA](?![^<>]*http){_PLAIN_ATTRS}[^<&]*</[aA]{_WS}*>)*")
+_PLAIN_BLOCK = rf"</?(?:{_any_case(_BLOCK)})(?={_NAME_END})[^>]*>"
+
+
+@functools.cache
+def _plain_patterns() -> tuple:
+    """_PLAIN_RUN, _PLAIN_BLOCK and a tag, compiled on the first page
+    cleaned as HTML: a command that cleans none, such as infer, does not
+    hold them."""
+    return re.compile(_PLAIN_RUN), re.compile(_PLAIN_BLOCK), re.compile(r"<[^>]*>")
+
+
 def dehtml(markup: str) -> str:
     """Markup to plain text: tags gone, script/style dropped, hrefs kept,
     entities unescaped once, horizontal whitespace collapsed, blank lines
@@ -66,7 +111,14 @@ def dehtml(markup: str) -> str:
     after it, or whose next `>` lies inside its quotes, is text up to where
     its markup stops; html.parser rescans that markup, in quadratic time,
     and may find a tag in it or leave a `<name` before a NUL unescaped.
-    `<![` with an unknown keyword is a bogus comment; html.parser raises."""
+    `<![` with an unknown keyword is a bogus comment; html.parser raises.
+
+    While no skipped element and no anchor is open, the regex engine reads
+    each plain run (_PLAIN_RUN: text without `<` or `&`, and well-formed
+    tags that change no state, such as `<li class="x">` or `</p>`) in one
+    match and turns it into text in two substitutions; the rest is read tag
+    by tag.  The text is the same as a reading tag by tag gives."""
+    plain_run, plain_block, plain_tag = _plain_patterns()
     parts: list = []
     anchors: list = []  # per open <a>: (href, its text runs)
     skip = 0  # open script/style/noscript/template elements
@@ -130,6 +182,13 @@ def dehtml(markup: str) -> str:
 
     i = 0
     while i < n:
+        if not skip and not anchors:
+            run = plain_run.match(markup, i).group()
+            if run:
+                parts.append(plain_tag.sub("", plain_block.sub("\n", run)))
+                i += len(run)
+                if i == n:
+                    break
         m = _TEXT_AND_TAG.match(markup, i)
         text, tag, attrs, closing, end_tag = m.groups()
         if text:
@@ -180,13 +239,17 @@ def dehtml(markup: str) -> str:
 # runs of horizontal whitespace that are not already one space: a run never
 # spans a line break, and a lone space is left alone rather than rewritten
 _HSPACE = re.compile(" [ \t\r\f\v\xa0]+|[\t\r\f\v\xa0][ \t\r\f\v\xa0]*")
+# a text that holds none of these has no such run; looking for them costs a
+# fraction of the pattern's search, and most cleaned pages hold none
+_HSPACE_STARTS = ("  ", "\t", "\r", "\f", "\v", "\xa0")
 
 
 def _collapse_lines(text: str) -> str:
     """Runs of horizontal whitespace to one space, each line stripped,
     blank lines dropped."""
-    lines = (line.strip() for line in _HSPACE.sub(" ", text).split("\n"))
-    return "\n".join(line for line in lines if line)
+    if any(start in text for start in _HSPACE_STARTS):
+        text = _HSPACE.sub(" ", text)
+    return "\n".join(filter(None, map(str.strip, text.split("\n"))))
 
 
 # real markup, not a `<placeholder>` in plain text: a doctype, a comment, an

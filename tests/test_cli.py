@@ -15,6 +15,7 @@ from apimill.embedding import LexicalEmbedding
 from apimill.errors import BackendUnreachable, ConfigInvalid
 from apimill.model import validate_spec
 from apimill.remote import ChatClient
+from apimill.synthetic import build_corpus, render_doc
 from apimill.toolgen import (
     ToolDescriptor,
     export_function_source,
@@ -295,6 +296,23 @@ class TestFullRun:
         assert "Error Type Counts" in report
         assert "Extraction Metrics" in report
         assert "Parameter Inference" in report
+
+
+def test_infer_counts_the_kb_rows_it_writes(mock_api, tmp_path, capsys):
+    # the Glycan Hub page leaves its accession undocumented, so infer recovers
+    # it from the other source's value: an entry the written KB does not hold
+    specs = {source_id: spec for source_id, spec, _ in build_corpus(mock_api.base_url)}
+    specs["glycanhub"].endpoints[0].required_parameters[0].example_value = None
+    manifest = []
+    for source_id in ("glycanhub", "structconvert"):
+        (tmp_path / f"{source_id}.txt").write_text(render_doc(specs[source_id]), encoding="utf-8")
+        manifest.append({"source_id": source_id, "origin": f"{source_id}.txt"})
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    cfg = make_config(tmp_path, tmp_path / "manifest.json", tmp_path, truth_dir=None)
+    assert main(["run", "--config", str(cfg)]) == 0
+    rows = (tmp_path / "out" / "kb" / "kb.jsonl").read_text().splitlines()
+    (line,) = [line for line in capsys.readouterr().out.splitlines() if line.startswith("infer:")]
+    assert line == f"infer: 1/1 failing tools recovered; kb entries {len(rows)}"
 
 
 class TestStageGating:

@@ -1,16 +1,18 @@
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from apimill.errors import RepairFailure
 from apimill.extract import (
+    _FENCE,
     ExtractionResult,
     HeuristicBackend,
     RemoteChatBackend,
     RemoteStructuredBackend,
     ReplayBackend,
+    _balanced_spans,
     extract_spec,
     repair_json,
     run_extraction,
@@ -21,6 +23,33 @@ from apimill.prompts import EXTRACTION_INSTRUCTION
 
 def doc(text, source_id="doc"):
     return ApiDocument(source_id=source_id, origin="", raw="", text=text)
+
+
+def scan_repair(raw):
+    """repair_json by its scan alone: the earliest balanced span that loads,
+    in the fenced block and then in the whole output; None if none does."""
+    fenced = _FENCE.search(raw)
+    for candidate in ([fenced.group(1)] if fenced else []) + [raw]:
+        for span, unbalanced in _balanced_spans(candidate):
+            if not unbalanced:
+                try:
+                    return json.loads(span)
+                except json.JSONDecodeError:
+                    pass
+    return None
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(st.sampled_from('ab {}[]"\\:,'), max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+# model output: JSON objects and arrays, fences, prose and stray brackets
+_OUTPUT = st.lists(st.one_of(
+    st.tuples(st.dictionaries(st.text(max_size=4), _JSON, max_size=3) | st.lists(_JSON, max_size=3),
+              st.sampled_from([None, 2])).map(lambda v: json.dumps(v[0], indent=v[1])),
+    st.sampled_from(["```json\n", "\n```", "```", " ", "\n", "Here it is: ", " Hope that helps.",
+                     "{", "}", '"', "[1, 2]", "{not json}", '{"a": '])), max_size=4).map("".join)
 
 
 class TestRepairJson:
@@ -64,6 +93,17 @@ class TestRepairJson:
     def test_round_trips_any_json_object(self, obj):
         noisy = "noise " + json.dumps(obj) + " trailing"
         assert repair_json(noisy) == obj
+
+    @given(_OUTPUT)
+    @example('```json\n{"a": 1}\n``` {"b": 2}')
+    @example(' {"a": "} {"} {"b": 2}')
+    @example('[{"a": 1}]')
+    def test_same_object_as_the_scan(self, raw):
+        try:
+            repaired = repair_json(raw)
+        except RepairFailure:
+            repaired = None
+        assert repaired == scan_repair(raw)
 
 
 class TestReplayBackend:

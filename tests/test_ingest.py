@@ -141,20 +141,24 @@ _TEXT = st.text(st.sampled_from(list("ab é<>&;#x1\"'=/ \t\n\xa0")), max_size=8)
 _ENTITY = st.sampled_from(["&amp;", "&lt;", "&gt;", "&#65;", "&#x42;", "&nbsp;", "&copy", "&amp;lt;", "&"])
 _QUOTED = ["https://api.example/v1", "https://h.example/a?b=1&amp;c=2", "http://x.example/",
            "&#104;ttps://e.example/", "/local", "x>y", ""]
+# html.parser ends a tag name only at [\t\n\r\f ], but separates attributes
+# at any whitespace; "" puts an attribute right after a closing quote
+_SEPARATOR = st.sampled_from([" ", "\n", "  ", "\t", "\r", "\f", "\x0b", "\x1c", "\x85", "\u3000", ""])
 _ATTR = st.tuples(
-    st.sampled_from([" ", "\n", "  "]),
+    _SEPARATOR,
     st.sampled_from(["href", "HREF", "class", "data-x"]),
     st.sampled_from(['"{}"'.format(v) for v in _QUOTED + ["it's"]] + ["'{}'".format(v) for v in _QUOTED]
                     + ["https://api.example/v2", "/local", "v&amp;w"]),
 ).map(lambda a: f"{a[0]}{a[1]}={a[2]}")
 _TAG_NAME = st.sampled_from(["p", "div", "a", "A", "span", "b", "li", "ul", "h1", "br", "title", "code",
-                             "pre", "noscript", "template", "script", "style", "table", "tr", "custom-el"])
+                             "pre", "noscript", "template", "script", "style", "table", "tr", "custom-el",
+                             "P", "Div", "pRe", "LI", "H1", "Br", "TiTle", "SCRIPT", "sTyle", "NoScript"])
 
 
 def _element(children):
-    return st.tuples(_TAG_NAME, st.lists(_ATTR, max_size=3), children, st.booleans()).map(
-        lambda e: (f"<{e[0]}{''.join(e[1])}/>" if e[3] and not e[2] else
-                   f"<{e[0]}{''.join(e[1])}>{e[2]}</{e[0]}>")
+    return st.tuples(_TAG_NAME, st.lists(_ATTR, max_size=3), _SEPARATOR, children, st.booleans()).map(
+        lambda e: (f"<{e[0]}{''.join(e[1])}{e[2]}/>" if e[4] and not e[3] else
+                   f"<{e[0]}{''.join(e[1])}{e[2]}>{e[3]}</{e[0]}>")
     )
 
 
@@ -217,6 +221,11 @@ class TestDehtml:
     def test_relative_href_ignored(self):
         text = dehtml('<a href="/local">here</a>')
         assert "/local" not in text
+
+    @pytest.mark.parametrize("space", ["\x0b", "\x1c", "\x85", "\u3000"])
+    def test_tag_name_runs_on_across_other_whitespace(self, space):
+        # html.parser reads the name `p\x0bclass="y"`, which is no block tag
+        assert dehtml(f'x<p{space}class="y">a</p>b') == "xa\nb"
 
     def test_whitespace_collapsed_blank_lines_dropped(self):
         text = dehtml("<p>  a   b \t c </p><p>  </p><p>d</p>")
@@ -286,7 +295,8 @@ class TestDehtml:
         assert text == "<a" * 50_000
 
     @pytest.mark.parametrize("unit", ["<a", "<a b ", '<a b="', "<!--", "<!-- x>", "</a", "<?",
-                                      '<a d="y>" e=', '<a x=">" ', "<a\x00"])
+                                      '<a d="y>" e=', '<a x=">" ', "<a\x00",
+                                      '<p a="b" c="', "<p a=b", "<li><a x "])
     def test_unfinished_markup_costs_linear_time(self, unit):
         # 400 KB: a quadratic scan takes tens of seconds or more, a linear one
         # about a third of a second
