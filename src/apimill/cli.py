@@ -9,7 +9,7 @@ under output_dir, so stages are idempotent and individually rerunnable:
   tools/       tool descriptors (+ endpoints that could not be built)
   exports/     function source and OpenAPI documents
   validation/  per-tool reports, counts, cause estimation
-  kb/          parameter knowledge base and inference outcomes
+  kb/          knowledge-base entries, one vector per text, inference outcomes
   reports/     rolled-up human-readable report
 """
 
@@ -21,7 +21,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 from typing import Optional
@@ -39,10 +39,10 @@ from .extract import (
     ReplayBackend,
     run_extraction,
 )
-from .inference import build_kb, infer_parameters
+from .inference import ParameterKbEntry, build_kb, infer_parameters
 from .ingest import ApiDocument, ingest_corpus, load_corpus_manifest
 from .judges import DEFAULT_ERROR_PHRASES, HeuristicJudge, RemoteJudge
-from .model import ErrorType, validate_spec
+from .model import ErrorType, escape_lone_surrogates, validate_spec
 from .netutil import HostRateLimiter, HttpPolicy
 from .remote import ChatClient, RemoteConfig
 from .toolgen import (
@@ -281,9 +281,11 @@ def _write_json(path: Path, obj) -> None:
 
 
 def _write_jsonl(path: Path, rows) -> None:
+    """One JSON line per row; a lone surrogate, which a JSON reply may
+    carry, is written as its escape, the same character to a reader."""
     with _commit(path) as fh:
         for row in rows:
-            fh.write(json.dumps(row, ensure_ascii=False) + "\n")
+            fh.write(escape_lone_surrogates(json.dumps(row, ensure_ascii=False)) + "\n")
 
 
 def _input(config: ProjectConfig, stage: str, name: str, producer: str) -> Path:
@@ -477,6 +479,16 @@ def stage_validate(config: ProjectConfig, judge) -> None:
     print(f"validate: {counts[ErrorType.PASSED]}/{len(reports)} tools passed")
 
 
+def _write_kb(kb_dir: Path, kb) -> None:
+    """`kb.jsonl`, each entry's fields, and `vectors.jsonl`, one row per text
+    the entries name, so a vector that many entries share is written once.
+    A row is built by getattr: vars() would leave each entry a dict to keep."""
+    names = [f.name for f in fields(ParameterKbEntry)]
+    _write_jsonl(kb_dir / "kb.jsonl", ({n: getattr(e, n) for n in names} for e in kb.entries))
+    _write_jsonl(kb_dir / "vectors.jsonl",
+                 ({"text": text, "vector": vector.tolist()} for text, vector in kb.vectors()))
+
+
 def stage_infer(config: ProjectConfig, judge, emb) -> None:
     tools = _load_tools(config, "infer")
     reports_path = _input(config, "infer", "validation/reports.jsonl", "validate")
@@ -485,8 +497,7 @@ def stage_infer(config: ProjectConfig, judge, emb) -> None:
 
     kb = build_kb(reports, tools, emb)
     kb_dir = config.subdir("kb")
-    with _commit(kb_dir / "kb.jsonl") as fh:
-        kb.write_jsonl(fh)
+    _write_kb(kb_dir, kb)
     entries = len(kb)  # the rows written: recovered values join the KB only in memory
 
     outcomes, recovered = [], []

@@ -138,6 +138,3 @@ class RemoteEmbedding:
         self.dimension = width
         self._rows.update((text, array("d", reply)) for text, reply in zip(new, replies))
         return [self._rows[text] for text in texts]
-
-    def embed_one(self, text: str) -> array:
-        return self.embed([text])[0]

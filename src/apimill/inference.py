@@ -50,22 +50,6 @@ class ParameterKbEntry:
     provenance: str = "documentation"  # or "response_json"
 
 
-class _Json(str):
-    """Text already encoded as JSON."""
-
-
-# one encoder for every field: json.dumps(ensure_ascii=False) builds one per call
-_encode = json.JSONEncoder(ensure_ascii=False).encode
-
-
-def _json_line(fields: dict) -> str:
-    """`json.dumps(fields, ensure_ascii=False)` for a flat dict, with its
-    _Json values spliced in as they are."""
-    return "{" + ", ".join(
-        f"{_encode(k)}: {v if isinstance(v, _Json) else _encode(v)}" for k, v in fields.items()
-    ) + "}"
-
-
 def _identity(entry: ParameterKbEntry) -> tuple:
     return (entry.param_key, str(entry.value), entry.source_id)
 
@@ -121,12 +105,6 @@ class _Channel:
                 for row, row_norm in zip(self.rows[len(sims):], self.norms[len(sims):])
             ])
         return sims
-
-    def encoded(self) -> list:
-        """Per entry, its vector as JSON text, None where it has none; each
-        row is encoded once however many entries share it."""
-        rows = [_Json(_encode(v.tolist())) for v in self.rows]
-        return [rows[r] if r >= 0 else None for r in self.row]
 
 
 class KnowledgeBase:
@@ -211,20 +189,14 @@ class KnowledgeBase:
                         return found
         return found
 
-    def write_jsonl(self, fh) -> None:
-        """One JSON row per entry into the text file `fh`: its fields and its
-        two vectors."""
-        vectors = zip(*(channel.encoded() for channel in self._channels.values()))
-        for entry, (key_vec, description_vec) in zip(self.entries, vectors):
-            fh.write(_json_line({
-                "param_key": entry.param_key,
-                "value": entry.value,
-                "source_id": entry.source_id,
-                "description": entry.description,
-                "key_embedding": key_vec,
-                "description_embedding": description_vec,
-                "provenance": entry.provenance,
-            }) + "\n")
+    def vectors(self):
+        """(text, vector) once for each text of either channel, in the order
+        the KB took them, key channel first.  Both channels take their rows
+        from one embedder, so a text in both has one vector."""
+        held: dict = {}
+        for channel in self._channels.values():
+            held.update(zip(channel.slot, channel.rows))
+        return held.items()
 
 
 def harvest_response_values(json_body) -> list:

@@ -23,7 +23,7 @@ from apimill.toolgen import (
     group_tools_by_host,
 )
 from apimill.validate import InvocationRecord, ValidationReport, judge_response
-from conftest import DATA_DIR, make_config
+from conftest import DATA_DIR, make_config, serving
 
 
 @pytest.fixture(scope="module")
@@ -297,6 +297,19 @@ class TestFullRun:
         assert "Extraction Metrics" in report
         assert "Parameter Inference" in report
 
+    def test_kb_vectors_one_row_per_text(self, full_run):
+        _, out = full_run
+        entries = [json.loads(l) for l in (out / "kb" / "kb.jsonl").read_text().splitlines()]
+        rows = [json.loads(l) for l in (out / "kb" / "vectors.jsonl").read_text().splitlines()]
+        assert entries and not any("_embedding" in key for entry in entries for key in entry)
+        vectors = {row["text"]: row["vector"] for row in rows}
+        assert len(vectors) == len(rows)  # no text twice
+        named = {text for entry in entries
+                 for text in (entry["param_key"], entry["description"]) if text}
+        assert set(vectors) == named  # no text without its row, and no orphan row
+        for text, vector in vectors.items():
+            assert vector == LexicalEmbedding().embed_one(text).tolist()
+
 
 def test_infer_counts_the_kb_rows_it_writes(mock_api, tmp_path, capsys):
     # the Glycan Hub page leaves its accession undocumented, so infer recovers
@@ -313,6 +326,27 @@ def test_infer_counts_the_kb_rows_it_writes(mock_api, tmp_path, capsys):
     rows = (tmp_path / "out" / "kb" / "kb.jsonl").read_text().splitlines()
     (line,) = [line for line in capsys.readouterr().out.splitlines() if line.startswith("infer:")]
     assert line == f"infer: 1/1 failing tools recovered; kb entries {len(rows)}"
+
+
+def test_lone_surrogate_in_api_reply_is_written_escaped(tmp_path):
+    # JSON can escape a lone surrogate, so the decoded reply holds one
+    def answer(handler):
+        return 200, {"Content-Type": "application/json"}, b'{"id": "\\ud800x"}'
+
+    with serving(answer) as (base, seen):
+        (tmp_path / "items.txt").write_text(f"## Get Item\nGET {base}/items\n", encoding="utf-8")
+        (tmp_path / "manifest.json").write_text(
+            json.dumps([{"source_id": "items", "origin": "items.txt"}]), encoding="utf-8")
+        cfg = make_config(tmp_path, tmp_path / "manifest.json", tmp_path, truth_dir=None)
+        assert main(["run", "--config", str(cfg)]) == 0
+    assert seen
+    out = tmp_path / "out"
+    (report,) = [json.loads(l) for l in (out / "validation" / "reports.jsonl").read_text(
+        encoding="utf-8").splitlines()]
+    assert report["error_type"] == "Passed Validation"
+    (entry,) = [json.loads(l) for l in (out / "kb" / "kb.jsonl").read_text(
+        encoding="utf-8").splitlines()]
+    assert (entry["param_key"], entry["value"]) == ("id", "\ud800x")
 
 
 class TestStageGating:

@@ -125,7 +125,7 @@ short_or_any_text = st.one_of(st.text(max_size=2), st.text(alphabet="aAbé日 -_
 
 class TestMatchesNumpy:
     """The standard-library vectors and cosines against numpy's: the vector
-    bytes are the ones `kb/kb.jsonl` holds."""
+    bytes are the ones `kb/vectors.jsonl` holds."""
 
     @settings(max_examples=300, deadline=None)
     @given(short_or_any_text)

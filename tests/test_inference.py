@@ -2,6 +2,7 @@ import heapq
 import itertools
 import json
 import math
+from array import array
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from apimill.cli import _write_kb
 from apimill.embedding import LexicalEmbedding, RemoteEmbedding, cosine_similarity, vector_norm
 from apimill.errors import (
     BackendUnreachable,
@@ -66,6 +68,10 @@ class TestHarvest:
         assert harvest_response_values("just a string") == []
 
 
+def read_jsonl(path):
+    return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+
+
 def kb_vector(kb, channel, i):
     """Entry i's `channel` vector as the KB holds it, None where it has none."""
     ch = kb._channels[channel]
@@ -102,13 +108,12 @@ class TestKnowledgeBase:
     def test_save_jsonl(self, tmp_path, emb):
         kb = KnowledgeBase()
         kb.extend([ParameterKbEntry(param_key="q", value="x", source_id="s")], emb)
-        path = tmp_path / "kb.jsonl"
-        with open(path, "w", encoding="utf-8") as fh:
-            kb.write_jsonl(fh)
-        row = json.loads(path.read_text().splitlines()[0])
-        assert row["param_key"] == "q"
-        assert row["key_embedding"] == emb.embed_one("q").tolist()
-        assert row["description_embedding"] is None
+        _write_kb(tmp_path, kb)
+        (row,) = read_jsonl(tmp_path / "kb.jsonl")
+        assert row == {"param_key": "q", "value": "x", "source_id": "s", "description": None,
+                       "provenance": "documentation"}
+        assert read_jsonl(tmp_path / "vectors.jsonl") == [
+            {"text": "q", "vector": emb.embed_one("q").tolist()}]
 
     def test_extend_drops_vector_of_missing_description(self, tmp_path, emb):
         kb = KnowledgeBase()
@@ -118,11 +123,9 @@ class TestKnowledgeBase:
         ], emb)
         assert kb._channels["description"].rows == []
         assert kb_vector(kb, "description", 0) is None and kb_vector(kb, "description", 1) is None
-        path = tmp_path / "kb.jsonl"
-        with open(path, "w", encoding="utf-8") as fh:
-            kb.write_jsonl(fh)
-        rows = [json.loads(line) for line in path.read_text().splitlines()]
-        assert [r["description_embedding"] for r in rows] == [None, None]
+        _write_kb(tmp_path, kb)
+        assert [r["description"] for r in read_jsonl(tmp_path / "kb.jsonl")] == [None, ""]
+        assert [r["text"] for r in read_jsonl(tmp_path / "vectors.jsonl")] == ["q"]
 
     def test_save_jsonl_bytes_match_per_entry_encoding(self, tmp_path, emb):
         def batch(source):
@@ -134,7 +137,7 @@ class TestKnowledgeBase:
                 for key, value, desc in (
                     ("city", "Zürich", "the city 東京"), ("city", "Köln", "the city 東京"),
                     ("limit", 10, None), ("ratio", 0.1, "a ratio"), ("flag", True, None),
-                    ("limit", 20, None),
+                    ("limit", 20, None), ("a ratio", 0.5, "limit"),
                 )
             ]
 
@@ -146,22 +149,27 @@ class TestKnowledgeBase:
             kb.extend([ParameterKbEntry(
                 param_key=f"k{i % 4}", value=i, source_id="c", description=desc,
             )], emb)
-        path = tmp_path / "kb.jsonl"
-        with open(path, "w", encoding="utf-8") as fh:
-            kb.write_jsonl(fh)
-
-        def vector(text):
-            return list(map(float, emb.embed_one(text))) if text else None
+        _write_kb(tmp_path, kb)
 
         want = "".join(
             json.dumps({
                 "param_key": e.param_key, "value": e.value, "source_id": e.source_id,
-                "description": e.description, "key_embedding": vector(e.param_key),
-                "description_embedding": vector(e.description), "provenance": e.provenance,
+                "description": e.description, "provenance": e.provenance,
             }, ensure_ascii=False) + "\n"
             for e in kb.entries
         )
-        assert path.read_bytes() == want.encode("utf-8")
+        assert (tmp_path / "kb.jsonl").read_bytes() == want.encode("utf-8")
+        rows = read_jsonl(tmp_path / "vectors.jsonl")
+        # each text once, in the order the KB took it, the keys first
+        assert [r["text"] for r in rows] == [
+            "city", "limit", "ratio", "flag", "a ratio", "k0", "k1", "k2", "k3",
+            "the city 東京", "added 1", "added 0",
+        ]
+        vectors = {r["text"]: array("d", r["vector"]).tobytes() for r in rows}
+        for entry in kb.entries:
+            for text in (entry.param_key, entry.description):
+                if text:
+                    assert vectors[text] == emb.embed_one(text).tobytes()
 
     def test_one_row_per_distinct_text_across_extends(self, emb):
         kb = KnowledgeBase()
