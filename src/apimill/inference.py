@@ -1,11 +1,12 @@
 """Missing-parameter inference over a knowledge base of verified values.
 
 Verified (key, description, value) triples come from passing tools and the
-scalar leaves of their JSON responses.  Retrieval runs two embedding
-channels (description and key), candidates are ranked, and k-best value
-combinations are validated in the loop until one passes.  The knowledge
-base keeps the embedders' `array('d')` rows and searches them exactly, with
-the standard library.
+scalar leaves of their JSON responses.  The knowledge base keeps one
+embedding row per distinct text, shared by its two channels (key and
+description), and searches them exactly with the standard library.
+Retrieval ranks candidates from both channels, and k-best value combinations
+are validated in the loop until one passes; the model-guess baseline goes
+through the same loop.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Optional
 
 from .embedding import cosine_similarity, vector_norm
 from .errors import BackendUnreachable, DimensionMismatch, InsufficientCorpus, NoCandidates
-from .model import ErrorType, Scalar
+from .model import LONE_SURROGATE, ErrorType, Scalar
 from .netutil import HttpPolicy
 from .prompts import PARAMETER_GUESS_PROMPT, PARAMETER_LIST_SCHEMA
 from .toolgen import ToolDescriptor
@@ -64,63 +65,28 @@ def _rounded(similarity: float) -> float:
     return round(similarity * _SCALE) / _SCALE
 
 
-class _Channel:
-    """One embedding channel: a row per distinct text, and per entry the
-    row of its text, -1 when the entry has none."""
-
-    def __init__(self):
-        self.slot: dict = {}  # text -> row
-        self.rows: list = []  # one array('d') per distinct text
-        self.norms: list = []  # vector_norm of each row
-        self.members: list = []  # per row, the indices of its entries, ascending
-        self.row: list = []  # per KB entry, its row or -1
-        # query vector (bytes) -> rounded similarities to rows[:len]; the rows
-        # only grow, so a later call scores only the rows added since
-        self.scores: dict = {}
-
-    def append(self, texts: list, vectors: dict) -> None:
-        """Take one entry per text, None for an entry without one; a text
-        with no row yet gets one, holding its vector from `vectors`."""
-        for text in texts:
-            if text is None:
-                self.row.append(-1)
-                continue
-            row = self.slot.get(text)
-            if row is None:
-                row = self.slot[text] = len(self.rows)
-                self.rows.append(vectors[text])
-                self.norms.append(vector_norm(vectors[text]))
-                self.members.append([])
-            self.members[row].append(len(self.row))
-            self.row.append(row)
-
-    def similarities(self, query: array) -> array:
-        """The rounded cosine of `query` to every row, scoring only the rows
-        it has not been scored against before."""
-        sims = self.scores.setdefault(query.tobytes(), array("d"))
-        if len(sims) < len(self.rows):
-            norm = vector_norm(query)
-            sims.extend([
-                _rounded(cosine_similarity(query, row, norm, row_norm))
-                for row, row_norm in zip(self.rows[len(sims):], self.norms[len(sims):])
-            ])
-        return sims
-
-
 class KnowledgeBase:
     """Append-only store of verified parameter values, deduplicated on
     (param_key, value, source_id).
 
-    The KB owns the embeddings.  Each channel ("key", "description") holds
-    one `array('d')` row per distinct text and maps every entry to its
-    text's row.  Every row has the width of the first vectors the KB took.
+    The KB owns the embeddings: one `array('d')` row per distinct text, key
+    or description, each as wide as the first vectors the KB took.  Each
+    channel ("key", "description") maps a row to the entries that name its
+    text in that channel, ascending; an entry without a description is in
+    no description row.
     """
 
     def __init__(self):
         self.entries: list = []
         self._seen: set = set()
         self._per_source: Counter = Counter()  # source_id -> entries
-        self._channels = {"key": _Channel(), "description": _Channel()}
+        self._slot: dict = {}  # text -> row
+        self._rows: list = []  # one array('d') per distinct text
+        self._norms: list = []  # vector_norm of each row
+        self._channels = {"key": {}, "description": {}}  # row -> entry indices
+        # query vector (bytes) -> rounded similarities to _rows[:len]; the rows
+        # only grow, so a later call scores only the rows added since
+        self._scores: dict = {}
         self._width: Optional[int] = None  # of every vector; the first ones set it
 
     def __len__(self) -> int:
@@ -132,7 +98,7 @@ class KnowledgeBase:
 
     def extend(self, entries: list, emb) -> None:
         """Add the entries not yet held, first occurrence first, embedding
-        with `emb` the keys and descriptions that have no row yet."""
+        with `emb` the texts that have no row yet, keys before descriptions."""
         fresh: dict = {}
         for entry in entries:
             identity = _identity(entry)
@@ -143,24 +109,31 @@ class KnowledgeBase:
             return
         texts = {"key": [e.param_key for e in entries],
                  "description": [e.description or None for e in entries]}
-        unseen = [t for name, channel in self._channels.items() for t in texts[name]
-                  if t is not None and t not in channel.slot]
+        unseen = [t for t in dict.fromkeys(texts["key"] + texts["description"])
+                  if t is not None and t not in self._slot]
         # embed everything before the KB changes, so a failure leaves it whole
         # an embedder's array('d') row is kept as it is, shared with its memo
-        vectors = {t: v if isinstance(v, array) and v.typecode == "d" else array("d", v)
-                   for t, v in zip(unseen, emb.embed(unseen) if unseen else [])}
+        vectors = [v if isinstance(v, array) and v.typecode == "d" else array("d", v)
+                   for v in (emb.embed(unseen) if unseen else [])]
         width = self._width
-        for vector in vectors.values():
+        for vector in vectors:
             width = len(vector) if width is None else width
             if len(vector) != width:
                 raise DimensionMismatch(got=len(vector), expected=width)
         self._width = width
+        for text, vector in zip(unseen, vectors):
+            self._slot[text] = len(self._rows)
+            self._rows.append(vector)
+            self._norms.append(vector_norm(vector))
+        start = len(self.entries)
         for entry in entries:
             self._seen.add(_identity(entry))
             self.entries.append(entry)
             self._per_source[entry.source_id] += 1
-        for name, channel in self._channels.items():
-            channel.append(texts[name], vectors)
+        for name, members in self._channels.items():
+            for i, text in enumerate(texts[name], start):
+                if text is not None:
+                    members.setdefault(self._slot[text], []).append(i)
 
     def nearest(self, channel: str, query, k: int, exclude_source: Optional[str] = None) -> list:
         """The k entries of `channel` closest to `query` by cosine
@@ -172,17 +145,23 @@ class KnowledgeBase:
         ranking, so that ties go to the earlier entry however the products
         were summed.  A zero vector has similarity 0.0.
         """
-        ch = self._channels[channel]
-        if not ch.rows:
+        members = self._channels[channel]
+        if not members:
             return []
         query = array("d", query)
         if len(query) != self._width:
             raise DimensionMismatch(got=self._width, expected=len(query))
-        sims = ch.similarities(query)
+        sims = self._scores.setdefault(query.tobytes(), array("d"))
+        if len(sims) < len(self._rows):
+            norm = vector_norm(query)
+            sims.extend([
+                _rounded(cosine_similarity(query, row, norm, row_norm))
+                for row, row_norm in zip(self._rows[len(sims):], self._norms[len(sims):])
+            ])
         found: list = []
-        best_first = sorted(range(len(sims)), key=sims.__getitem__, reverse=True)
+        best_first = sorted(members, key=sims.__getitem__, reverse=True)
         for sim, tied in groupby(best_first, key=sims.__getitem__):
-            for i in heapq.merge(*(ch.members[r] for r in tied)):
+            for i in heapq.merge(*(members[r] for r in tied)):
                 if self.entries[i].source_id != exclude_source:
                     found.append((sim, i))
                     if len(found) == k:
@@ -190,13 +169,8 @@ class KnowledgeBase:
         return found
 
     def vectors(self):
-        """(text, vector) once for each text of either channel, in the order
-        the KB took them, key channel first.  Both channels take their rows
-        from one embedder, so a text in both has one vector."""
-        held: dict = {}
-        for channel in self._channels.values():
-            held.update(zip(channel.slot, channel.rows))
-        return held.items()
+        """(text, vector) once for each text, in the order the KB took them."""
+        return zip(self._slot, self._rows)
 
 
 def harvest_response_values(json_body) -> list:
@@ -280,7 +254,8 @@ def retrieve_candidates(
     """Top candidates for one parameter: 5 by description similarity union
     5 by key similarity, deduplicated on (key, value), floor 0.5 applied
     after the union, best first, at most 10.  Similarities are exact
-    cosines rounded to 12 places; ties go to the earlier KB entry.
+    cosines rounded to 12 places; ties go to the earlier KB entry.  A value
+    holding a lone surrogate is skipped, as no request can carry it.
 
     `param` needs .name and .description attributes (a ToolArg fits).
     """
@@ -293,6 +268,8 @@ def retrieve_candidates(
         (query,) = emb.embed([text])
         for sim, idx in kb.nearest(channel, query, TOP_PER_CHANNEL, exclude_source):
             entry = kb.entries[idx]
+            if isinstance(entry.value, str) and LONE_SURROGATE.search(entry.value):
+                continue
             dedupe_key = (entry.param_key, str(entry.value))
             held = best.get(dedupe_key)
             if held is None or sim > held[0] or (sim == held[0] and idx < held[1]):
@@ -370,13 +347,24 @@ def _inference_targets(tool: ToolDescriptor) -> list:
     return tool.missing_value_args or [a for a in tool.args if a.required]
 
 
+def _first_passing(tool: ToolDescriptor, judge, trials, http: HttpPolicy) -> tuple:
+    """Validate `tool` with each trial's {arg: value} over its default args
+    until one passes: (that trial's values or None, validations spent)."""
+    base_args = default_args(tool)
+    attempts = 0
+    for values in trials:
+        attempts += 1
+        if validate_tool(tool, judge, args={**base_args, **values}, http=http).passed:
+            return values, attempts
+    return None, attempts
+
+
 def infer_parameters(
     tool: ToolDescriptor,
     kb: KnowledgeBase,
     judge,
     emb,
     exclude_source: Optional[str] = None,
-    limit: int = MAX_COMBINATIONS,
     http: HttpPolicy = HttpPolicy(),
 ) -> InferenceOutcome:
     """Try ranked KB value combinations for the tool's `_inference_targets`
@@ -406,39 +394,23 @@ def infer_parameters(
         per_param[arg.name] = candidates
         candidates_considered += len(candidates)
 
-    base_args = default_args(tool)
-    attempts = 0
-    for assignment in rank_combinations(per_param, limit=limit):
-        trial_args = dict(base_args)
-        trial_args.update({name: c.entry.value for name, c in assignment.items()})
-        attempts += 1
-        report = validate_tool(tool, judge, args=trial_args, http=http)
-        if report.passed:
-            values = {name: c.entry.value for name, c in assignment.items()}
-            by_name = {a.name: a for a in tool.args}
-            for name, value in values.items():
-                by_name[name].example_value = value
-            kb.extend([
-                ParameterKbEntry(
-                    param_key=name,
-                    value=value,
-                    source_id=tool.source_id,
-                    description=by_name[name].description,
-                    provenance="documentation",
-                )
-                for name, value in values.items()
-            ], emb)
-            return InferenceOutcome(
-                tool.tool_name,
-                True,
-                assignment=values,
-                attempts=attempts,
-                candidates_considered=candidates_considered,
-            )
-    return InferenceOutcome(
-        tool.tool_name, False, attempts=attempts, candidates_considered=candidates_considered,
-        note=f"{tool.tool_name}: all {attempts} ranked assignments failed validation",
-    )
+    values, attempts = _first_passing(tool, judge, (
+        {name: c.entry.value for name, c in assignment.items()}
+        for assignment in rank_combinations(per_param)
+    ), http)
+    if values is None:
+        return InferenceOutcome(
+            tool.tool_name, False, attempts=attempts, candidates_considered=candidates_considered,
+            note=f"{tool.tool_name}: all {attempts} ranked assignments failed validation",
+        )
+    by_name = {a.name: a for a in tool.args}
+    for name, value in values.items():
+        by_name[name].example_value = value
+    kb.extend([ParameterKbEntry(param_key=name, value=value, source_id=tool.source_id,
+                                description=by_name[name].description)
+               for name, value in values.items()], emb)
+    return InferenceOutcome(tool.tool_name, True, assignment=values, attempts=attempts,
+                            candidates_considered=candidates_considered)
 
 
 def llm_guess_baseline(
@@ -449,7 +421,8 @@ def llm_guess_baseline(
     http: HttpPolicy = HttpPolicy(),
 ) -> InferenceOutcome:
     """Guess values with a model instead of the knowledge base: up to 10
-    rounds, feeding failed guesses back through the prompt's history block."""
+    rounds, feeding failed guesses back through the prompt's history block.
+    The assignment holds the target values sent, as infer_parameters' does."""
     targets = _inference_targets(tool)
     if not targets:
         return InferenceOutcome(tool.tool_name, True, assignment={}, note="nothing to infer")
@@ -457,39 +430,31 @@ def llm_guess_baseline(
     param_description = "\n".join(
         f"{a.name}: {a.description or '(no description)'}" for a in targets
     )
-    base_args = default_args(tool)
-    history: list = []
-    attempts = 0
-    for _ in range(rounds):
-        prompt = PARAMETER_GUESS_PROMPT.format(
-            history="\n".join(json.dumps(h, ensure_ascii=False) for h in history),
-            description=tool.description,
-            param_description=param_description,
-        )
-        content, _tokens = backend.complete(
-            [{"role": "user", "content": prompt}],
-            response_schema=PARAMETER_LIST_SCHEMA,
-            schema_name="ParameterList",
-        )
-        try:
-            parsed = json.loads(content)
-            guesses = {
-                str(p["parameter_key"]): str(p["parameter_guess"])
-                for p in parsed["parameters"]
-            }
-        except (ValueError, KeyError, TypeError) as exc:
-            raise BackendUnreachable(f"malformed guess output: {exc}") from exc
 
-        trial_args = dict(base_args)
-        trial_args.update({a.name: guesses[a.name] for a in targets if a.name in guesses})
-        attempts += 1
-        report = validate_tool(tool, judge, args=trial_args, http=http)
-        if report.passed:
-            return InferenceOutcome(
-                tool.tool_name, True, assignment=guesses, attempts=attempts
+    def guesses():
+        history: list = []
+        for _ in range(rounds):
+            prompt = PARAMETER_GUESS_PROMPT.format(
+                history="\n".join(json.dumps(h, ensure_ascii=False) for h in history),
+                description=tool.description,
+                param_description=param_description,
             )
-        history.append(guesses)
-    return InferenceOutcome(tool.tool_name, False, attempts=attempts)
+            content, _tokens = backend.complete(
+                [{"role": "user", "content": prompt}],
+                response_schema=PARAMETER_LIST_SCHEMA,
+                schema_name="ParameterList",
+            )
+            try:
+                named = {str(p["parameter_key"]): str(p["parameter_guess"])
+                         for p in json.loads(content)["parameters"]}
+            except (ValueError, KeyError, TypeError) as exc:
+                raise BackendUnreachable(f"malformed guess output: {exc}") from exc
+            yield {a.name: named[a.name] for a in targets if a.name in named}
+            history.append(named)  # reached only when the guess failed
+
+    values, attempts = _first_passing(tool, judge, guesses(), http)
+    return InferenceOutcome(tool.tool_name, values is not None, assignment=values,
+                            attempts=attempts)
 
 
 def leave_one_api_out(

@@ -19,6 +19,7 @@ from .netutil import MAX_BODY_BYTES, HttpPolicy, http_request, run_pool
 logger = logging.getLogger(__name__)
 
 DEFAULT_TEXT_CAP = 512 * 1024  # bytes of cleaned text kept per document
+FETCH_TIMEOUT_S = 30.0
 
 # content inside these elements never carries documentation text
 _SKIPPED = {"script", "style", "noscript", "template"}
@@ -273,7 +274,7 @@ def _source_id_from_origin(origin: str) -> str:
     return slug or "doc"
 
 
-def load_page(origin: str, timeout: float = 30.0, http: HttpPolicy = HttpPolicy()) -> str:
+def load_page(origin: str, http: HttpPolicy = HttpPolicy()) -> str:
     """A page's raw content, read from a file or fetched from a URL, at most
     MAX_BODY_BYTES of it.
 
@@ -282,7 +283,7 @@ def load_page(origin: str, timeout: float = 30.0, http: HttpPolicy = HttpPolicy(
     """
     if origin.startswith(("http://", "https://")):
         try:
-            resp = http_request("GET", origin, timeout=timeout, http=http)
+            resp = http_request("GET", origin, timeout=FETCH_TIMEOUT_S, http=http)
         except Exception as exc:  # noqa: BLE001 - every fetch failure maps the same way
             raise FetchFailed(origin, str(exc)) from exc
         if resp.status_code >= 400:
@@ -310,22 +311,18 @@ def clean_text(raw: str) -> str:
 
 
 def load_and_clean(
-    origin: str,
-    source_id: Optional[str] = None,
-    timeout: float = 30.0,
-    max_text_bytes: int = DEFAULT_TEXT_CAP,
-    http: HttpPolicy = HttpPolicy(),
+    origin: str, source_id: Optional[str] = None, http: HttpPolicy = HttpPolicy()
 ) -> ApiDocument:
     """Read a page from a file or URL and clean it to plain text, cut to
-    `max_text_bytes` of UTF-8; EmptyDocument when no text is left."""
-    raw = load_page(origin, timeout=timeout, http=http)
+    DEFAULT_TEXT_CAP bytes of UTF-8; EmptyDocument when no text is left."""
+    raw = load_page(origin, http=http)
     text = clean_text(raw)
     if not text.strip():
         raise EmptyDocument(origin)
     encoded = text.encode("utf-8")
-    if len(encoded) > max_text_bytes:
-        text = encoded[:max_text_bytes].decode("utf-8", errors="ignore")
-        logger.warning("truncated %s to %d bytes of text", origin, max_text_bytes)
+    if len(encoded) > DEFAULT_TEXT_CAP:
+        text = encoded[:DEFAULT_TEXT_CAP].decode("utf-8", errors="ignore")
+        logger.warning("truncated %s to %d bytes of text", origin, DEFAULT_TEXT_CAP)
     return ApiDocument(
         source_id=source_id or _source_id_from_origin(origin), origin=origin, raw=raw, text=text
     )

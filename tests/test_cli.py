@@ -349,6 +349,32 @@ def test_lone_surrogate_in_api_reply_is_written_escaped(tmp_path):
     assert (entry["param_key"], entry["value"]) == ("id", "\ud800x")
 
 
+def test_lone_surrogate_value_is_not_tried_by_infer(tmp_path):
+    # source A's reply puts a lone surrogate in the KB under `id`; source B
+    # needs an undocumented `id`, and no request could carry that value
+    def answer(handler):
+        return 200, {"Content-Type": "application/json"}, b'{"id": "\\ud800x"}'
+
+    with serving(answer) as (base, seen):
+        for name, doc in (("items", f"## Get Item\nGET {base}/items\n"),
+                          ("things", f"## Get Thing\nGET {base}/things\n"
+                                     "Required parameters:\n- id: the thing id\n")):
+            (tmp_path / f"{name}.txt").write_text(doc, encoding="utf-8")
+        (tmp_path / "manifest.json").write_text(json.dumps([
+            {"source_id": name, "origin": f"{name}.txt"} for name in ("items", "things")
+        ]), encoding="utf-8")
+        cfg = make_config(tmp_path, tmp_path / "manifest.json", tmp_path, truth_dir=None)
+        assert main(["run", "--config", str(cfg)]) == 0
+    out = tmp_path / "out"
+    assert ("id", "\ud800x") in [(e["param_key"], e["value"]) for e in map(
+        json.loads, (out / "kb" / "kb.jsonl").read_text(encoding="utf-8").splitlines())]
+    (outcome,) = map(json.loads, (out / "kb" / "inference.jsonl").read_text(
+        encoding="utf-8").splitlines())
+    assert (outcome["tool_name"], outcome["success"], outcome["attempts"]) == ("get_thing", False, 0)
+    assert outcome["note"] == "no candidates: no usable candidates for parameter 'id'"
+    assert not any("/things?id=" in s.line for s in seen)
+
+
 class TestStageGating:
     def test_extract_before_ingest(self, corpus, tmp_path):
         manifest, corpus_dir, _ = corpus

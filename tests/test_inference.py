@@ -73,9 +73,10 @@ def read_jsonl(path):
 
 
 def kb_vector(kb, channel, i):
-    """Entry i's `channel` vector as the KB holds it, None where it has none."""
-    ch = kb._channels[channel]
-    return None if ch.row[i] < 0 else ch.rows[ch.row[i]]
+    """Entry i's `channel` vector as the KB holds it, None where it has none;
+    the entry belongs to one row of the channel at most."""
+    (row,) = [r for r, members in kb._channels[channel].items() if i in members] or [None]
+    return None if row is None else kb._rows[row]
 
 
 class CountingEmbedding(LexicalEmbedding):
@@ -121,7 +122,7 @@ class TestKnowledgeBase:
             ParameterKbEntry(param_key="q", value="x", source_id="s"),
             ParameterKbEntry(param_key="q", value="y", source_id="s", description=""),
         ], emb)
-        assert kb._channels["description"].rows == []
+        assert kb._channels["description"] == {} and list(kb._slot) == ["q"]
         assert kb_vector(kb, "description", 0) is None and kb_vector(kb, "description", 1) is None
         _write_kb(tmp_path, kb)
         assert [r["description"] for r in read_jsonl(tmp_path / "kb.jsonl")] == [None, ""]
@@ -160,10 +161,10 @@ class TestKnowledgeBase:
         )
         assert (tmp_path / "kb.jsonl").read_bytes() == want.encode("utf-8")
         rows = read_jsonl(tmp_path / "vectors.jsonl")
-        # each text once, in the order the KB took it, the keys first
+        # each text once, in the order the KB took it, each call's keys first
         assert [r["text"] for r in rows] == [
-            "city", "limit", "ratio", "flag", "a ratio", "k0", "k1", "k2", "k3",
-            "the city 東京", "added 1", "added 0",
+            "city", "limit", "ratio", "flag", "a ratio", "the city 東京",
+            "k0", "k1", "added 1", "k2", "added 0", "k3",
         ]
         vectors = {r["text"]: array("d", r["vector"]).tobytes() for r in rows}
         for entry in kb.entries:
@@ -184,13 +185,14 @@ class TestKnowledgeBase:
                 ParameterKbEntry(param_key=key, value=value, source_id=f"s{n}", description=desc)
                 for key, value, desc in rows
             ], emb)
+        # one row per distinct text, in the order the KB took them
+        assert list(kb._slot) == ["id", "name", "the id", "a name", "page"]
+        assert list(kb._slot.values()) == list(range(5)) and len(kb._rows) == 5
+        assert all(r.typecode == "d" and len(r) == emb.dimension for r in kb._rows)
+        assert kb._norms == [vector_norm(r) for r in kb._rows]
         for channel, texts in (("key", ["id", "name", "page"]),
                                ("description", ["the id", "a name"])):
-            ch = kb._channels[channel]
-            assert list(ch.slot) == texts
-            assert len(ch.rows) == len(texts)
-            assert all(r.typecode == "d" and len(r) == emb.dimension for r in ch.rows)
-            assert ch.norms == [vector_norm(r) for r in ch.rows]
+            assert sorted(kb._channels[channel]) == [kb._slot[t] for t in texts]
         for i, entry in enumerate(kb.entries):
             assert kb_vector(kb, "key", i) == emb.embed_one(entry.param_key)
             if entry.description:
@@ -226,11 +228,13 @@ class TestKnowledgeBase:
         with pytest.raises(BackendUnreachable):
             kb.extend([ParameterKbEntry(param_key="name", value=2, source_id="a",
                                         description="the id")], FailsOnDescriptions())
-        assert len(kb) == 1 and list(kb._channels["key"].slot) == ["id"]
-        assert len(kb._channels["key"].row) == 1
+        assert len(kb) == 1 and list(kb._slot) == ["id"]
+        assert len(kb._rows) == len(kb._norms) == 1
+        assert kb._channels == {"key": {0: [0]}, "description": {}}
         kb.extend([ParameterKbEntry(param_key="name", value=2, source_id="a",
                                     description="the id")], emb)
-        assert len(kb) == 2 and list(kb._channels["key"].slot) == ["id", "name"]
+        assert len(kb) == 2 and list(kb._slot) == ["id", "name", "the id"]
+        assert kb._channels == {"key": {0: [0], 1: [1]}, "description": {2: [1]}}
 
 
 def scripted_report(tool, error_type, json_body=None):
@@ -287,23 +291,23 @@ class TestBuildKb:
         assert [(e.param_key, e.value) for e in kb.entries] == [
             ("q", "hello"), ("token", "abc123"), ("token", "xyz"),
         ]
-        keys, descriptions = kb._channels["key"], kb._channels["description"]
-        assert len(keys.rows) == 2  # one row per distinct key text
-        assert keys.row == [0, 1, 1]  # both token entries share its row
-        assert keys.members == [[0], [1, 2]]
-        assert descriptions.row == [0, -1, -1] and descriptions.members == [[0]]
+        assert list(kb._slot) == ["q", "token", "query text"]  # one row per distinct text
+        assert len(kb._rows) == 3
+        assert kb._channels["key"] == {0: [0], 1: [1, 2]}  # both token entries share its row
+        assert kb._channels["description"] == {2: [0]}
         for i, entry in enumerate(kb.entries):
             assert kb_vector(kb, "key", i) == emb.embed_one(entry.param_key)
         assert kb_vector(kb, "description", 0) == emb.embed_one("query text")
 
+        held = list(kb._rows)
         for i in range(3):
             kb.extend([ParameterKbEntry(param_key=f"later {i}", value=i, source_id="s")], emb)
         kb.extend([ParameterKbEntry(param_key="token", value="new", source_id="s")], emb)
         # every call's new texts get rows; a held text keeps its row
-        assert list(keys.slot) == ["q", "token", "later 0", "later 1", "later 2"]
-        assert len(keys.rows) == 5
-        assert keys.row == [0, 1, 1, 2, 3, 4, 1]
-        assert keys.members == [[0], [1, 2, 6], [3], [4], [5]]
+        assert list(kb._slot) == ["q", "token", "query text", "later 0", "later 1", "later 2"]
+        assert len(kb._rows) == 6 and all(a is b for a, b in zip(kb._rows, held))
+        assert kb._channels["key"] == {0: [0], 1: [1, 2, 6], 3: [3], 4: [4], 5: [5]}
+        assert kb._channels["description"] == {2: [0]}
         for i, entry in enumerate(kb.entries[3:], start=3):
             assert kb_vector(kb, "key", i) == emb.embed_one(entry.param_key)
 
@@ -374,7 +378,8 @@ class TestRetrieveCandidates:
                                        description="a new text")):
             with pytest.raises(DimensionMismatch):
                 kb.extend([entry], LexicalEmbedding(dimension=64))
-        assert len(kb) == 1 and kb._channels["description"].rows == []
+        assert len(kb) == 1 and kb._channels["description"] == {}
+        assert list(kb._slot) == ["q"] and len(kb._rows) == len(kb._norms) == 1
         assert [c.entry.value for c in retrieve_candidates(arg, kb, emb)] == ["x"]
 
     def test_overflowing_vectors_rank_last(self):
@@ -540,11 +545,12 @@ vector = st.one_of(
     st.lists(component, min_size=3, max_size=3),
 )
 KEYS = ("id", "name", "q")
+TEXTS = (*KEYS, *(f"about {key}" for key in KEYS))
 kb_row = st.tuples(
     st.sampled_from(KEYS),                      # key
     st.integers(0, 3),                          # value
     st.sampled_from(["a", "b", "c"]),           # source
-    st.booleans(),                              # described
+    st.one_of(st.none(), st.sampled_from(TEXTS)),  # description, maybe another entry's key
 )
 
 
@@ -553,21 +559,17 @@ class TestRetrievalOracle:
     @given(
         rows=st.lists(kb_row, max_size=30),
         extended=st.integers(0, 30),
-        text_vecs=st.lists(vector, min_size=2 * len(KEYS), max_size=2 * len(KEYS)),
+        text_vecs=st.lists(vector, min_size=len(TEXTS), max_size=len(TEXTS)),
         name_vec=vector,
         desc_vec=st.one_of(st.none(), vector),
         exclude=st.one_of(st.none(), st.sampled_from(["a", "b", "c"])),
     )
     def test_matches_per_entry_loop(self, rows, extended, text_vecs, name_vec, desc_vec, exclude):
-        texts = [*KEYS, *(f"about {key}" for key in KEYS)]
-        table = dict(zip(texts, text_vecs), target=name_vec, **{"target text": desc_vec})
+        table = dict(zip(TEXTS, text_vecs), target=name_vec, **{"target text": desc_vec})
         emb = TableEmbedding(table)
         entries = [
-            ParameterKbEntry(
-                param_key=key, value=value, source_id=source,
-                description=f"about {key}" if described else None,
-            )
-            for key, value, source, described in rows
+            ParameterKbEntry(param_key=key, value=value, source_id=source, description=desc)
+            for key, value, source, desc in rows
         ]
         kb = KnowledgeBase()
         # a leading share in one call, as build_kb adds them; the rest one
@@ -626,10 +628,9 @@ class TestNearestMatchesNumpy:
     @given(data=st.data())
     def test_same_entries_and_similarities(self, data):
         width = data.draw(st.integers(1, 6), label="width")
-        texts = [*KEYS, *(f"about {key}" for key in KEYS)]
-        table = data.draw(st.lists(vectors(width), min_size=len(texts), max_size=len(texts)),
+        table = data.draw(st.lists(vectors(width), min_size=len(TEXTS), max_size=len(TEXTS)),
                           label="text vectors")
-        emb = TableEmbedding(dict(zip(texts, table)))
+        emb = TableEmbedding(dict(zip(TEXTS, table)))
         batches = data.draw(st.lists(st.lists(kb_row, min_size=1, max_size=8),
                                      min_size=1, max_size=4), label="extend calls")
         queries = data.draw(st.lists(st.tuples(
@@ -640,9 +641,8 @@ class TestNearestMatchesNumpy:
         kb = KnowledgeBase()
         for batch in batches:
             kb.extend([
-                ParameterKbEntry(param_key=key, value=value, source_id=source,
-                                 description=f"about {key}" if described else None)
-                for key, value, source, described in batch
+                ParameterKbEntry(param_key=key, value=value, source_id=source, description=desc)
+                for key, value, source, desc in batch
             ], emb)
             # the same queries after every extend: their held scores must
             # grow by the rows the call added
@@ -813,11 +813,14 @@ class TestGuessBaseline:
     def test_history_feedback_until_pass(self, mock_api, judge):
         backend = _GuessBackend([
             json.dumps({"parameters": [{"parameter_key": "glytoucan_id", "parameter_guess": "WRONG"}]}),
-            json.dumps({"parameters": [{"parameter_key": "glytoucan_id", "parameter_guess": "G00048MO"}]}),
+            json.dumps({"parameters": [{"parameter_key": "glytoucan_id", "parameter_guess": "G00048MO"},
+                                       {"parameter_key": "not_an_arg", "parameter_guess": "x"}]}),
         ])
         outcome = llm_guess_baseline(self.make_tool(mock_api), judge, backend,
                                      http=HttpPolicy(offline=True))
         assert outcome.success and outcome.attempts == 2
+        # the target values it sent, as infer_parameters reports them
+        assert outcome.assignment == {"glytoucan_id": "G00048MO"}
         assert "WRONG" in backend.prompts[1]  # failed guess fed back as history
         assert "***history start" in backend.prompts[0]
 

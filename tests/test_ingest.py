@@ -331,10 +331,11 @@ class TestLoadAndClean:
         with pytest.raises(EmptyDocument):
             load_and_clean(str(page))
 
-    def test_truncation_tail_dropped(self, tmp_path):
+    def test_truncation_tail_dropped(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("apimill.ingest.DEFAULT_TEXT_CAP", 100)
         page = tmp_path / "big.txt"
         page.write_text("keep this line\n" + "x" * 10_000, encoding="utf-8")
-        doc = load_and_clean(str(page), max_text_bytes=100)
+        doc = load_and_clean(str(page))
         assert doc.text.startswith("keep this line")
         assert len(doc.text.encode("utf-8")) <= 100
 
