@@ -288,11 +288,11 @@ def retrieve_candidates(
     return survivors[:MAX_CANDIDATES]
 
 
-def rank_combinations(per_param: dict, limit: int = MAX_COMBINATIONS) -> list:
+def rank_combinations(per_param: dict) -> list:
     """Best-first value assignments ordered by the product of similarities
     (sum of logs), enumerated lazily so large spaces never materialize.
 
-    Returns up to `limit` dicts of {param_name: Candidate}.
+    Returns up to MAX_COMBINATIONS dicts of {param_name: Candidate}.
     """
     names = list(per_param.keys())
     for name in names:
@@ -315,7 +315,7 @@ def rank_combinations(per_param: dict, limit: int = MAX_COMBINATIONS) -> list:
     heap = [(-score(start), start)]
     visited = {start}
     out: list = []
-    while heap and len(out) < limit:
+    while heap and len(out) < MAX_COMBINATIONS:
         _, idx = heapq.heappop(heap)
         out.append({name: lists[i][j] for i, (name, j) in enumerate(zip(names, idx))})
         for pos in range(len(names)):
@@ -417,7 +417,6 @@ def llm_guess_baseline(
     tool: ToolDescriptor,
     judge,
     backend,
-    rounds: int = GUESS_ROUNDS,
     http: HttpPolicy = HttpPolicy(),
 ) -> InferenceOutcome:
     """Guess values with a model instead of the knowledge base: up to 10
@@ -433,7 +432,7 @@ def llm_guess_baseline(
 
     def guesses():
         history: list = []
-        for _ in range(rounds):
+        for _ in range(GUESS_ROUNDS):
             prompt = PARAMETER_GUESS_PROMPT.format(
                 history="\n".join(json.dumps(h, ensure_ascii=False) for h in history),
                 description=tool.description,

@@ -190,8 +190,8 @@ class ApiSpec:
         out["endpoints"] = [e.to_dict() for e in self.endpoints]
         return out
 
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, ensure_ascii=False)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, ensure_ascii=False)
 
 
 @dataclass
@@ -278,6 +278,11 @@ def escape_lone_surrogates(text: str) -> str:
     return LONE_SURROGATE.sub(lambda m: f"\\u{ord(m[0]):04x}", text)
 
 
+# The spec parser has one rule per kind of field: `_array` walks every array but
+# a URL list, `_text_field` reads free text and headers, `_name` an endpoint's
+# name and method; each gives None, or drops the item, where it records a violation.
+
+
 def _kept(value: Any, path: str, violations: list) -> Any:
     """`value`, and a kind error at `path` when it is a string holding a
     lone surrogate, which no artifact could then be written with."""
@@ -286,17 +291,43 @@ def _kept(value: Any, path: str, violations: list) -> Any:
     return value
 
 
-def _text_field(raw: Any, path: str, violations: list) -> Optional[str]:
-    # free-text field: strings pass, stray scalars are stringified,
-    # containers are a kind error
-    if raw is None:
-        return None
+def _text_field(raw: Any, path: str, violations: list, detail: str = "") -> Optional[str]:
+    """Free text: strings pass, stray scalars are stringified; a container,
+    or None where `detail` is given, is a kind error with that detail."""
     if isinstance(raw, str):
         return _kept(raw, path, violations)
     if isinstance(raw, (int, float, bool)):
         return json.dumps(raw)
-    violations.append(_wrong(path, f"expected text, got {type(raw).__name__}"))
+    if raw is not None or detail:
+        violations.append(_wrong(path, detail or f"expected text, got {type(raw).__name__}"))
     return None
+
+
+def _header(raw: Any, path: str, violations: list) -> Optional[str]:
+    return _text_field(raw, path, violations, "header must be a string")
+
+
+def _name(raw: Any, path: str, violations: list, detail: str) -> Optional[str]:
+    """A required name, stripped: None is missing, a blank or non-string is `detail`."""
+    if isinstance(raw, str) and raw.strip():
+        return _kept(raw.strip(), path, violations)
+    violations.append(_missing(path) if raw is None else _wrong(path, detail))
+    return None
+
+
+def _array(raw: Any, path: str, violations: list, parse_item) -> list:
+    """What `parse_item` makes of each item of an array, leaving out None."""
+    if raw is None:
+        return []
+    if not isinstance(raw, list):
+        violations.append(_wrong(path, "expected an array"))
+        return []
+    out = []
+    for i, item in enumerate(raw):
+        parsed = parse_item(item, f"{path}[{i}]", violations)
+        if parsed is not None:
+            out.append(parsed)
+    return out
 
 
 def _parse_parameter(raw: Any, path: str, violations: list) -> Optional[Parameter]:
@@ -326,21 +357,8 @@ def _parse_parameter(raw: Any, path: str, violations: list) -> Optional[Paramete
     )
 
 
-def _parse_param_list(raw: Any, path: str, violations: list) -> list:
-    if raw is None:
-        return []
-    if not isinstance(raw, list):
-        violations.append(_wrong(path, "expected an array"))
-        return []
-    out = []
-    for i, item in enumerate(raw):
-        p = _parse_parameter(item, f"{path}[{i}]", violations)
-        if p is not None:
-            out.append(p)
-    return out
-
-
 def _parse_url(raw: Any, path: str, violations: list) -> Optional[Union[str, list]]:
+    # not an `_array`: a non-string item ends the walk, and an empty list is an error
     if isinstance(raw, str):
         return _kept(raw.strip(), path, violations)
     if isinstance(raw, list):
@@ -363,51 +381,20 @@ def _parse_endpoint(raw: Any, path: str, violations: list) -> Optional[Endpoint]
         violations.append(_not_object(path))
         return None
     before = len(violations)
-
-    name = raw.get("name")
-    if name is None:
-        violations.append(_missing(f"{path}.name"))
-    elif not isinstance(name, str) or not name.strip():
-        violations.append(_wrong(f"{path}.name", "endpoint name must be a non-empty string"))
-        name = None
-    else:
-        name = _kept(name.strip(), f"{path}.name", violations)
-
-    method = raw.get("method")
-    if method is None:
-        violations.append(_missing(f"{path}.method"))
-    elif not isinstance(method, str) or not method.strip():
-        violations.append(_wrong(f"{path}.method", "method must be a non-empty string"))
-        method = None
-    else:
-        method = _kept(method.strip().upper(), f"{path}.method", violations)
-
+    name = _name(raw.get("name"), f"{path}.name", violations,
+                 "endpoint name must be a non-empty string")
+    method = _name(raw.get("method"), f"{path}.method", violations,
+                   "method must be a non-empty string")
     if "url" not in raw:
         violations.append(_missing(f"{path}.url"))
         url = None
     else:
         url = _parse_url(raw["url"], f"{path}.url", violations)
-
-    headers_raw = raw.get("headers")
-    headers: list = []
-    if headers_raw is not None:
-        if not isinstance(headers_raw, list):
-            violations.append(_wrong(f"{path}.headers", "expected an array"))
-        else:
-            for i, h in enumerate(headers_raw):
-                if isinstance(h, str):
-                    headers.append(_kept(h, f"{path}.headers[{i}]", violations))
-                elif isinstance(h, (int, float, bool)):
-                    headers.append(json.dumps(h))
-                else:
-                    violations.append(_wrong(f"{path}.headers[{i}]", "header must be a string"))
-
-    required = _parse_param_list(
-        raw.get("required_parameters"), f"{path}.required_parameters", violations
-    )
-    optional = _parse_param_list(
-        raw.get("optional_parameters"), f"{path}.optional_parameters", violations
-    )
+    headers = _array(raw.get("headers"), f"{path}.headers", violations, _header)
+    required = _array(raw.get("required_parameters"), f"{path}.required_parameters",
+                      violations, _parse_parameter)
+    optional = _array(raw.get("optional_parameters"), f"{path}.optional_parameters",
+                      violations, _parse_parameter)
 
     # a name may not sit in both lists: required wins; duplicates within a
     # list keep the first occurrence
@@ -415,17 +402,12 @@ def _parse_endpoint(raw: Any, path: str, violations: list) -> Optional[Endpoint]
     required = [p for p in required if not (p.name in seen or seen.add(p.name))]
     optional = [p for p in optional if not (p.name in seen or seen.add(p.name))]
 
-    if len(violations) > before or name is None or method is None or url is None:
+    if len(violations) > before:  # as it is when name, method or url is None
         return None
-    return Endpoint(
-        name=name,
-        method=method,
-        url=url,
-        description=_text_field(raw.get("description"), f"{path}.description", violations),
-        headers=headers,
-        required_parameters=required,
-        optional_parameters=optional,
-    )
+    # read last: a bad description is reported only once the rest is clean
+    description = _text_field(raw.get("description"), f"{path}.description", violations)
+    return Endpoint(name=name, method=method.upper(), url=url, description=description,
+                    headers=headers, required_parameters=required, optional_parameters=optional)
 
 
 def validate_spec(document: Any):
@@ -440,28 +422,18 @@ def validate_spec(document: Any):
     if not isinstance(document, dict):
         return None, [_not_object("$")]
 
-    root = document
-    prefix = ""
+    root, prefix = document, ""
     if "endpoints" not in root and isinstance(root.get("API"), dict):
-        root = root["API"]
-        prefix = "API."
+        root, prefix = root["API"], "API."
 
     title = _text_field(root.get("title"), f"{prefix}title", violations)
 
-    if "endpoints" not in root:
-        violations.append(_missing(f"{prefix}endpoints"))
-        return None, violations
-    raw_endpoints = root["endpoints"]
+    raw_endpoints = root.get("endpoints")
     if not isinstance(raw_endpoints, list):
-        violations.append(_wrong(f"{prefix}endpoints", "expected an array"))
+        violations.append(_wrong(f"{prefix}endpoints", "expected an array")
+                          if "endpoints" in root else _missing(f"{prefix}endpoints"))
         return None, violations
-
-    endpoints = []
-    for i, raw_ep in enumerate(raw_endpoints):
-        ep = _parse_endpoint(raw_ep, f"{prefix}endpoints[{i}]", violations)
-        if ep is not None:
-            endpoints.append(ep)
-
+    endpoints = _array(raw_endpoints, f"{prefix}endpoints", violations, _parse_endpoint)
     if violations:
         return None, violations
     return ApiSpec(endpoints=endpoints, title=title), []

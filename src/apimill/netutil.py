@@ -19,6 +19,7 @@ from typing import Callable, Iterable, Iterator, Optional
 from urllib.parse import quote, unquote, urljoin, urlsplit
 
 from .errors import OfflineViolation, TransportFailed
+from .model import LONE_SURROGATE
 
 # The most bytes of a response body, or of a page file, ever read; the largest
 # legitimate body, a remote embedding batch of 128 x 3,072 floats, is about 12 MB.
@@ -103,9 +104,11 @@ class HttpResponse:
     @property
     def text(self) -> str:
         try:  # with the charset named, else UTF-8; bad bytes become U+FFFD
-            return self.content.decode(self.charset or "utf-8", errors="replace")
+            text = self.content.decode(self.charset or "utf-8", errors="replace")
         except LookupError:  # no such codec, or not a text one
             return self.content.decode("utf-8", errors="replace")
+        # so does a lone surrogate that a codec such as UTF-7 yields
+        return text if text.isascii() else LONE_SURROGATE.sub("\ufffd", text)
 
 
 def _requote(uri: str) -> str:

@@ -347,6 +347,37 @@ def _py_escape(text: str, quote: str = "'", multiline: bool = False, fstring: bo
     return escape_lone_surrogates(escaped)
 
 
+# the exported client; `asserts` ends in the four spaces of the line after it
+_CLIENT = """import requests
+
+
+def {func}({signature}):
+    api_url = f"{url_expr}"
+    querystring = {{{entries}}}
+{asserts}
+    response = requests.{verb}(url=api_url, {payload}=querystring, timeout={timeout}, verify={tls_verify})
+    if response.status_code != 200:
+        response2 = requests.{verb}(url=api_url, timeout={timeout}) # in case API can't handle redundant params
+        response = response2
+    return response
+    # print(response.json())
+
+if __name__ == '__main__':
+    r = {func}({call_args})
+    r_json = None
+    try:
+        r_json = r.json()
+    except:
+        pass
+    import json
+    result_dict = dict()
+    result_dict['status_code'] = r.status_code
+    result_dict['text'] = r.text
+    result_dict['json'] = r_json
+    result_dict['content'] = r.content.decode("utf-8")
+"""
+
+
 def export_function_source(tool: ToolDescriptor, tls_verify: bool = True) -> str:
     """Emit the tool as a self-contained script-style function text."""
     taken = set(_EXPORT_BOUND)
@@ -360,58 +391,21 @@ def export_function_source(tool: ToolDescriptor, tls_verify: bool = True) -> str
     )
     if tool.template.query_base is not None:
         url_expr += "?" + _py_escape(tool.template.query_base, '"', fstring=True)
-
-    sendable = [a for a in tool.args if a.location == "query"]
-    verb = tool.method.lower() if tool.method.lower() in (
-        "get", "post", "put", "patch", "delete", "head", "options"
-    ) else "get"
-    payload_kw = "params=querystring" if verb == "get" else "json=querystring"
-
-    lines = ["import requests", "", ""]
-    signature = ", ".join(f"{py_names[a.name]}=None" for a in tool.args)
-    lines.append(f"def {func}({signature}):")
-    lines.append(f'    api_url = f"{url_expr}"')
-    entries = "".join(f"'{_py_escape(a.name)}': {py_names[a.name]}, " for a in sendable)
-    lines.append(f"    querystring = {{{entries}}}")
-    for arg in tool.args:
-        if arg.required:
-            lines.append(
-                f"    assert {py_names[arg.name]} is not None, "
-                f"'Missing required parameter: {_py_escape(arg.name)}'"
-            )
-    lines.append("    ")
-    lines.append(
-        f"    response = requests.{verb}(url=api_url, {payload_kw}, "
-        f"timeout={tool.timeout_seconds}, verify={tls_verify})"
+    verb = tool.method.lower()
+    verb = verb if verb in ("get", "post", "put", "patch", "delete", "head", "options") else "get"
+    return _CLIENT.format(
+        func=func, url_expr=url_expr, verb=verb, payload="params" if verb == "get" else "json",
+        timeout=tool.timeout_seconds, tls_verify=tls_verify,
+        signature=", ".join(f"{py_names[a.name]}=None" for a in tool.args),
+        entries="".join(f"'{_py_escape(a.name)}': {py_names[a.name]}, "
+                        for a in tool.args if a.location == "query"),
+        asserts="".join(f"    assert {py_names[a.name]} is not None, "
+                        f"'Missing required parameter: {_py_escape(a.name)}'\n"
+                        for a in tool.args if a.required) + "    ",
+        call_args=", ".join(
+            f"{py_names[a.name]}='''{_py_escape(render_scalar(a.preferred_value), multiline=True)}'''"
+            for a in tool.args if a.has_value),
     )
-    lines.append("    if response.status_code != 200:")
-    lines.append(
-        f"        response2 = requests.{verb}(url=api_url, timeout={tool.timeout_seconds})"
-        " # in case API can't handle redundant params"
-    )
-    lines.append("        response = response2")
-    lines.append("    return response")
-    lines.append("    # print(response.json())")
-    lines.append("")
-    lines.append("if __name__ == '__main__':")
-    call_args = ", ".join(
-        f"{py_names[a.name]}='''{_py_escape(render_scalar(a.preferred_value), multiline=True)}'''"
-        for a in tool.args
-        if a.has_value
-    )
-    lines.append(f"    r = {func}({call_args})")
-    lines.append("    r_json = None")
-    lines.append("    try:")
-    lines.append("        r_json = r.json()")
-    lines.append("    except:")
-    lines.append("        pass")
-    lines.append("    import json")
-    lines.append("    result_dict = dict()")
-    lines.append("    result_dict['status_code'] = r.status_code")
-    lines.append("    result_dict['text'] = r.text")
-    lines.append("    result_dict['json'] = r_json")
-    lines.append('    result_dict[\'content\'] = r.content.decode("utf-8")')
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

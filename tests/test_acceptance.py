@@ -299,7 +299,7 @@ def test_criterion_7_inference_oracle(verdict, loo_setup, judge, emb):
                     )
                     for i, s in enumerate(sims)
                 ]
-            got = rank_combinations(per_param, limit=20)
+            got = rank_combinations(per_param)
 
             names = list(per_param.keys())
             lists = [sorted(per_param[n], key=lambda c: -c.similarity) for n in names]

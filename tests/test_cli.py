@@ -349,6 +349,23 @@ def test_lone_surrogate_in_api_reply_is_written_escaped(tmp_path):
     assert (entry["param_key"], entry["value"]) == ("id", "\ud800x")
 
 
+def test_page_charset_yielding_lone_surrogate_is_ingested(tmp_path):
+    # UTF-7 spells U+D800 as "+2AA-"; it reaches the page text as U+FFFD
+    def answer(handler):
+        return 200, {"Content-Type": "text/html; charset=utf-7"}, (
+            b"<html><body><h2>Get Item</h2><p>GET https://h.example/items +2AA-</p></body></html>")
+
+    with serving(answer) as (base, seen):
+        (tmp_path / "manifest.json").write_text(
+            json.dumps([{"source_id": "items", "origin": f"{base}/items.html"}]), encoding="utf-8")
+        cfg = make_config(tmp_path, tmp_path / "manifest.json", tmp_path, truth_dir=None)
+        assert main(["ingest", "--config", str(cfg)]) == 0
+    assert seen
+    (page,) = map(json.loads, (tmp_path / "out" / "docs" / "pages.jsonl").read_text(
+        encoding="utf-8").splitlines())
+    assert "https://h.example/items �" in page["text"]
+
+
 def test_lone_surrogate_value_is_not_tried_by_infer(tmp_path):
     # source A's reply puts a lone surrogate in the KB under `id`; source B
     # needs an undocumented `id`, and no request could carry that value

@@ -440,7 +440,7 @@ class TestRankCombinations:
             "a": fake_candidates([0.9, 0.8, 0.7, 0.6, 0.5], "a"),
             "b": fake_candidates([0.9, 0.8, 0.7, 0.6, 0.5], "b"),
         }
-        out = rank_combinations(per, limit=20)
+        out = rank_combinations(per)
         assert len(out) == 20  # 25 combinations exist
 
     def test_empty_candidate_list_raises(self):
@@ -453,7 +453,7 @@ class TestRankCombinations:
             "b": fake_candidates([0.8, 0.79, 0.5], "b"),
             "c": fake_candidates([1.0], "c"),
         }
-        got = rank_combinations(per, limit=20)
+        got = rank_combinations(per)
         want = exhaustive_rank(per, limit=20)
         assert [
             {k: (c.entry.param_key, c.entry.value) for k, c in row.items()} for row in got
@@ -475,7 +475,7 @@ class TestRankCombinations:
         per = {
             f"p{i}": fake_candidates(sims, f"p{i}") for i, sims in enumerate(sim_lists)
         }
-        got = rank_combinations(per, limit=20)
+        got = rank_combinations(per)
         want = exhaustive_rank(per, limit=20)
         as_values = lambda rows: [
             {k: c.entry.value for k, c in row.items()} for row in rows
@@ -827,7 +827,7 @@ class TestGuessBaseline:
     def test_rounds_exhausted(self, mock_api, judge):
         wrong = json.dumps({"parameters": [{"parameter_key": "glytoucan_id", "parameter_guess": "NOPE"}]})
         backend = _GuessBackend([wrong] * 10)
-        outcome = llm_guess_baseline(self.make_tool(mock_api), judge, backend, rounds=10,
+        outcome = llm_guess_baseline(self.make_tool(mock_api), judge, backend,
                                      http=HttpPolicy(offline=True))
         assert not outcome.success and outcome.attempts == 10
 

@@ -174,6 +174,83 @@ class TestValidateSpec:
         assert spec is None
         assert [(x.kind, x.path) for x in v] == [("wrong_value_kind", path)]
 
+    @pytest.mark.parametrize("document, want", [
+        ([1, 2], ["not_an_object at $ (expected an object)"]),
+        (wrap("GET /x"), ["not_an_object at endpoints[0] (expected an object)"]),
+        (wrap(minimal_endpoint(optional_parameters=["q"])),
+         ["not_an_object at endpoints[0].optional_parameters[0] (expected an object)"]),
+        ({"title": "T"}, ["missing_required_field at endpoints"]),
+        ({"API": {"title": "T"}}, ["missing_required_field at API.endpoints"]),
+        (wrap({"url": "https://h.example/"}),
+         ["missing_required_field at endpoints[0].name",
+          "missing_required_field at endpoints[0].method"]),
+        (wrap({"name": "P", "method": "GET"}), ["missing_required_field at endpoints[0].url"]),
+        (wrap(minimal_endpoint(required_parameters=[{"type": "string"}])),
+         ["missing_required_field at endpoints[0].required_parameters[0].name"]),
+        (wrap(minimal_endpoint(), title={"t": 1}),
+         ["wrong_value_kind at title (expected text, got dict)"]),
+        (wrap(minimal_endpoint(required_parameters=[{"name": "q", "type": ["s"]}])),
+         ["wrong_value_kind at endpoints[0].required_parameters[0].type (expected text, got list)"]),
+        ({"endpoints": {"name": "P"}}, ["wrong_value_kind at endpoints (expected an array)"]),
+        ({"endpoints": None}, ["wrong_value_kind at endpoints (expected an array)"]),
+        (wrap(minimal_endpoint(required_parameters={"name": "q"})),
+         ["wrong_value_kind at endpoints[0].required_parameters (expected an array)"]),
+        (wrap(minimal_endpoint(optional_parameters="q")),
+         ["wrong_value_kind at endpoints[0].optional_parameters (expected an array)"]),
+        (wrap(minimal_endpoint(headers="X-Key: abc")),
+         ["wrong_value_kind at endpoints[0].headers (expected an array)"]),
+        (wrap(minimal_endpoint(headers=["X-Key: abc", {"X-Key": "abc"}, None])),
+         ["wrong_value_kind at endpoints[0].headers[1] (header must be a string)",
+          "wrong_value_kind at endpoints[0].headers[2] (header must be a string)"]),
+        (wrap(minimal_endpoint(required_parameters=[{"name": 7}])),
+         ["wrong_value_kind at endpoints[0].required_parameters[0].name "
+          "(parameter name must be a string)"]),
+        (wrap(minimal_endpoint(required_parameters=[{"name": " "}])),
+         ["wrong_value_kind at endpoints[0].required_parameters[0].name (parameter name is empty)"]),
+        (wrap(minimal_endpoint(optional_parameters=[{"name": "page size"}])),
+         ["wrong_value_kind at endpoints[0].optional_parameters[0].name "
+          "(parameter name contains whitespace)"]),
+        (wrap(minimal_endpoint(url=[])),
+         ["wrong_value_kind at endpoints[0].url (url array is empty)"]),
+        (wrap(minimal_endpoint(url=["https://h.example/", 7, None])),
+         ["wrong_value_kind at endpoints[0].url[1] (url must be a string)"]),
+        (wrap(minimal_endpoint(url=None)),
+         ["wrong_value_kind at endpoints[0].url (url must be a string or array of strings)"]),
+        (wrap(minimal_endpoint(name=" ")),
+         ["wrong_value_kind at endpoints[0].name (endpoint name must be a non-empty string)"]),
+        (wrap(minimal_endpoint(name=3)),
+         ["wrong_value_kind at endpoints[0].name (endpoint name must be a non-empty string)"]),
+        (wrap(minimal_endpoint(method="")),
+         ["wrong_value_kind at endpoints[0].method (method must be a non-empty string)"]),
+        (wrap(minimal_endpoint(method=["GET"])),
+         ["wrong_value_kind at endpoints[0].method (method must be a non-empty string)"]),
+        ({"API": {"endpoints": [minimal_endpoint(headers=["\udc00"])]}},
+         ["wrong_value_kind at API.endpoints[0].headers[0] (text holds a lone surrogate)"]),
+        # every rule of one endpoint in field order; its description is read
+        # only once the rest is clean, so a bad one is not reported here
+        (wrap({"name": "", "method": "g\ud800", "url": [], "headers": [None],
+               "description": {}, "required_parameters": [{"name": "a b"}],
+               "optional_parameters": 1}, {"url": 1}, title=[]),
+         ["wrong_value_kind at title (expected text, got list)",
+          "wrong_value_kind at endpoints[0].name (endpoint name must be a non-empty string)",
+          "wrong_value_kind at endpoints[0].method (text holds a lone surrogate)",
+          "wrong_value_kind at endpoints[0].url (url array is empty)",
+          "wrong_value_kind at endpoints[0].headers[0] (header must be a string)",
+          "wrong_value_kind at endpoints[0].required_parameters[0].name "
+          "(parameter name contains whitespace)",
+          "wrong_value_kind at endpoints[0].optional_parameters (expected an array)",
+          "missing_required_field at endpoints[1].name",
+          "missing_required_field at endpoints[1].method",
+          "wrong_value_kind at endpoints[1].url (url must be a string or array of strings)"]),
+        (wrap(minimal_endpoint(description={}), minimal_endpoint(description=[1])),
+         ["wrong_value_kind at endpoints[0].description (expected text, got dict)",
+          "wrong_value_kind at endpoints[1].description (expected text, got list)"]),
+    ])
+    def test_violation_details(self, document, want):
+        spec, v = validate_spec(document)
+        assert spec is None
+        assert [str(x) for x in v] == want
+
     def test_surrogate_pair_is_one_character(self):
         spec, v = validate_spec(json.loads('{"endpoints": [{"name": "Smile \\ud83d\\ude00", '
                                            '"method": "GET", "url": "https://h.example/"}]}'))

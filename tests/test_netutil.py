@@ -29,7 +29,7 @@ from apimill.embedding import RemoteEmbedding
 from apimill.errors import ApimillError, FetchFailed, OfflineViolation, TransportFailed
 from apimill.ingest import clean_text, load_page
 from apimill.model import Endpoint, Parameter
-from apimill.netutil import MAX_BODY_BYTES, HttpPolicy, http_request
+from apimill.netutil import MAX_BODY_BYTES, HttpPolicy, HttpResponse, http_request
 from apimill.remote import ChatClient, RemoteConfig
 from apimill.toolgen import generate_tool
 from apimill.validate import invoke_tool
@@ -600,6 +600,13 @@ class TestWire:
         answer = lambda handler: (200, {"Content-Type": "text/plain"}, b"ok \xff")  # noqa: E731
         with serving(answer) as (base, _):
             assert http_request("GET", f"{base}/page").text == "ok �"
+
+    @pytest.mark.parametrize("charset, body", [
+        ("utf-7", b"ok +2AA-"),
+        ("unicode_escape", b"ok \\udc00"),
+    ])
+    def test_lone_surrogate_replaced(self, charset, body):
+        assert HttpResponse(200, body, charset=charset).text == "ok �"
 
     def test_no_json_encoding_guessed(self):
         # requests' .json() found UTF-16 in a body with no Content-Type; the

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from apimill import toolgen
 from apimill.errors import MalformedUrl, MixedHosts, UnboundPathParam
-from apimill.model import Endpoint, ErrorType, Parameter
+from apimill.model import Endpoint, ErrorType, Parameter, validate_spec
 from apimill.toolgen import (
     ToolDescriptor,
     export_function_source,
@@ -219,6 +219,42 @@ class TestFunctionExport:
         assert "r = search_cards(q='''name:gardevoir''')" in src
         for key in ("status_code", "text", "json", "content"):
             assert f"result_dict['{key}']" in src
+
+    def test_bundled_search_cards_full_text(self, pokemon_spec_dict):
+        spec, _ = validate_spec(pokemon_spec_dict)
+        (tool,), _ = generate_tools_for_spec(spec, "pokemon")
+        assert export_function_source(tool, tls_verify=False) == "\n".join([
+            "import requests",
+            "",
+            "",
+            "def search_cards(q=None):",
+            '    api_url = f"https://api.pokemontcg.io/v2/cards"',
+            "    querystring = {'q': q, }",
+            "    assert q is not None, 'Missing required parameter: q'",
+            "    ",
+            "    response = requests.get(url=api_url, params=querystring, timeout=50, verify=False)",
+            "    if response.status_code != 200:",
+            "        response2 = requests.get(url=api_url, timeout=50)"
+            " # in case API can't handle redundant params",
+            "        response = response2",
+            "    return response",
+            "    # print(response.json())",
+            "",
+            "if __name__ == '__main__':",
+            "    r = search_cards(q='''name:gardevoir''')",
+            "    r_json = None",
+            "    try:",
+            "        r_json = r.json()",
+            "    except:",
+            "        pass",
+            "    import json",
+            "    result_dict = dict()",
+            "    result_dict['status_code'] = r.status_code",
+            "    result_dict['text'] = r.text",
+            "    result_dict['json'] = r_json",
+            '    result_dict[\'content\'] = r.content.decode("utf-8")',
+            "",
+        ])
 
     def test_tls_on_by_default(self):
         tool = generate_tool(TestGenerateTool().make_search_cards(), "pokemon")
