@@ -372,35 +372,22 @@ def extract_spec(doc: ApiDocument, backend) -> ExtractionResult:
     """Run one backend over one document; failures land in the result.  A
     lone surrogate in the output is escaped, so the result can be written as
     UTF-8, and the spec it reaches is not valid."""
+    raw, cost, spec = "", 0, None
     try:
         raw, cost = backend.extract(doc)
+        raw = escape_lone_surrogates(raw)
+        spec, violations = validate_spec(repair_json(raw))
+        # strings, as to_dict writes them, so the result survives its round trip
+        violations = [str(v) for v in violations]
     except BackendUnreachable as exc:
-        return ExtractionResult(
-            source_id=doc.source_id,
-            raw_output="",
-            spec=None,
-            violations=[f"backend: {exc}"],
-            backend_kind=backend.kind,
-        )
-    raw = escape_lone_surrogates(raw)
-    try:
-        document = repair_json(raw)
+        violations = [f"backend: {exc}"]
     except RepairFailure as exc:
-        return ExtractionResult(
-            source_id=doc.source_id,
-            raw_output=raw,
-            spec=None,
-            violations=[f"repair: {exc.reason}"],
-            backend_kind=backend.kind,
-            token_or_byte_cost=cost,
-        )
-    spec, violations = validate_spec(document)
+        violations = [f"repair: {exc.reason}"]
     return ExtractionResult(
         source_id=doc.source_id,
         raw_output=raw,
         spec=spec,
-        # strings, as to_dict writes them, so the result survives its round trip
-        violations=[str(v) for v in violations],
+        violations=violations,
         backend_kind=backend.kind,
         token_or_byte_cost=cost,
     )

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import re
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import JudgeUnavailable
 from .prompts import (
@@ -80,11 +80,11 @@ class HeuristicJudge:
             f"Found {signals and ', '.join(signals) or 'no endpoint structure'}; "
             f"{strong} structural signal(s)."
         )
-        return category, analysis[:300]
+        return category, analysis
 
     # -- 200-response verdict ----------------------------------------------
 
-    def judge_response(self, description: str, body_text: str, json_body=None):
+    def judge_response(self, description: str, body_text: str, json_body):
         if not body_text.strip():
             return False, "empty response body"
         if isinstance(json_body, dict):
@@ -109,46 +109,42 @@ class RemoteJudge:
 
     kind = "remote"
 
-    def __init__(self, client: ChatClient, fallback: Optional[HeuristicJudge] = None):
+    def __init__(self, client: ChatClient, fallback: HeuristicJudge):
         self.client = client
-        self.fallback = fallback or HeuristicJudge()
+        self.fallback = fallback
+
+    def _complete(self, prompt: str, **schema) -> str:
+        """The model's reply to one user message; any failure of the backend
+        is JudgeUnavailable."""
+        try:
+            return self.client.complete([{"role": "user", "content": prompt}], **schema)[0]
+        except Exception as exc:  # noqa: BLE001 - any backend failure degrades the same way
+            raise JudgeUnavailable(str(exc)) from exc
 
     def is_api_page(self, text: str) -> bool:
         prompt = (
             "Does the following page document a callable HTTP API "
             "(endpoints, methods, parameters)? Answer yes or no.\n\n" + text
         )
-        try:
-            content, _ = self.client.complete([{"role": "user", "content": prompt}])
-        except Exception as exc:  # noqa: BLE001 - any backend failure degrades the same way
-            raise JudgeUnavailable(str(exc)) from exc
-        return content.strip().lower().startswith("y")
+        return self._complete(prompt).strip().lower().startswith("y")
 
     def classify_doc(self, text: str):
         prompt = DOC_CLASSIFICATION_PROMPT.format(API_DOC=text)
+        content = self._complete(
+            prompt, response_schema=CLASSIFICATION_SCHEMA, schema_name="Classification")
         try:
-            content, _ = self.client.complete(
-                [{"role": "user", "content": prompt}],
-                response_schema=CLASSIFICATION_SCHEMA,
-                schema_name="Classification",
-            )
             parsed = json.loads(content)
             category = parsed["category"]
-            analysis = str(parsed.get("analysis", ""))[:300]
+            analysis = str(parsed.get("analysis", ""))
         except Exception as exc:  # noqa: BLE001
             raise JudgeUnavailable(str(exc)) from exc
         if category not in DOC_CATEGORIES:
             raise JudgeUnavailable(f"unexpected category {category!r}")
         return category, analysis
 
-    def judge_response(self, description: str, body_text: str, json_body=None):
-        prompt = RESPONSE_VALIDATION_PROMPT.format(
-            description=description, response=body_text
-        )
-        try:
-            content, _ = self.client.complete([{"role": "user", "content": prompt}])
-        except Exception as exc:  # noqa: BLE001
-            raise JudgeUnavailable(str(exc)) from exc
+    def judge_response(self, description: str, body_text: str, json_body):
+        content = self._complete(RESPONSE_VALIDATION_PROMPT.format(
+            description=description, response=body_text))
         verdict = content.strip().lower()
         passed = verdict.startswith("pass") or (
             "information" in verdict and "error" not in verdict

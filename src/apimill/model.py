@@ -414,9 +414,11 @@ def validate_spec(document: Any):
     """Check a parsed JSON value against the extraction schema.
 
     Returns (spec, violations): spec is an ApiSpec when the document is
-    clean, otherwise None with every violation found.  Both the wrapped
-    form {"API": {...}} and the bare form {"endpoints": [...]} are accepted;
-    unknown extra fields are dropped.
+    clean, otherwise None with the violations found.  An endpoint's
+    description is checked only once the rest of that endpoint is clean, so
+    a bad description next to another violation of the same endpoint is not
+    reported.  Both the wrapped form {"API": {...}} and the bare form
+    {"endpoints": [...]} are accepted; unknown extra fields are dropped.
     """
     violations: list = []
     if not isinstance(document, dict):

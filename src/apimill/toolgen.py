@@ -11,6 +11,7 @@ import json
 import keyword
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 from urllib.parse import quote
 
@@ -34,123 +35,84 @@ DEFAULT_TIMEOUT_SECONDS = 50
 YAML_DUMPER = yaml.CSafeDumper if yaml.__with_libyaml__ else yaml.SafeDumper
 
 
-@dataclass(frozen=True)
-class Segment:
-    kind: str  # "lit" | "param"
-    value: str
+# a URL as the scheme and host that start it, when it is http(s), and the rest
+_SCHEME_HOST = re.compile(r"(https?://([^/]*))?(.*)", re.S)
 
-
-# the scheme and host that start an http(s) URL
-_SCHEME_HOST = re.compile(r"https?://([^/]*)")
+# the three placeholder spellings, {x}, <x> and :x right after a slash, and
+# last an opener that no closer follows
+_PLACEHOLDER = re.compile(r"\{([^}]*)\}|<([^>]*)>|(?<=/):([A-Za-z_][A-Za-z0-9_]*)|([{<])")
 
 
 @dataclass
 class UrlTemplate:
+    """A URL as literal text and placeholder names in turn: `parts` holds the
+    literals, maybe empty, at even indices and the names at odd ones; the
+    query after the first "?" is kept whole in `query_base`."""
+
     raw: str
-    segments: list
+    parts: tuple
     query_base: Optional[str] = None
 
     def param_names(self) -> list:
-        names, seen = [], set()
-        for seg in self.segments:
-            if seg.kind == "param" and seg.value not in seen:
-                seen.add(seg.value)
-                names.append(seg.value)
-        return names
+        return list(dict.fromkeys(self.parts[1::2]))
+
+    @cached_property
+    def _body(self) -> str:
+        """The canonical URL before its query."""
+        parts = list(self.parts)
+        parts[1::2] = ("{" + name + "}" for name in parts[1::2])
+        return "".join(parts)
+
+    def _with_query(self, body: str) -> str:
+        return body if self.query_base is None else body + "?" + self.query_base
 
     def canonical(self) -> str:
         """Single normal form: every placeholder as {name}."""
-        body = "".join(
-            seg.value if seg.kind == "lit" else "{" + seg.value + "}"
-            for seg in self.segments
-        )
-        if self.query_base is not None:
-            body += "?" + self.query_base
-        return body
+        return self._with_query(self._body)
 
-    def _base_and_path(self) -> tuple:
-        body = self.canonical().partition("?")[0]  # no segment holds a "?"
-        m = _SCHEME_HOST.match(body)
-        rest = body[m.end():] if m else body
-        return (m.group(0) if m and m.group(1) else None), (rest or "/")
-
-    @property
+    @cached_property
     def base(self) -> Optional[str]:
         """scheme://host; None when the URL has no http(s) scheme or no host."""
-        return self._base_and_path()[0]
+        m = _SCHEME_HOST.fullmatch(self._body)
+        return m[1] if m[2] else None
 
-    @property
+    @cached_property
     def path(self) -> str:
         """The templated path after the base, query aside; "/" when empty."""
-        return self._base_and_path()[1]
+        return _SCHEME_HOST.fullmatch(self._body)[3] or "/"
 
     def erased(self) -> str:
         """Placeholder names dropped — the positional identity of the path."""
-        return "".join(
-            seg.value if seg.kind == "lit" else "{}" for seg in self.segments
-        )
+        return "{}".join(self.parts[::2])
 
     def render(self, bindings: dict, encode: bool = True) -> str:
-        parts = []
-        for seg in self.segments:
-            if seg.kind == "lit":
-                parts.append(seg.value)
-            else:
-                if seg.value not in bindings or bindings[seg.value] is None:
-                    raise UnboundPathParam(seg.value)
-                value = str(bindings[seg.value])
-                parts.append(quote(value, safe="") if encode else value)
-        url = "".join(parts)
-        if self.query_base is not None:
-            url += "?" + self.query_base
-        return url
-
-
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+        parts = list(self.parts)
+        for i in range(1, len(parts), 2):
+            value = bindings.get(parts[i])
+            if value is None:
+                raise UnboundPathParam(parts[i])
+            value = str(value)
+            parts[i] = quote(value, safe="") if encode else value
+        return self._with_query("".join(parts))
 
 
 def parse_url_template(url: str) -> UrlTemplate:
     """Recognize the three placeholder spellings: {x}, :x (after a slash), <x>."""
     if not url:
         raise MalformedUrl("empty url")
-    base, sep, query = url.partition("?")
-    query_base = query if sep else None
-
-    segments: list = []
-    lit: list = []
-
-    def flush():
-        if lit:
-            segments.append(Segment("lit", "".join(lit)))
-            lit.clear()
-
-    i = 0
-    n = len(base)
-    while i < n:
-        ch = base[i]
-        if ch in "{<":
-            closer = "}" if ch == "{" else ">"
-            end = base.find(closer, i + 1)
-            if end < 0:
-                raise MalformedUrl(f"unclosed {ch!r} placeholder")
-            name = base[i + 1 : end].strip()
-            if not name:
-                raise MalformedUrl("empty placeholder name")
-            flush()
-            segments.append(Segment("param", name))
-            i = end + 1
-            continue
-        if ch == ":" and i > 0 and base[i - 1] == "/":
-            m = _IDENT.match(base, i + 1)
-            if m:
-                flush()
-                segments.append(Segment("param", m.group(0)))
-                i = m.end()
-                continue
-        lit.append(ch)
-        i += 1
-    flush()
-    return UrlTemplate(raw=url, segments=segments, query_base=query_base)
+    body, sep, query = url.partition("?")
+    parts, start = [], 0
+    for m in _PLACEHOLDER.finditer(body):
+        name = m[m.lastindex]
+        if m.lastindex == 4:
+            raise MalformedUrl(f"unclosed {name!r} placeholder")
+        name = name.strip()
+        if not name:
+            raise MalformedUrl("empty placeholder name")
+        parts += (body[start:m.start()], name)
+        start = m.end()
+    parts.append(body[start:])
+    return UrlTemplate(raw=url, parts=tuple(parts), query_base=query if sep else None)
 
 
 @dataclass(kw_only=True)
@@ -221,8 +183,9 @@ class ToolDescriptor:
 
 
 def sanitize_tool_name(name: str) -> str:
-    slug = re.sub(r"[^a-z0-9]+", "_", name.lower()).strip("_")
-    slug = re.sub(r"_{2,}", "_", slug)
+    """`name` as a slug of at most 64 characters, short enough for a file
+    name even with `unique_name`'s suffix."""
+    slug = re.sub(r"[^a-z0-9]+", "_", name.lower()).strip("_")[:64].rstrip("_")
     if not slug:
         return "tool"
     if slug[0].isdigit():
@@ -385,9 +348,8 @@ def export_function_source(tool: ToolDescriptor, tls_verify: bool = True) -> str
     py_names = {arg.name: _py_identifier(arg.name, taken) for arg in tool.args}
 
     url_expr = "".join(
-        _py_escape(seg.value, '"', fstring=True) if seg.kind == "lit"
-        else "{" + py_names[seg.value] + "}"
-        for seg in tool.template.segments
+        "{" + py_names[part] + "}" if i % 2 else _py_escape(part, '"', fstring=True)
+        for i, part in enumerate(tool.template.parts)
     )
     if tool.template.query_base is not None:
         url_expr += "?" + _py_escape(tool.template.query_base, '"', fstring=True)

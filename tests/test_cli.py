@@ -645,6 +645,20 @@ def test_unbuildable_rows_never_take_a_built_tools_name(corpus, tmp_path):
     ]
 
 
+def test_long_endpoint_name_still_makes_a_tool(tmp_path):
+    # 300 characters of name would make a file name longer than any file
+    # system allows; the tool name is cut to 64
+    (tmp_path / "page.txt").write_text(
+        "## " + "Name " * 60 + "\nGET https://h.example/y\n", encoding="utf-8")
+    (tmp_path / "manifest.json").write_text(
+        json.dumps([{"source_id": "long", "origin": "page.txt"}]), encoding="utf-8")
+    cfg = make_config(tmp_path, tmp_path / "manifest.json", tmp_path, truth_dir=None)
+    assert main(["run", "--config", str(cfg), "--stage-filter", "ingest,extract,generate"]) == 0
+    name = "name_" * 12 + "name"
+    assert [p.name for p in (tmp_path / "out" / "tools").glob("*.tool.json")] == [f"{name}.tool.json"]
+    assert [p.name for p in (tmp_path / "out" / "exports").glob("*.py")] == [f"{name}.py"]
+
+
 def test_same_endpoint_names_across_sources_all_kept(corpus, tmp_path):
     manifest, corpus_dir, _ = corpus
     rows = json.loads(manifest.read_text())

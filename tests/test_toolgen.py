@@ -81,6 +81,51 @@ class TestUrlTemplate:
         with pytest.raises(MalformedUrl):
             parse_url_template(url)
 
+    H = "https://h.example"
+
+    # each URL -> (canonical, erased, param_names, base, path, query_base),
+    # or the exact MalformedUrl message
+    @pytest.mark.parametrize("url, expected", [
+        # a placeholder runs to the first closer of its own kind
+        (H + "/{a<b}", (H + "/{a<b}", H + "/{}", ["a<b"], H, "/{a<b}", None)),
+        (H + "/<a{b>", (H + "/{a{b}", H + "/{}", ["a{b"], H, "/{a{b}", None)),
+        (H + "/{a}b}", (H + "/{a}b}", H + "/{}b}", ["a"], H, "/{a}b}", None)),
+        (H + "/<a>>", (H + "/{a}>", H + "/{}>", ["a"], H, "/{a}>", None)),
+        (H + "/{ x }/y", (H + "/{x}/y", H + "/{}/y", ["x"], H, "/{x}/y", None)),
+        (H + "/{a/:b}", (H + "/{a/:b}", H + "/{}", ["a/:b"], H, "/{a/:b}", None)),
+        # base and path split the canonical text, placeholder names included
+        ("https://h{a/:b}/x", ("https://h{a/:b}/x", "https://h{}/x", ["a/:b"], "https://h{a", "/:b}/x", None)),
+        # ":x" opens only right after a slash, and only on an identifier
+        (H + "/x:y", (H + "/x:y", H + "/x:y", [], H, "/x:y", None)),
+        (H + "/:1x", (H + "/:1x", H + "/:1x", [], H, "/:1x", None)),
+        (H + "/:_v1/:x-y", (H + "/{_v1}/{x}-y", H + "/{}/{}-y", ["_v1", "x"], H, "/{_v1}/{x}-y", None)),
+        (":a/{b}", (":a/{b}", ":a/{}", ["b"], None, ":a/{b}", None)),
+        ("https://{r}.h.example/x", ("https://{r}.h.example/x", "https://{}.h.example/x", ["r"],
+                                     "https://{r}.h.example", "/x", None)),
+        (H, (H, H, [], H, "/", None)),
+        ("http://h.example:8080", ("http://h.example:8080", "http://h.example:8080", [],
+                                   "http://h.example:8080", "/", None)),
+        ("/v1/{id}", ("/v1/{id}", "/v1/{}", ["id"], None, "/v1/{id}", None)),
+        ("https:///x", ("https:///x", "https:///x", [], None, "/x", None)),
+        # the query is kept whole, braces and all, and names no parameter
+        (H + "/{a}/{a}?q={b}", (H + "/{a}/{a}?q={b}", H + "/{}/{}", ["a"], H, "/{a}/{a}", "q={b}")),
+        # errors, the first from the left
+        (H + "/{a}/<b", "unclosed '<' placeholder"),
+        (H + "/{ }", "empty placeholder name"),
+        (H + "/{}/{x", "empty placeholder name"),
+        (H + "/{x/<>", "unclosed '{' placeholder"),
+        (H + "/{a?}", "unclosed '{' placeholder"),
+        ("", "empty url"),
+    ])
+    def test_grammar(self, url, expected):
+        if isinstance(expected, str):
+            with pytest.raises(MalformedUrl) as err:
+                parse_url_template(url)
+            assert str(err.value) == expected
+            return
+        t = parse_url_template(url)
+        assert (t.canonical(), t.erased(), t.param_names(), t.base, t.path, t.query_base) == expected
+
     @given(
         st.lists(
             st.tuples(
@@ -198,6 +243,9 @@ class TestGenerateTool:
             ("2nd Endpoint", "f_2nd_endpoint"),
             ("---", "tool"),
             ("Álready ASCII-ish", "lready_ascii_ish"),
+            # cut to 64 characters, and no "_" left at the cut
+            ("Name " * 60, "name_" * 12 + "name"),
+            ("a" * 63 + " b", "a" * 63),
         ],
     )
     def test_sanitize_tool_name(self, name, expected):
