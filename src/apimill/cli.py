@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -416,7 +417,20 @@ def _export(config: ProjectConfig, tools: list, changed: list) -> None:
     for host, group in group_tools_by_host(tools).items():
         if any(tool.tool_name in names for tool in group):
             group.sort(key=lambda tool: tool.tool_name)
-            _write(exports_dir / f"{host.replace(':', '_')}.openapi.yaml", export_openapi(group))
+            _write(exports_dir / _openapi_name(host), export_openapi(group))
+
+
+def _openapi_name(host: str) -> str:
+    """`<host>.openapi.yaml`, `:` written `_`, where that is a file name.  A
+    host that holds a NUL, or that would pass the 255 bytes most file systems
+    allow a name (with `_commit`'s suffix), is cut to a safe form followed by
+    a digest of the host, so two hosts never share a file."""
+    name = f"{host.replace(':', '_')}.openapi.yaml"
+    if "\0" in name or len(f"{name}.partial".encode()) > 255:
+        import hashlib  # here, so that only such a host pays for its import
+        digest = hashlib.sha256(host.encode()).hexdigest()[:16]
+        name = f"{re.sub(r'[^A-Za-z0-9.-]', '_', host)[:64]}-{digest}.openapi.yaml"
+    return name
 
 
 def stage_generate(config: ProjectConfig) -> None:

@@ -180,154 +180,101 @@ class ReplayBackend:
 class HeuristicBackend:
     """Rule-based extractor for offline runs.
 
-    Reads the line-oriented shape documentation tends to take once cleaned:
-    a title line, "## name" endpoint markers, "VERB url" lines, and
-    "Required/Optional parameters" sections of "- name (type): desc" items.
-    Endpoint URLs mentioned mid-prose as "VERB https://..." are picked up
-    too, with query-string keys promoted to required parameters.
+    Reads the line-oriented shape documentation tends to take once cleaned.
+    Each stripped, non-blank line is tried as, in this order: a "VERB url" line
+    (either case), which starts an endpoint; a "## name" marker, which names
+    the next one; a "Required/Optional parameters" marker, which counts only
+    inside an endpoint; or a "- name (type): desc" item, which counts only
+    after such a marker.  Any other line is text: after a "##" marker, the
+    description of the endpoint it names; before any marker or verb line,
+    the title, if it is the first such line and does not start with "-" or
+    "*".  Endpoint URLs mentioned mid-prose as "VERB https://..." are picked
+    up too, unless an endpoint already has the URL.  Every endpoint's URL
+    loses its query, whose keys become required parameters.
     """
 
     kind = "heuristic"
 
-    _VERB_LINE = re.compile(
-        r"^\s*(GET|POST|PUT|PATCH|DELETE|HEAD|OPTIONS)\s+(https?://\S+|/\S+)\s*$", re.I
+    _LINE = re.compile(
+        r"(?i:(GET|POST|PUT|PATCH|DELETE|HEAD|OPTIONS)\s+(https?://\S+|/\S+))"
+        r"|## (.*)"
+        r"|(?i:(required|optional)\s+parameters\s*:?)"
+        r"|[-*]\s+(\S+?)(?:\s+\(([^()]*)\))?\s*:\s*(.*)"
     )
+    _TEXT = (None,) * 8  # the groups of a line _LINE does not match: text
     _PROSE_VERB = re.compile(r"\b(GET|POST|PUT|PATCH|DELETE)\s+(https?://[^\s()\"']+)")
-    _SECTION = re.compile(r"^\s*(required|optional)\s+parameters\s*:?\s*$", re.I)
-    _ITEM = re.compile(r"^\s*[-*]\s+(\S+?)(?:\s+\(([^()]*)\))?\s*:\s*(.*)$")
 
     def extract(self, doc: ApiDocument) -> Tuple[str, int]:
-        spec = self._parse(doc.text)
-        raw = spec.to_json()
-        return raw, len(raw.encode("utf-8"))
-
-    # -- text -> spec -------------------------------------------------------
-
-    def _parse(self, text: str) -> ApiSpec:
-        lines = text.split("\n")
-        title: Optional[str] = None
+        title = pending_name = current = section = None
         endpoints: list = []
-        pending_name: Optional[str] = None
         pending_desc: list = []
-        current: Optional[Endpoint] = None
-        section: Optional[str] = None
         seen_urls: set = set()
 
-        for line in lines:
+        def add(method: str, url: str, name=None, description=None) -> Endpoint:
+            base, _, query = url.partition("?")
+            tail = re.sub(r"[{}<>:]", "", base.rstrip("/").rsplit("/", 1)[-1])
+            name = name or (tail.replace("_", " ").replace("-", " ").title() if tail
+                            else f"Endpoint {len(endpoints) + 1}")
+            endpoint = Endpoint(name, method.upper(), base, description)
+            for key, eq, value in (piece.partition("=") for piece in query.split("&")):
+                if key and eq and all(p.name != key for p in endpoint.required_parameters):
+                    endpoint.required_parameters.append(Parameter(name=key, example_value=value))
+            endpoints.append(endpoint)
+            seen_urls.add(base)
+            return endpoint
+
+        for line in doc.text.split("\n"):
             stripped = line.strip()
             if not stripped:
                 continue
-            verb = self._VERB_LINE.match(stripped)
-            if verb:
-                url = verb.group(2)
-                current = Endpoint(
-                    name=pending_name or self._name_from_url(url, len(endpoints)),
-                    method=verb.group(1).upper(),
-                    url=self._strip_query(url),
-                    description=" ".join(pending_desc).strip() or None,
-                )
-                self._promote_query_params(url, current)
-                endpoints.append(current)
-                seen_urls.add(self._strip_query(url))
+            m = self._LINE.fullmatch(stripped) or self._TEXT
+            if m[1]:
+                current = add(m[1], m[2], pending_name, " ".join(pending_desc).strip() or None)
                 pending_name, pending_desc, section = None, [], None
-                continue
-            if stripped.startswith("## "):
-                pending_name = stripped[3:].strip()
-                pending_desc = []
-                current, section = None, None
-                continue
-            sec = self._SECTION.match(stripped)
-            if sec and current is not None:
-                section = sec.group(1).lower()
-                continue
-            item = self._ITEM.match(stripped)
-            if item and current is not None and section is not None:
-                param = self._parse_param(item)
-                target = (
-                    current.required_parameters
-                    if section == "required"
-                    else current.optional_parameters
-                )
+            elif m[3]:
+                pending_name, pending_desc, current, section = m[3].strip(), [], None, None
+            elif m[4] and current is not None:
+                section = m[4].lower()
+            elif m[5] and section is not None:  # a section is always inside an endpoint
+                param = self._parse_param(*m.group(5, 6, 7))
                 if all(p.name != param.name for p in current.all_parameters()):
-                    target.append(param)
-                continue
-            if pending_name is not None:
+                    (current.required_parameters if section == "required"
+                     else current.optional_parameters).append(param)
+            elif pending_name is not None:
                 pending_desc.append(stripped)
-                continue
-            if title is None and current is None and not stripped.startswith(("-", "*")):
+            elif title is None and current is None and not stripped.startswith(("-", "*")):
                 title = stripped
 
-        for verb, url in self._PROSE_VERB.findall(text):
-            base = self._strip_query(url)
-            if base in seen_urls:
-                continue
-            seen_urls.add(base)
-            ep = Endpoint(
-                name=self._name_from_url(base, len(endpoints)),
-                method=verb.upper(),
-                url=base,
-            )
-            self._promote_query_params(url, ep)
-            endpoints.append(ep)
+        for verb, url in self._PROSE_VERB.findall(doc.text):
+            if url.partition("?")[0] not in seen_urls:
+                add(verb, url)
 
-        return ApiSpec(endpoints=endpoints, title=title)
-
-    @staticmethod
-    def _strip_query(url: str) -> str:
-        return url.split("?", 1)[0]
-
-    @staticmethod
-    def _name_from_url(url: str, index: int) -> str:
-        tail = url.split("?", 1)[0].rstrip("/").rsplit("/", 1)[-1]
-        tail = re.sub(r"[{}<>:]", "", tail)
-        return tail.replace("_", " ").replace("-", " ").title() if tail else f"Endpoint {index + 1}"
-
-    @staticmethod
-    def _promote_query_params(url: str, endpoint: Endpoint) -> None:
-        if "?" not in url:
-            return
-        query = url.split("?", 1)[1]
-        for piece in query.split("&"):
-            if not piece or "=" not in piece:
-                continue
-            key, value = piece.split("=", 1)
-            if key and all(p.name != key for p in endpoint.all_parameters()):
-                endpoint.required_parameters.append(
-                    Parameter(name=key, example_value=value)
-                )
+        raw = ApiSpec(endpoints=endpoints, title=title).to_json()
+        return raw, len(raw.encode("utf-8"))
 
     @staticmethod
     def _coerce(value: str):
         text = value.strip()
         if text.lower() in ("true", "false"):
             return text.lower() == "true"
-        try:
-            return int(text)
-        except ValueError:
-            pass
-        try:
-            return float(text)
-        except ValueError:
-            return text
+        for number in (int, float):
+            try:
+                return number(text)
+            except ValueError:
+                pass
+        return text
 
-    def _parse_param(self, item: re.Match) -> Parameter:
-        name, type_hint, rest = item.group(1), item.group(2), item.group(3)
-        example = default = None
-        if " Default: " in rest:
-            rest, default_text = rest.split(" Default: ", 1)
-            default = self._coerce(default_text)
-        if " Example: " in rest:
-            rest, example_text = rest.split(" Example: ", 1)
-            example = self._coerce(example_text)
-        elif rest.startswith("Example: "):
-            example = self._coerce(rest[len("Example: "):])
-            rest = ""
+    def _parse_param(self, name: str, type_hint: Optional[str], rest: str) -> Parameter:
+        rest, has_default, default = rest.partition(" Default: ")
+        rest, has_example, example = rest.partition(" Example: ")
+        if not has_example and rest.startswith("Example: "):
+            rest, has_example, example = rest.partition("Example: ")
         return Parameter(
             name=name,
             type_hint=type_hint.strip() if type_hint else None,
             description=rest.strip() or None,
-            example_value=example,
-            default_value=default,
+            example_value=self._coerce(example) if has_example else None,
+            default_value=self._coerce(default) if has_default else None,
         )
 
 

@@ -23,7 +23,7 @@ from typing import Optional
 
 from .embedding import cosine_similarity, vector_norm
 from .errors import BackendUnreachable, DimensionMismatch, InsufficientCorpus, NoCandidates
-from .model import LONE_SURROGATE, ErrorType, Scalar
+from .model import LONE_SURROGATE, ErrorType, Scalar, coerce_scalar
 from .netutil import HttpPolicy
 from .prompts import PARAMETER_GUESS_PROMPT, PARAMETER_LIST_SCHEMA
 from .toolgen import ToolDescriptor
@@ -193,7 +193,7 @@ def harvest_response_values(json_body) -> list:
         elif isinstance(node, (str, int, float, bool)) and key:
             if len(key) <= RESPONSE_HARVEST_KEY_LEN and node != "":
                 if len(found) < RESPONSE_HARVEST_CAP:
-                    found.append((key, node))
+                    found.append((key, coerce_scalar(node)))
 
     walk(json_body, None, 0)
     return found

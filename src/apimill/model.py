@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Any, Optional, Union
@@ -229,9 +230,11 @@ def coerce_scalar(value: Any) -> Optional[Scalar]:
     """Normalize a default/example value to a storable scalar.
 
     Compound values (objects/arrays) are kept as compact JSON strings so the
-    information survives even when the extractor over-structures a field.
+    information survives even when the extractor over-structures a field;
+    so is a NaN or an infinity, which strict JSON has no number for.
     """
-    if value is None or isinstance(value, (str, int, float, bool)):
+    if value is None or isinstance(value, (str, int, bool)) or (
+            isinstance(value, float) and math.isfinite(value)):
         return value
     return json.dumps(value, separators=(",", ":"), ensure_ascii=False)
 

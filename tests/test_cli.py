@@ -645,18 +645,52 @@ def test_unbuildable_rows_never_take_a_built_tools_name(corpus, tmp_path):
     ]
 
 
+def _generate_page(tmp_path, text):
+    """Run ingest, extract and generate on one plain-text page."""
+    (tmp_path / "page.txt").write_text(text, encoding="utf-8")
+    (tmp_path / "manifest.json").write_text(
+        json.dumps([{"source_id": "page", "origin": "page.txt"}]), encoding="utf-8")
+    cfg = make_config(tmp_path, tmp_path / "manifest.json", tmp_path, truth_dir=None)
+    assert main(["run", "--config", str(cfg), "--stage-filter", "ingest,extract,generate"]) == 0
+    return tmp_path / "out"
+
+
 def test_long_endpoint_name_still_makes_a_tool(tmp_path):
     # 300 characters of name would make a file name longer than any file
     # system allows; the tool name is cut to 64
-    (tmp_path / "page.txt").write_text(
-        "## " + "Name " * 60 + "\nGET https://h.example/y\n", encoding="utf-8")
-    (tmp_path / "manifest.json").write_text(
-        json.dumps([{"source_id": "long", "origin": "page.txt"}]), encoding="utf-8")
-    cfg = make_config(tmp_path, tmp_path / "manifest.json", tmp_path, truth_dir=None)
-    assert main(["run", "--config", str(cfg), "--stage-filter", "ingest,extract,generate"]) == 0
+    out = _generate_page(tmp_path, "## " + "Name " * 60 + "\nGET https://h.example/y\n")
     name = "name_" * 12 + "name"
-    assert [p.name for p in (tmp_path / "out" / "tools").glob("*.tool.json")] == [f"{name}.tool.json"]
-    assert [p.name for p in (tmp_path / "out" / "exports").glob("*.py")] == [f"{name}.py"]
+    assert [p.name for p in (out / "tools").glob("*.tool.json")] == [f"{name}.tool.json"]
+    assert [p.name for p in (out / "exports").glob("*.py")] == [f"{name}.py"]
+
+
+@pytest.mark.parametrize("hosts", [
+    # past the 255 bytes a file name may take, and alike in their first 64
+    ["h" * 250 + ".example", "h" * 250 + ".example2"],
+    ["h\0x.example"],
+])
+def test_host_that_is_no_file_name_still_exports(tmp_path, hosts):
+    out = _generate_page(tmp_path, "".join(f"GET https://{host}/y\n" for host in hosts))
+    files = list((out / "exports").glob("*.openapi.yaml"))
+    servers = [yaml.safe_load(path.read_text(encoding="utf-8"))["servers"][0]["url"] for path in files]
+    assert sorted(servers) == [f"https://{host}" for host in hosts]
+    assert all(len(path.name) < 100 for path in files)
+
+
+def test_non_finite_number_is_written_as_strict_json(tmp_path):
+    def strict(path):
+        def refuse(token):
+            raise ValueError(f"{token} in {path.name}")
+        return json.loads(path.read_text(encoding="utf-8"), parse_constant=refuse)
+
+    out = _generate_page(tmp_path, (
+        "## Cut\nPOST https://h.example/cut\nRequired parameters:\n"
+        "- cut (number): Cut-off. Example: nan\n- top (number): Top. Default: Infinity\n"))
+    result = strict(out / "specs" / "results.jsonl")  # one page, so one line
+    tool = strict(out / "tools" / "cut.tool.json")
+    assert [(p.get("example"), p.get("default")) for p in result["spec"]["endpoints"][0]["required_parameters"]] == [
+        ("NaN", None), (None, "Infinity")]
+    assert [(a["example_value"], a["default_value"]) for a in tool["args"]] == [("NaN", None), (None, "Infinity")]
 
 
 def test_same_endpoint_names_across_sources_all_kept(corpus, tmp_path):

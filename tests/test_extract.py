@@ -147,6 +147,13 @@ class TestReplayBackend:
         assert ExtractionResult.from_dict(json.loads(line)) == result
 
 
+def _ep(name, method, url, req=(), opt=(), description=None):
+    """An endpoint as `HeuristicBackend` writes it, fields in their order."""
+    return {"name": name} | ({"description": description} if description else {}) | {
+        "method": method, "url": url, "headers": [],
+        "required_parameters": list(req), "optional_parameters": list(opt)}
+
+
 class TestHeuristicBackend:
     def test_structured_page(self):
         text = (
@@ -208,6 +215,72 @@ class TestHeuristicBackend:
     def test_pageless_text_yields_empty_spec(self):
         result = extract_spec(doc("nothing API-like here"), HeuristicBackend())
         assert result.valid and result.spec.endpoints == []
+
+    @pytest.mark.parametrize("text, title, endpoints", [
+        # a lower-case verb and scheme still make a verb line
+        ("Cards\nget HTTPS://h.example/v1/cards\n", "Cards",
+         [_ep("Cards", "GET", "HTTPS://h.example/v1/cards")]),
+        # trailing text: not a verb line, so description text of a marker no
+        # verb line follows; only the prose pass reads the URL
+        ("Cards\n## Search\nGET https://h.example/find now\n", "Cards",
+         [_ep("Find", "GET", "https://h.example/find")]),
+        # a section marker before any endpoint, and an item before any
+        # section, are text; an item is never the title
+        ("- a (string): before any endpoint\nRequired parameters:\nTitle\n"
+         "GET https://h.example/x\n- b (string): no section yet\nRequired parameters:\n"
+         "- c (int): kept\n## Next\n- d (string): a description line\n",
+         "Required parameters:",
+         [_ep("X", "GET", "https://h.example/x", req=[{"name": "c", "type": "int", "description": "kept"}])]),
+        # a name already held, by a query key or an earlier item, is dropped
+        ("## Dup\nGET https://h.example/d?q=1\nRequired parameters:\n- q (string): again\n"
+         "- r (string): first\nOptional parameters:\n- r (integer): second\n", None,
+         [_ep("Dup", "GET", "https://h.example/d",
+              req=[{"name": "q", "example": "1"}, {"name": "r", "type": "string", "description": "first"}])]),
+        ("## S\nPOST /s\nrequired  parameters :\n* k: key\nOPTIONAL PARAMETERS\n"
+         "-  m   (  bool ) :  Example: TRUE\n", None,
+         [_ep("S", "POST", "/s", req=[{"name": "k", "description": "key"}],
+              opt=[{"name": "m", "type": "bool", "example": True}])]),
+        # a marker no verb line follows takes the text after it with it
+        ("Title\n## Lonely\nno verb line follows\n##   Spaced   name\n", "Title", []),
+        # a prose URL stops at a bracket or a quote
+        ('See GET https://h.example/p(1) and POST https://h.example/q"x for more.\n',
+         'See GET https://h.example/p(1) and POST https://h.example/q"x for more.',
+         [_ep("P", "GET", "https://h.example/p"), _ep("Q", "POST", "https://h.example/q")]),
+        # only a query piece with a key and an "=" is promoted
+        ("## Q\nGET https://h.example/q?q=1&b=&=3&c&d=e=f\n", None,
+         [_ep("Q", "GET", "https://h.example/q", req=[
+             {"name": "q", "example": "1"}, {"name": "b", "example": ""}, {"name": "d", "example": "e=f"}])]),
+        # " Example: " splits at its first place; "Example: " opening the rest
+        # counts only when no " Example: " follows
+        ("## E\nGET https://h.example/e\nOptional parameters:\n- a (string): Example: 5\n"
+         "- d (string): d Example: a Example: b\n- e: Example: a Example: b\n", None,
+         [_ep("E", "GET", "https://h.example/e", opt=[
+             {"name": "a", "type": "string", "example": 5},
+             {"name": "d", "type": "string", "description": "d", "example": "a Example: b"},
+             {"name": "e", "description": "Example: a", "example": "b"}])]),
+        # " Default: " is cut off first, so an example after it stays in it
+        ("## D\nGET https://h.example/d\nOptional parameters:\n"
+         "- x (number): Cut. Default: 2.5 Example: 3\n- y: Example: false Default: x\n", None,
+         [_ep("D", "GET", "https://h.example/d", opt=[
+             {"name": "x", "type": "number", "description": "Cut.", "default": "2.5 Example: 3"},
+             {"name": "y", "default": "x", "example": False}])]),
+        # the text between a marker and its verb line, blank lines skipped
+        ("## Rel\n  First line.\n\nSecond line.\nDELETE /rel/{id}\n", None,
+         [_ep("Rel", "DELETE", "/rel/{id}", description="First line. Second line.")]),
+        # a verb line is kept however often its URL was seen; a prose URL is
+        # dropped once its base was
+        ("GET https://h.example/r\nGET https://h.example/r\n"
+         "Use GET https://h.example/s?a=1 or GET https://h.example/s?b=2\n", None,
+         [_ep("R", "GET", "https://h.example/r"), _ep("R", "GET", "https://h.example/r"),
+          _ep("S", "GET", "https://h.example/s", req=[{"name": "a", "example": "1"}])]),
+        ("GET https://h.example/a-b_c/\nGET https://h.example/items/{}\n", None,
+         [_ep("A B C", "GET", "https://h.example/a-b_c/"), _ep("Endpoint 2", "GET", "https://h.example/items/{}")]),
+    ])
+    def test_grammar(self, text, title, endpoints):
+        raw, cost = HeuristicBackend().extract(doc(text))
+        expected = ({"title": title} if title is not None else {}) | {"endpoints": endpoints}
+        assert raw == json.dumps(expected, indent=2, ensure_ascii=False)
+        assert cost == len(raw.encode("utf-8"))
 
 
 class _ScriptedClient:

@@ -67,6 +67,12 @@ class TestHarvest:
     def test_bare_scalar_has_no_key(self):
         assert harvest_response_values("just a string") == []
 
+    def test_non_finite_number_kept_as_its_json_text(self):
+        # Python's JSON reader accepts NaN and Infinity; strict JSON has no such number
+        body = json.loads('{"a": NaN, "b": [Infinity, -Infinity], "c": 1.5}')
+        assert harvest_response_values(body) == [
+            ("a", "NaN"), ("b", "Infinity"), ("b", "-Infinity"), ("c", 1.5)]
+
 
 def read_jsonl(path):
     return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]

@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from apimill.extract import ReplayBackend, extract_spec
@@ -288,16 +288,19 @@ class TestValueHandling:
         assert coerce_scalar("s") == "s"
         assert coerce_scalar(3) == 3
         assert coerce_scalar([1, "a"]) == '[1,"a"]'
+        assert coerce_scalar(2.5) == 2.5
+        assert [coerce_scalar(float(x)) for x in ("nan", "inf", "-inf")] == ["NaN", "Infinity", "-Infinity"]
 
     @given(st.recursive(
-        st.none() | st.booleans() | st.integers() | st.text(max_size=8),
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
         lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
         max_leaves=8,
     ))
+    @example(float("inf"))
     def test_coerce_scalar_total_and_json_safe(self, value):
         out = coerce_scalar(value)
         assert out is None or isinstance(out, (str, int, float, bool))
-        json.dumps(out)  # storable
+        json.dumps(out, allow_nan=False)  # storable as strict JSON
 
 
 def template_of(url):
