@@ -40,7 +40,7 @@ from .extract import (
     ReplayBackend,
     run_extraction,
 )
-from .inference import ParameterKbEntry, build_kb, infer_parameters
+from .inference import InferenceOutcome, ParameterKbEntry, build_kb, infer_parameters
 from .ingest import ApiDocument, ingest_corpus, load_corpus_manifest
 from .judges import DEFAULT_ERROR_PHRASES, HeuristicJudge, RemoteJudge
 from .model import ErrorType, escape_lone_surrogates, validate_spec
@@ -522,7 +522,10 @@ def stage_infer(config: ProjectConfig, judge, emb) -> None:
     ]
     for report in targets:
         tool = by_name[report.tool_name]
-        outcome = infer_parameters(tool, kb, judge, emb, http=config.http)
+        if any(arg.required for arg in tool.args):
+            outcome = infer_parameters(tool, kb, judge, emb, http=config.http)
+        else:  # inference fills only required args, so none can recover it
+            outcome = InferenceOutcome(tool.tool_name, False, note="nothing to infer")
         outcomes.append(outcome)
         if outcome.success:
             recovered.append(tool)

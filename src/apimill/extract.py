@@ -22,6 +22,7 @@ from .model import (
     Endpoint,
     Parameter,
     escape_lone_surrogates,
+    loads_finite,
     validate_spec,
 )
 from .netutil import run_pool
@@ -203,6 +204,7 @@ class HeuristicBackend:
     )
     _TEXT = (None,) * 8  # the groups of a line _LINE does not match: text
     _PROSE_VERB = re.compile(r"\b(GET|POST|PUT|PATCH|DELETE)\s+(https?://[^\s()\"']+)")
+    _NUMBER = re.compile(r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?")  # JSON's, ASCII digits
 
     def extract(self, doc: ApiDocument) -> Tuple[str, int]:
         title = pending_name = current = section = None
@@ -257,10 +259,10 @@ class HeuristicBackend:
         text = value.strip()
         if text.lower() in ("true", "false"):
             return text.lower() == "true"
-        for number in (int, float):
+        if HeuristicBackend._NUMBER.fullmatch(text):
             try:
-                return number(text)
-            except ValueError:
+                return loads_finite(text)
+            except ValueError:  # past a float's range, or past int's digit limit
                 pass
         return text
 

@@ -239,6 +239,19 @@ def coerce_scalar(value: Any) -> Optional[Scalar]:
     return json.dumps(value, separators=(",", ":"), ensure_ascii=False)
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not a finite number")
+    return value
+
+
+def loads_finite(text: str) -> Any:
+    """`json.loads` that refuses NaN, the infinities and a number past a
+    float's range, none of which strict JSON can write back."""
+    return json.loads(text, parse_constant=_finite_float, parse_float=_finite_float)
+
+
 def render_scalar(value: Optional[Scalar]) -> str:
     """String form of a stored scalar as it should appear in a request."""
     if value is None:

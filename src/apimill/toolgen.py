@@ -377,13 +377,14 @@ _OPENAPI_TYPES = {"string", "integer", "number", "boolean"}
 
 
 def export_openapi(tools: list) -> str:
-    """One OpenAPI YAML document for tools sharing a single host."""
+    """One OpenAPI YAML document for tools sharing a single host; each
+    distinct base (scheme://host) is a server, in sorted order."""
     if not tools:
         raise MixedHosts("no tools to export")
-    bases = {tool.template.base for tool in tools}
-    if len(bases) != 1 or None in bases:
-        raise MixedHosts(f"{len(bases)} distinct hosts in one export: {sorted(map(str, bases))}")
-    base = next(iter(bases))
+    bases = sorted({str(tool.template.base) for tool in tools})
+    hosts = {base.partition("://")[2] for base in bases}
+    if len(hosts) != 1 or any(tool.template.base is None for tool in tools):
+        raise MixedHosts(f"{len(hosts)} distinct hosts in one export: {bases}")
 
     paths: dict = {}
     for tool in tools:
@@ -433,8 +434,8 @@ def export_openapi(tools: list) -> str:
 
     doc = {
         "openapi": "3.0.3",
-        "info": {"title": base, "version": "1.0.0"},
-        "servers": [{"url": base}],
+        "info": {"title": bases[0], "version": "1.0.0"},
+        "servers": [{"url": base} for base in bases],
         "paths": paths,
     }
     return yaml.dump(doc, Dumper=YAML_DUMPER, sort_keys=False, allow_unicode=True)

@@ -7,14 +7,13 @@ aggressive ranges over four root-cause categories.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from typing import Optional
 from urllib.parse import quote, quote_from_bytes, unquote, unquote_to_bytes
 
 from .errors import MissingRequiredParameter, NegativeCount, OfflineViolation, TransportFailed
 from .judges import judge_with_fallback
-from .model import ErrorType, aligned_rows, render_scalar
+from .model import ErrorType, aligned_rows, loads_finite, render_scalar
 from .netutil import HttpPolicy, http_request, run_pool
 from .toolgen import ToolDescriptor
 
@@ -171,7 +170,7 @@ def invoke_tool(
     record.text = response.text
     record.truncated = response.truncated
     try:
-        record.json_body = json.loads(record.text)
+        record.json_body = loads_finite(record.text)
     except ValueError:
         record.json_body = None
     return record
@@ -224,31 +223,17 @@ class ValidationReport:
         )
 
 
-def _preflight(tool: ToolDescriptor, args: dict) -> Optional[ErrorType]:
-    """Structural failures that make an HTTP attempt pointless."""
+def _structural_label(tool: ToolDescriptor, args: dict) -> Optional[ErrorType]:
+    """The first structural rule `tool` breaks with `args`, in rule order; a
+    structural failure makes an HTTP attempt pointless."""
     if tool.template.base is None:
         return ErrorType.MISSING_BASE_URL
-    if tool.args and tool.template.path == "/":
-        return ErrorType.MISSING_ENDPOINT_PATH
-    for arg in tool.args:
-        if arg.location == "path" and args.get(arg.name) is None:
-            return ErrorType.MISSING_ENDPOINT_PATH  # placeholder stays unresolved
-    for arg in tool.args:
-        if arg.required and args.get(arg.name) is None:
-            return ErrorType.NO_PARAM_VALUE
+    if (tool.args and tool.template.path == "/") or any(
+            a.location == "path" and args.get(a.name) is None for a in tool.args):
+        return ErrorType.MISSING_ENDPOINT_PATH  # no path, or a placeholder left unresolved
+    if any(a.required and args.get(a.name) is None for a in tool.args):
+        return ErrorType.NO_PARAM_VALUE
     return None
-
-
-def _response_label(
-    record: Optional[InvocationRecord], judge_passed: Optional[bool]
-) -> ErrorType:
-    """The label of a tool that passed preflight, from its HTTP attempt."""
-    if record is None or record.transport_error is not None:
-        # required values were all present; the request itself failed
-        return ErrorType.WRONG_PARAM_VALUE
-    if record.status_code == 200:
-        return ErrorType.PASSED if judge_passed else ErrorType.FAILED
-    return ErrorType.ABNORMAL
 
 
 def default_args(tool: ToolDescriptor) -> dict:
@@ -262,18 +247,22 @@ def validate_tool(
     http: HttpPolicy = HttpPolicy(),
 ) -> ValidationReport:
     """build → invoke → judge → classify for one tool; a structural failure
-    found by `_preflight` sends no request."""
+    found by `_structural_label` sends no request."""
     bound = default_args(tool) if args is None else dict(args)
-    outcome = _preflight(tool, bound)
+    outcome = _structural_label(tool, bound)
     attempts, verdict = [], None
     if outcome is None:
         record = invoke_tool(tool, bound, http=http)
         attempts.append(record)
-        judge_passed = None
-        if record.status_code == 200:
-            judge_passed, rationale = judge_response(tool.description, record, judge)
-            verdict = {"passed": judge_passed, "rationale": rationale}
-        outcome = _response_label(record, judge_passed)
+        if record.transport_error is not None:
+            # required values were all present; the request itself failed
+            outcome = ErrorType.WRONG_PARAM_VALUE
+        elif record.status_code != 200:
+            outcome = ErrorType.ABNORMAL
+        else:
+            passed, rationale = judge_response(tool.description, record, judge)
+            verdict = {"passed": passed, "rationale": rationale}
+            outcome = ErrorType.PASSED if passed else ErrorType.FAILED
     return ValidationReport(
         tool_name=tool.tool_name,
         attempts=attempts,
@@ -298,17 +287,25 @@ def run_validation(
 # ---------------------------------------------------------------------------
 # cause estimation
 
-CAUSE_CATEGORIES = (
-    "Missing API Documentation Details",
-    "Incorrectly Extracted URL Path",
-    "Incorrect Parameter Values",
-    "Server-Side Errors",
+# Each cause category in order, with the labels its conservative bound counts
+# and the labels its aggressive bound adds to those.
+_CAUSES = (
+    ("Missing API Documentation Details",
+     (), (ErrorType.MISSING_BASE_URL, ErrorType.NO_PARAM_VALUE)),
+    ("Incorrectly Extracted URL Path",
+     (ErrorType.MISSING_ENDPOINT_PATH,), (ErrorType.MISSING_BASE_URL,)),
+    ("Incorrect Parameter Values",
+     (ErrorType.WRONG_PARAM_VALUE, ErrorType.FAILED), (ErrorType.NO_PARAM_VALUE, ErrorType.ABNORMAL)),
+    ("Server-Side Errors",
+     (), (ErrorType.FAILED, ErrorType.ABNORMAL)),
 )
+CAUSE_CATEGORIES = tuple(name for name, _, _ in _CAUSES)
 
 
 @dataclass
 class CauseEstimate:
-    """(conservative, aggressive) integer range per cause category."""
+    """(conservative, aggressive) integer range per cause category, one field
+    per `_CAUSES` row in its order."""
 
     missing_doc_details: tuple
     incorrect_url_path: tuple
@@ -316,12 +313,7 @@ class CauseEstimate:
     server_side: tuple
 
     def ranges(self) -> dict:
-        return {
-            CAUSE_CATEGORIES[0]: self.missing_doc_details,
-            CAUSE_CATEGORIES[1]: self.incorrect_url_path,
-            CAUSE_CATEGORIES[2]: self.incorrect_param_values,
-            CAUSE_CATEGORIES[3]: self.server_side,
-        }
+        return dict(zip(CAUSE_CATEGORIES, astuple(self)))
 
     def to_dict(self) -> dict:
         return {name: {"conservative": lo, "aggressive": hi}
@@ -329,29 +321,15 @@ class CauseEstimate:
 
 
 def estimate_causes(counts: dict) -> CauseEstimate:
-    """Range arithmetic over the six failure counts.
-
-    The aggressive bound adds each category's additional terms on top of its
-    conservative bound.
-    """
+    """Each category's range from the label counts, by the `_CAUSES` table."""
     by_type = {t: int(counts.get(t, 0)) for t in ErrorType}
     for error_type, count in by_type.items():
         if count < 0:
             raise NegativeCount(f"{error_type.value}: {count}")
-
-    mep = by_type[ErrorType.MISSING_ENDPOINT_PATH]
-    mbu = by_type[ErrorType.MISSING_BASE_URL]
-    fv = by_type[ErrorType.FAILED]
-    ar = by_type[ErrorType.ABNORMAL]
-    npv = by_type[ErrorType.NO_PARAM_VALUE]
-    wpv = by_type[ErrorType.WRONG_PARAM_VALUE]
-
-    return CauseEstimate(
-        missing_doc_details=(0, mbu + npv),
-        incorrect_url_path=(mep, mep + mbu),
-        incorrect_param_values=(wpv + fv, wpv + fv + npv + ar),
-        server_side=(0, fv + ar),
-    )
+    return CauseEstimate(*(
+        (sum(by_type[t] for t in conservative), sum(by_type[t] for t in conservative + aggressive))
+        for _, conservative, aggressive in _CAUSES
+    ))
 
 
 def counts_from_reports(reports: list) -> dict:
@@ -361,17 +339,15 @@ def counts_from_reports(reports: list) -> dict:
     return counts
 
 
-FAILURE_TYPES = [t for t in ErrorType if t is not ErrorType.PASSED]
-
-
 def render_error_tables(counts: dict, estimate: CauseEstimate) -> str:
     """Two aligned text tables: per-type counts, then cause ranges."""
+    failures = [t for t in ErrorType if t is not ErrorType.PASSED]
+    ranges = estimate.ranges()
     return "\n".join([
         "Error Type Counts",
-        *aligned_rows([t.value for t in FAILURE_TYPES],
-                      [str(counts.get(t, 0)) for t in FAILURE_TYPES]),
+        *aligned_rows([t.value for t in failures], [str(counts.get(t, 0)) for t in failures]),
         f"Passed Validation: {counts.get(ErrorType.PASSED, 0)}",
         "",
         "Error Cause Estimation (conservative-aggressive)",
-        *aligned_rows(list(CAUSE_CATEGORIES), [f"{lo}-{hi}" for lo, hi in estimate.ranges().values()]),
+        *aligned_rows(list(ranges), [f"{lo}-{hi}" for lo, hi in ranges.values()]),
     ])

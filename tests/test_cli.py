@@ -688,9 +688,63 @@ def test_non_finite_number_is_written_as_strict_json(tmp_path):
         "- cut (number): Cut-off. Example: nan\n- top (number): Top. Default: Infinity\n"))
     result = strict(out / "specs" / "results.jsonl")  # one page, so one line
     tool = strict(out / "tools" / "cut.tool.json")
+    # neither is a JSON number literal, so each stays the text it was written as
     assert [(p.get("example"), p.get("default")) for p in result["spec"]["endpoints"][0]["required_parameters"]] == [
-        ("NaN", None), (None, "Infinity")]
-    assert [(a["example_value"], a["default_value"]) for a in tool["args"]] == [("NaN", None), (None, "Infinity")]
+        ("nan", None), (None, "Infinity")]
+    assert [(a["example_value"], a["default_value"]) for a in tool["args"]] == [("nan", None), (None, "Infinity")]
+
+
+def test_non_finite_number_in_a_reply_is_not_json(tmp_path):
+    # Python's JSON reader takes NaN, and reads 1e400 as an infinity
+    replies = {"/nan": b'{"id": NaN, "ok": true}', "/big": b'{"n": 1e400}'}
+
+    def answer(handler):
+        return 200, {"Content-Type": "application/json"}, replies[handler.path]
+
+    def refuse(token):
+        raise ValueError(token)
+
+    with serving(answer) as (base, seen):
+        (tmp_path / "page.txt").write_text(
+            f"## Get Nan\nGET {base}/nan\n## Get Big\nGET {base}/big\n", encoding="utf-8")
+        (tmp_path / "manifest.json").write_text(
+            json.dumps([{"source_id": "page", "origin": "page.txt"}]), encoding="utf-8")
+        cfg = make_config(tmp_path, tmp_path / "manifest.json", tmp_path, truth_dir=None)
+        assert main(["run", "--config", str(cfg), "--stage-filter",
+                     "ingest,extract,generate,validate"]) == 0
+    assert len(seen) == 2
+    reports = [json.loads(line, parse_constant=refuse)
+               for line in (tmp_path / "out" / "validation" / "reports.jsonl").read_text(
+                   encoding="utf-8").splitlines()]
+    assert [(r["tool_name"], r["attempts"][0]["json"]) for r in reports] == [
+        ("get_big", None), ("get_nan", None)]
+
+
+def test_tool_without_required_arg_is_not_recovered(tmp_path, capsys):
+    # nothing listens on port 9, so the tool fails with every value it needs
+    (tmp_path / "page.txt").write_text(
+        "## Ping\nGET http://127.0.0.1:9/ping\nOptional parameters:\n- verbose: Example: 1\n",
+        encoding="utf-8")
+    (tmp_path / "manifest.json").write_text(
+        json.dumps([{"source_id": "page", "origin": "page.txt"}]), encoding="utf-8")
+    cfg = make_config(tmp_path, tmp_path / "manifest.json", tmp_path, truth_dir=None)
+    assert main(["run", "--config", str(cfg)]) == 0
+    out = tmp_path / "out"
+    (report,) = map(json.loads, (out / "validation" / "reports.jsonl").read_text().splitlines())
+    assert report["error_type"] == "Wrong Parameter Value"
+    (outcome,) = map(json.loads, (out / "kb" / "inference.jsonl").read_text().splitlines())
+    assert (outcome["success"], outcome["attempts"], outcome["note"]) == (False, 0, "nothing to infer")
+    assert "infer: 0/1 failing tools recovered" in capsys.readouterr().out
+    assert "recovered 0 of 1 failing tools" in (out / "reports" / "report.txt").read_text()
+
+
+def test_one_host_on_two_schemes_is_one_export(tmp_path):
+    out = _generate_page(tmp_path, "GET https://h.example/a\nGET http://h.example/b\n")
+    (path,) = (out / "exports").glob("*.openapi.yaml")
+    doc = yaml.safe_load(path.read_text(encoding="utf-8"))
+    assert doc["servers"] == [{"url": "http://h.example"}, {"url": "https://h.example"}]
+    assert list(doc["paths"]) == ["/a", "/b"]
+    assert (out / "tools" / "unbuildable.jsonl").read_text() == ""
 
 
 def test_same_endpoint_names_across_sources_all_kept(corpus, tmp_path):

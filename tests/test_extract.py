@@ -275,6 +275,17 @@ class TestHeuristicBackend:
           _ep("S", "GET", "https://h.example/s", req=[{"name": "a", "example": "1"}])]),
         ("GET https://h.example/a-b_c/\nGET https://h.example/items/{}\n", None,
          [_ep("A B C", "GET", "https://h.example/a-b_c/"), _ep("Endpoint 2", "GET", "https://h.example/items/{}")]),
+        # only a finite JSON number literal reads as a number
+        pytest.param(
+            "## N\nGET https://h.example/n\nOptional parameters:\n- a: Example: 1_000\n"
+            "- b: Example: \u0663\n- c: Example: +5\n- d: Example: 007\n- e: Example: 1e400\n"
+            f"- f: Example: {'9' * 5000}\n- g: Example: -0.5E2\n- h: Example: -0\n", None,
+            [_ep("N", "GET", "https://h.example/n", opt=[
+                {"name": "a", "example": "1_000"}, {"name": "b", "example": "\u0663"},
+                {"name": "c", "example": "+5"}, {"name": "d", "example": "007"},
+                {"name": "e", "example": "1e400"}, {"name": "f", "example": "9" * 5000},
+                {"name": "g", "example": -50.0}, {"name": "h", "example": 0}])],
+            id="json-number-literals"),
     ])
     def test_grammar(self, text, title, endpoints):
         raw, cost = HeuristicBackend().extract(doc(text))

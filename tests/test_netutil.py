@@ -185,6 +185,38 @@ class _NeverWait:
         self.hosts.append(host)
 
 
+class _Clock:
+    """`netutil.time` for a test: sleeping moves the clock on at once."""
+
+    def __init__(self):
+        self.now, self.sleeps = 1000.0, []
+
+    def monotonic(self):
+        return self.now
+
+    def sleep(self, seconds):
+        self.sleeps.append(seconds)
+        self.now += seconds
+
+
+def test_host_rate_limiter_paces_each_host(monkeypatch):
+    clock = _Clock()
+    monkeypatch.setattr(netutil, "time", clock)
+    limiter = netutil.HostRateLimiter(rate_per_sec=2.0)
+    limiter.acquire("a")  # a host starts with one token
+    limiter.acquire("b")  # and has a bucket of its own
+    assert clock.sleeps == []
+    limiter.acquire("a")  # half a second to the next token, in naps of at most 0.2 s
+    assert clock.now - 1000.0 == pytest.approx(0.5)
+    assert len(clock.sleeps) == 3 and max(clock.sleeps) == 0.2
+    clock.now += 10.0  # an idle host saves up one token, not twenty
+    limiter.acquire("a")
+    limiter.acquire("a")
+    assert clock.now - 1010.0 == pytest.approx(1.0)
+    netutil.HostRateLimiter(rate_per_sec=0).acquire("a")  # 0: no limit
+    assert clock.now - 1010.0 == pytest.approx(1.0)
+
+
 class TestOfflineGuard:
     """Each caller refuses a non-loopback target before any socket or wait."""
 
