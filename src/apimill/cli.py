@@ -16,6 +16,7 @@ under output_dir, so stages are idempotent and individually rerunnable:
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import re
@@ -31,17 +32,6 @@ import yaml
 
 from .embedding import LexicalEmbedding, RemoteEmbedding
 from .errors import ApimillError, ConfigInvalid, EmptyCorpus, MissingStageInput
-from .evaluate import compute_metrics
-from .extract import (
-    ExtractionResult,
-    HeuristicBackend,
-    RemoteChatBackend,
-    RemoteStructuredBackend,
-    ReplayBackend,
-    run_extraction,
-)
-from .inference import InferenceOutcome, ParameterKbEntry, build_kb, infer_parameters
-from .ingest import ApiDocument, ingest_corpus, load_corpus_manifest
 from .judges import DEFAULT_ERROR_PHRASES, HeuristicJudge, RemoteJudge
 from .model import ErrorType, escape_lone_surrogates, validate_spec
 from .netutil import HostRateLimiter, HttpPolicy
@@ -55,13 +45,38 @@ from .toolgen import (
     sanitize_tool_name,
     unique_name,
 )
-from .validate import (
-    ValidationReport,
-    counts_from_reports,
-    estimate_causes,
-    render_error_tables,
-    run_validation,
-)
+
+# name -> the stage module it is imported from, when a stage first uses one
+# of that module's names, so that a command loads only what its stages run
+_STAGE_NAMES = {
+    **dict.fromkeys(("ApiDocument", "ingest_corpus", "load_corpus_manifest"), "ingest"),
+    **dict.fromkeys(("ExtractionResult", "HeuristicBackend", "RemoteChatBackend",
+                     "RemoteStructuredBackend", "ReplayBackend", "run_extraction"), "extract"),
+    "compute_metrics": "evaluate",
+    **dict.fromkeys(("ValidationReport", "counts_from_reports", "estimate_causes",
+                     "render_error_tables", "run_validation"), "validate"),
+    **dict.fromkeys(("InferenceOutcome", "ParameterKbEntry", "build_kb", "infer_parameters"),
+                    "inference"),
+}
+
+
+def _load(*modules: str) -> None:
+    """Bind here each name of `modules` in _STAGE_NAMES that is not bound
+    yet; one that is keeps its object, which may be a tracer's wrapper."""
+    for module in modules:
+        home = importlib.import_module(f".{module}", __package__)
+        for name, owner in _STAGE_NAMES.items():
+            if owner == module:
+                globals().setdefault(name, getattr(home, name))
+
+
+def __getattr__(name: str):
+    """A stage name, imported from its module and kept here."""
+    if name not in _STAGE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load(_STAGE_NAMES[name])
+    return globals()[name]
+
 
 ALL_STAGES = ("ingest", "extract", "evaluate", "generate", "validate", "infer", "report")
 
@@ -229,6 +244,7 @@ def _backend_settings(name: str, kind: str, entry: dict, resolve) -> dict:
 # backend factories: load_config has checked every setting they read
 
 def make_extraction_backend(config: ProjectConfig):
+    _load("extract")
     settings = config.backends["extraction"]
     kind = settings["kind"]
     if kind == "heuristic":
@@ -303,6 +319,7 @@ def _read_jsonl(path: Path) -> list:
 
 
 def stage_ingest(config: ProjectConfig, judge) -> None:
+    _load("ingest")
     entries = load_corpus_manifest(config.corpus_manifest)
     manifest_dir = config.corpus_manifest.parent
     for entry in entries:
@@ -328,6 +345,7 @@ def stage_ingest(config: ProjectConfig, judge) -> None:
 
 
 def stage_extract(config: ProjectConfig, backend) -> None:
+    _load("extract")
     index_path = _input(config, "extract", "docs/index.json", "ingest")
     pages_path = _input(config, "extract", "docs/pages.jsonl", "ingest")
     index = json.loads(index_path.read_text(encoding="utf-8"))
@@ -360,11 +378,13 @@ def stage_extract(config: ProjectConfig, backend) -> None:
 
 
 def _load_extraction_results(config: ProjectConfig, stage: str) -> list:
+    _load("extract")
     results_path = _input(config, stage, "specs/results.jsonl", "extract")
     return [ExtractionResult.from_dict(row) for row in _read_jsonl(results_path)]
 
 
 def stage_evaluate(config: ProjectConfig, emb) -> None:
+    _load("evaluate")
     if config.truth_dir is None:
         raise ConfigInvalid("evaluate needs truth_dir in the config")
     results = _load_extraction_results(config, "evaluate")
@@ -469,6 +489,7 @@ def _load_tools(config: ProjectConfig, stage: str) -> list:
 
 
 def stage_validate(config: ProjectConfig, judge) -> None:
+    _load("validate")
     tools = _load_tools(config, "validate")
     reports = run_validation(tools, judge, width=config.concurrency, http=config.http)
     validation_dir = config.subdir("validation")
@@ -497,6 +518,7 @@ def _write_kb(kb_dir: Path, kb) -> None:
     """`kb.jsonl`, each entry's fields, and `vectors.jsonl`, one row per text
     the entries name, so a vector that many entries share is written once.
     A row is built by getattr: vars() would leave each entry a dict to keep."""
+    _load("inference")
     names = [f.name for f in fields(ParameterKbEntry)]
     _write_jsonl(kb_dir / "kb.jsonl", ({n: getattr(e, n) for n in names} for e in kb.entries))
     _write_jsonl(kb_dir / "vectors.jsonl",
@@ -504,24 +526,27 @@ def _write_kb(kb_dir: Path, kb) -> None:
 
 
 def stage_infer(config: ProjectConfig, judge, emb) -> None:
+    _load("validate", "inference")
     tools = _load_tools(config, "infer")
     reports_path = _input(config, "infer", "validation/reports.jsonl", "validate")
     reports = [ValidationReport.from_dict(row) for row in _read_jsonl(reports_path)]
     by_name = {t.tool_name: t for t in tools}
 
     kb = build_kb(reports, tools, emb)
+    targets = [
+        by_name[r.tool_name] for r in reports
+        if r.error_type in (ErrorType.NO_PARAM_VALUE, ErrorType.WRONG_PARAM_VALUE)
+        and r.tool_name in by_name
+    ]
+    # the KB holds what it needs of the reports: they and their response
+    # bodies are freed before the first request loads the HTTP stack
+    del reports
     kb_dir = config.subdir("kb")
     _write_kb(kb_dir, kb)
     entries = len(kb)  # the rows written: recovered values join the KB only in memory
 
     outcomes, recovered = [], []
-    targets = [
-        r for r in reports
-        if r.error_type in (ErrorType.NO_PARAM_VALUE, ErrorType.WRONG_PARAM_VALUE)
-        and r.tool_name in by_name
-    ]
-    for report in targets:
-        tool = by_name[report.tool_name]
+    for tool in targets:
         if any(arg.required for arg in tool.args):
             outcome = infer_parameters(tool, kb, judge, emb, http=config.http)
         else:  # inference fills only required args, so none can recover it

@@ -1,5 +1,6 @@
 """Politeness limits, thread pools, and the one outbound HTTP path, `http_request`, over
-`http.client`; it, `ssl` and `urllib.request` load on the first request, not before."""
+`http.client`; it and `ssl` load on the first request, not before, and `urllib.request`
+only where a proxy is looked up (see `_proxy_for`)."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import json as _json
 import os
 import re
 import string
+import sys
 import threading
 import time
 from collections import deque
@@ -132,12 +134,13 @@ _local = threading.local()
 
 def _proxy_for(scheme: str, hostport: str) -> Optional[str]:
     """The proxy a request to `hostport` goes through, as requests picks it, or None.
-    Where the lookup reads only the environment, it is read once, and not at all
-    when no variable name ends in `_proxy`, in any case: then there is no proxy."""
-    import urllib.request
-    from_environment = urllib.request.getproxies is urllib.request.getproxies_environment
+    Where urllib reads proxies from the environment only (not on macOS or Windows),
+    no variable name ending in `_proxy`, in any case, means no proxy, and then
+    urllib.request is not loaded."""
+    from_environment = sys.platform != "darwin" and os.name != "nt"
     if from_environment and not any(name[-6:].lower() == "_proxy" for name in os.environ):
         return None
+    import urllib.request
     proxies = urllib.request.getproxies()
     proxy = proxies.get(scheme) or proxies.get("all")
     if proxy and (urllib.request.proxy_bypass_environment(hostport, proxies) if from_environment

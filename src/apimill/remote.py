@@ -38,7 +38,7 @@ def post_json(url: str, body: dict, *, api_key_env: Optional[str], timeout: floa
         raise error(f"status {resp.status_code}: {resp.text[:200]}")
     try:
         return json.loads(resp.text)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
         raise error(f"malformed response: {exc}") from exc
 
 

@@ -284,9 +284,9 @@ def generate_tools_for_spec(spec, source_id: str, used_names: Optional[set] = No
 # ---------------------------------------------------------------------------
 # function-source export
 
-# names the exported source binds itself; no function or parameter may take one
+# names the exported source binds or calls itself; no function or parameter may take one
 _EXPORT_BOUND = frozenset(keyword.kwlist) | {
-    "__debug__", "requests", "api_url", "querystring", "response", "response2"}
+    "__debug__", "requests", "api_url", "querystring", "response", "response2", "dict"}
 
 
 def _py_identifier(name: str, taken: set) -> str:

@@ -171,7 +171,7 @@ def invoke_tool(
     record.truncated = response.truncated
     try:
         record.json_body = loads_finite(record.text)
-    except ValueError:
+    except (ValueError, RecursionError):  # RecursionError: nested too deep
         record.json_body = None
     return record
 

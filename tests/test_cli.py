@@ -720,6 +720,23 @@ def test_non_finite_number_in_a_reply_is_not_json(tmp_path):
         ("get_big", None), ("get_nan", None)]
 
 
+def test_reply_nested_past_the_recursion_limit_is_not_json(tmp_path):
+    def answer(handler):
+        return 200, {"Content-Type": "application/json"}, b"[" * 100000
+
+    with serving(answer) as (base, seen):
+        (tmp_path / "page.txt").write_text(f"## Get Deep\nGET {base}/deep\n", encoding="utf-8")
+        (tmp_path / "manifest.json").write_text(
+            json.dumps([{"source_id": "page", "origin": "page.txt"}]), encoding="utf-8")
+        cfg = make_config(tmp_path, tmp_path / "manifest.json", tmp_path, truth_dir=None)
+        assert main(["run", "--config", str(cfg), "--stage-filter",
+                     "ingest,extract,generate,validate"]) == 0
+    assert len(seen) == 1
+    (report,) = map(json.loads, (tmp_path / "out" / "validation" / "reports.jsonl").read_text(
+        encoding="utf-8").splitlines())
+    assert (report["tool_name"], report["attempts"][0]["json"]) == ("get_deep", None)
+
+
 def test_tool_without_required_arg_is_not_recovered(tmp_path, capsys):
     # nothing listens on port 9, so the tool fails with every value it needs
     (tmp_path / "page.txt").write_text(

@@ -355,6 +355,16 @@ def test_extraction_result_dict_round_trip(pokemon_html):
         True, False, False, False]
 
 
+def test_output_nested_past_the_recursion_limit_is_unrepaired():
+    deep = '{"a": ' + "[" * 100000 + "]" * 100000 + "}"
+    backend = ReplayBackend({"deep": deep, "fine": '{"endpoints": []}'})
+    results = []
+    pages = [("deep", "x"), ("fine", "x")]
+    assert run_extraction(iter(pages), backend, results.append, width=2) == 1
+    assert [r.source_id for r in results] == ["deep", "fine"]
+    assert results[0].violations == ["repair: no parseable object"]
+
+
 def test_run_extraction_preserves_order():
     texts = {f"s{i}": f"## E{i}\nGET https://h.example/{i}\n" for i in range(6)}
     results = []

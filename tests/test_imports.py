@@ -82,3 +82,49 @@ def test_no_stage_loads_numpy(corpus, tmp_path):
         "ingest": False, "extract": False, "evaluate": False, "generate": False,
         "validate": False, "infer": False, "report": False,
     }
+
+
+STAGE_MODULES = ("ingest", "extract", "evaluate", "validate", "inference")
+
+
+def test_each_command_loads_only_its_stage_modules(corpus, tmp_path):
+    manifest, corpus_dir, _ = corpus
+    cfg = str(make_config(tmp_path, manifest, corpus_dir))
+
+    def stage_modules(statement: str) -> list:
+        return [m for m in STAGE_MODULES if f"apimill.{m}" in loaded_after(statement)]
+
+    assert stage_modules("import apimill.cli") == []
+    commands = {
+        "run --stage-filter ingest,extract,evaluate,generate": ["ingest", "extract", "evaluate"],
+        "validate": ["validate"],
+        "infer": ["validate", "inference"],
+        "report": [],
+    }
+    for command, modules in commands.items():
+        argv = [*command.split(), "--config", cfg]
+        assert stage_modules(f"from apimill.cli import main; assert main({argv!r}) == 0") == \
+            modules, command
+
+
+def test_tracer_wraps_the_names_the_stages_call(corpus, tmp_path):
+    # as bench/spans.py installs its spans: getattr, then setattr, on apimill.cli
+    manifest, corpus_dir, _ = corpus
+    cfg = make_config(tmp_path, manifest, corpus_dir)
+    out = in_fresh_python(textwrap.dedent(f"""
+        import json
+        from apimill import cli
+        calls = dict.fromkeys(("ingest_corpus", "run_extraction", "compute_metrics",
+                               "run_validation", "build_kb", "infer_parameters"), 0)
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+        for name in calls:
+            setattr(cli, name, counting(name, getattr(cli, name)))
+        code = cli.main({["run", "--config", str(cfg)]!r})
+        print(json.dumps({{"code": code, "calls": calls}}))
+    """))
+    assert out["code"] == 0
+    assert [name for name, n in out["calls"].items() if n == 0] == []

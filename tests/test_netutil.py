@@ -435,13 +435,28 @@ class TestLazyHttpImport:
         assert out == {"code": 0, "loaded": []}
         assert (tmp_path / "out" / "metrics" / "metrics.json").exists()
 
-    def test_validate_loads_them(self, corpus, tmp_path):
+    def test_validate_loads_them(self, corpus, mock_api, tmp_path, monkeypatch):
         manifest, corpus_dir, _ = corpus
         cfg = make_config(tmp_path, manifest, corpus_dir)
         assert main(["run", "--config", str(cfg), "--stage-filter", "ingest,extract,generate"]) == 0
-        for command in ("validate", "infer"):
+
+        def sent(command) -> tuple:
+            before = len(mock_api.hits)
             out = self.pipeline([command, "--config", str(cfg)])
-            assert out == {"code": 0, "loaded": list(HTTP_MODULES)}, command
+            return out, sorted(mock_api.hits[before:], key=repr)
+
+        # urllib.request is loaded to look a proxy up, and no variable names one
+        for name in list(os.environ):
+            if name.lower().endswith("_proxy"):
+                monkeypatch.delenv(name)
+        out, hits = sent("validate")
+        assert out == {"code": 0, "loaded": ["http.client", "ssl"]} and hits
+        # a proxy variable loads it; NO_PROXY still sends loopback requests to the server
+        with monkeypatch.context() as env:
+            env.setenv("HTTP_PROXY", "http://127.0.0.1:9")
+            env.setenv("NO_PROXY", "127.0.0.1")
+            assert sent("validate") == ({"code": 0, "loaded": list(HTTP_MODULES)}, hits)
+        assert sent("infer")[0] == {"code": 0, "loaded": ["http.client", "ssl"]}
         assert (tmp_path / "out" / "kb" / "kb.jsonl").exists()
 
     def test_simultaneous_first_requests_all_succeed(self, mock_api):

@@ -384,6 +384,9 @@ _ODD_VALUES = ["it's'", "a'''b", "C:\\new", "{id}", 'say "hi"']
 # a lone surrogate, which the export must escape to encode as UTF-8
 @example(name="", method="GET", path='a"b', placeholder="\ud800", query_base=None,
          path_value="", params={})
+# a tool named dict: the export's __main__ block calls dict()
+@example(name="DICT", method="GET", path="", placeholder="0", query_base=None,
+         path_value="", params={})
 def test_export_compiles_and_sends_what_the_descriptor_describes(
     name, method, path, placeholder, query_base, path_value, params,
 ):
