@@ -123,7 +123,7 @@ def repair_json(raw: str):
     if first.startswith("{"):
         try:
             return json.loads(first)
-        except (json.JSONDecodeError, RecursionError):  # RecursionError: nested too deep
+        except (ValueError, RecursionError):  # also over 4,300 digits, or nested too deep
             pass
 
     saw_unbalanced = False
@@ -136,7 +136,7 @@ def repair_json(raw: str):
             saw_object = True
             try:
                 return json.loads(span)
-            except (json.JSONDecodeError, RecursionError):
+            except (ValueError, RecursionError):
                 continue
     if saw_unbalanced and not saw_object:
         raise RepairFailure("unbalanced")

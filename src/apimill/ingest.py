@@ -117,8 +117,9 @@ def dehtml(markup: str) -> str:
     While no skipped element and no anchor is open, the regex engine reads
     each plain run (_PLAIN_RUN: text without `<` or `&`, and well-formed
     tags that change no state, such as `<li class="x">` or `</p>`) in one
-    match and turns it into text in two substitutions; the rest is read tag
-    by tag.  The text is the same as a reading tag by tag gives."""
+    match and turns it into text in two substitutions, or none where it holds
+    no tag; the rest is read tag by tag.  The text is the same as a reading
+    tag by tag gives."""
     plain_run, plain_block, plain_tag = _plain_patterns()
     parts: list = []
     anchors: list = []  # per open <a>: (href, its text runs)
@@ -185,8 +186,8 @@ def dehtml(markup: str) -> str:
     while i < n:
         if not skip and not anchors:
             run = plain_run.match(markup, i).group()
-            if run:
-                parts.append(plain_tag.sub("", plain_block.sub("\n", run)))
+            if run:  # a run with no tag is its own text
+                parts.append(plain_tag.sub("", plain_block.sub("\n", run)) if "<" in run else run)
                 i += len(run)
                 if i == n:
                     break

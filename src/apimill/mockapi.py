@@ -9,12 +9,16 @@ Routes:
   /glycan    gated: 200 data iff glytoucan_id is the known accession
   /structure gated the same way on a second host of values
 
-Binds 127.0.0.1 only.
+Binds 127.0.0.1 only.  Speaks HTTP/1.1, so a client keeps its connection
+between requests, as a real API lets it; Nagle's algorithm is off, so no
+reply waits on the client's delayed ACK.  stop() closes the connections
+still open, so a stopped server answers no further request.
 """
 
 from __future__ import annotations
 
 import json
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
@@ -24,6 +28,8 @@ KNOWN_GLYTOUCAN_ID = "G00048MO"
 
 class _Handler(BaseHTTPRequestHandler):
     server_version = "MockApi/1.0"
+    protocol_version = "HTTP/1.1"  # every reply carries Content-Length
+    disable_nagle_algorithm = True
 
     def log_message(self, fmt, *args):  # keep test output quiet
         pass
@@ -93,12 +99,32 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(404, {"error": "no such route"})
 
 
+class _Server(ThreadingHTTPServer):
+    """Holds each accepted connection until its handler ends."""
+
+    def __init__(self):
+        super().__init__(("127.0.0.1", 0), _Handler)
+        self.hits = []  # (path, query) per request, in arrival order
+        self.open = set()
+        self.lock = threading.Lock()
+
+    def process_request(self, request, client_address):
+        # on the serving thread, so none is added once shutdown() returns
+        with self.lock:
+            self.open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        with self.lock:
+            self.open.discard(request)
+        super().shutdown_request(request)
+
+
 class MockApi:
     """Context manager around the loopback server; .base_url has the port."""
 
     def __init__(self):
-        self.server = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
-        self.server.hits = []  # (path, query) per request, in arrival order
+        self.server = _Server()
         self._thread = threading.Thread(target=self.server.serve_forever, daemon=True)
 
     @property
@@ -115,7 +141,14 @@ class MockApi:
         return self
 
     def stop(self) -> None:
+        """Stop accepting, end the open connections, and close the socket."""
         self.server.shutdown()
+        with self.server.lock:
+            for request in self.server.open:
+                try:  # its handler reads end of file and ends
+                    request.shutdown(socket.SHUT_RDWR)
+                except OSError:  # the client closed it first
+                    pass
         self.server.server_close()
 
     def __enter__(self) -> "MockApi":

@@ -507,6 +507,16 @@ class TestReplayProject:
         assert row["violations"] == [
             "wrong_value_kind at endpoints[0].name (text holds a lone surrogate)"]
 
+    def test_integer_past_the_digit_limit_recorded_invalid(self, pokemon_project):
+        # json refuses an integer literal of more than 4,300 digits with a ValueError
+        cfg, out = pokemon_project
+        (cfg.parent / "corpus" / "recorded" / "pokemon.json").write_text(
+            '{"endpoints": [], "count": ' + "1" * 5000 + "}")
+        assert main(["run", "--config", str(cfg), "--stage-filter", "ingest"]) == 0
+        assert main(["extract", "--config", str(cfg)]) == 0
+        (row,) = [json.loads(l) for l in (out / "specs" / "results.jsonl").read_text().splitlines()]
+        assert not row["valid"] and row["violations"] == ["repair: no parseable object"]
+
     def test_lone_surrogate_in_chat_reply_recorded_invalid(self, pokemon_project, monkeypatch):
         # a chat API's JSON can escape a lone surrogate, so the decoded reply holds it
         cfg, out = pokemon_project

@@ -28,6 +28,7 @@ from apimill.cli import (load_config, main, make_embedding, make_extraction_back
 from apimill.embedding import RemoteEmbedding
 from apimill.errors import ApimillError, FetchFailed, OfflineViolation, TransportFailed
 from apimill.ingest import clean_text, load_page
+from apimill.mockapi import MockApi
 from apimill.model import Endpoint, Parameter
 from apimill.netutil import MAX_BODY_BYTES, HttpPolicy, HttpResponse, http_request
 from apimill.remote import ChatClient, RemoteConfig
@@ -764,7 +765,9 @@ class TestConnections:
         assert outcomes == [b"ok", b"ok"]
         assert len({r.client for r in seen}) == 2
 
-    def test_at_most_ten_per_thread_the_oldest_closed(self, monkeypatch, direct):
+    @pytest.fixture
+    def opened(self, monkeypatch, direct):
+        """Every socket the client connects, in order."""
         opened, connect = [], socket.create_connection
 
         def recording(*args, **kwargs):
@@ -772,6 +775,9 @@ class TestConnections:
             return opened[-1]
 
         monkeypatch.setattr(socket, "create_connection", recording)
+        return opened
+
+    def test_at_most_ten_per_thread_the_oldest_closed(self, opened):
         # 0 is used again, so 10 and 11 close 1 and 2, the least recently used;
         # 0 is still open, and 1 reopens
         order = [*range(10), 0, 10, 11, 0, 1]
@@ -817,6 +823,45 @@ class TestConnections:
             for fd in fds:
                 os.close(fd)
         assert outcomes == [200, 200] and len({r.client for r in seen}) == 1
+
+    def test_mock_api_keeps_one_open(self, opened):
+        statuses = []
+
+        def work(base):
+            for _ in range(20):
+                statuses.append(http_request("GET", base + "/cards", timeout=10).status_code)
+
+        with MockApi() as api:
+            thread = threading.Thread(target=work, args=(api.base_url,))
+            thread.start()
+            thread.join(timeout=30)
+            assert statuses == [200] * 20 and len(api.hits) == 20
+        assert len(opened) == 1
+
+    def test_stopped_mock_api_answers_no_kept_connection(self, direct):
+        # four threads each keep a connection open; stop() ends all of them
+        outcomes, api = [], MockApi().start()
+        served, stopped = threading.Barrier(5, timeout=30), threading.Event()
+
+        def work():
+            outcomes.append(http_request("GET", api.base_url + "/cards", timeout=10).status_code)
+            served.wait()
+            stopped.wait(timeout=30)
+            try:
+                http_request("GET", api.base_url + "/cards", timeout=10)
+            except TransportFailed:
+                outcomes.append("failed")
+
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        served.wait()
+        api.stop()
+        stopped.set()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert outcomes.count(200) == outcomes.count("failed") == 4
+        assert len(api.hits) == 4
 
 
 class TestProxyAddress:
